@@ -18,6 +18,8 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from . import closed_form as cf
 from . import graph as graph_mod
 from . import numerics as num
@@ -26,6 +28,7 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
+FORMATS = ("json", "csv", "text")
 
 
 class CliError(Exception):
@@ -248,19 +251,21 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
 
 def _attach_numeric(report: cf.EntanglementReport, args: argparse.Namespace) -> cf.EntanglementReport:
+    """Solve once per distinct kappa and attach the result to every vertex sharing it."""
     policy = _policy(args)
-    cache: dict[float, cf.NumericCheck] = {}
-    records = []
-    for rec in report.records:
-        if rec.kappa not in cache:
-            result = num.numeric_entanglement(cf.KernelSpec(report.alpha, rec.kappa), policy)
-            cache[rec.kappa] = cf.NumericCheck(
-                lambda_max=result.lambda_max_numeric,
-                deviation=abs(result.lambda_max_numeric - rec.lambda_max),
-                grid_size=result.grid_size,
-            )
-        records.append(dataclasses.replace(rec, numeric=cache[rec.kappa]))
-    return dataclasses.replace(report, records=tuple(records))
+    kappas = np.array([rec.kappa for rec in report.records])
+    distinct, first, which = np.unique(kappas, return_index=True, return_inverse=True)
+    checks = []
+    for kv, v in zip(distinct.tolist(), first.tolist()):
+        result = num.numeric_entanglement(cf.KernelSpec(report.alpha, kv), policy)
+        checks.append(cf.NumericCheck(
+            lambda_max=result.lambda_max_numeric,
+            deviation=abs(result.lambda_max_numeric - report.records[v].lambda_max),
+            grid_size=result.grid_size,
+        ))
+    records = tuple(dataclasses.replace(rec, numeric=checks[i])
+                    for rec, i in zip(report.records, which.tolist()))
+    return dataclasses.replace(report, records=records)
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
@@ -427,19 +432,16 @@ def cmd_scan(args: argparse.Namespace) -> int:
         spec = _gen_spec(args)
         if args.samples < 1:
             raise CliError(f"--samples must be >= 1, got {args.samples}")
-        counts: dict[int, int] = {}
+        counts = np.zeros(spec.n, dtype=np.int64)
         for i in range(args.samples):
             sample = spec if spec.kind != "erdos_renyi" else dataclasses.replace(spec, seed=spec.seed + i)
-            g = graph_mod.generate(sample)
-            for v in range(g.n):
-                d = graph_mod.degree(g, v)
-                counts[d] = counts.get(d, 0) + 1
+            counts += np.bincount(graph_mod.degree(graph_mod.generate(sample)), minlength=spec.n)
         header = ["degree", "entanglement", "multiplicity"]
         rows_payload = [{
             "degree": d,
             "entanglement": cf.entanglement(cf.KernelSpec(alpha, float(d))),
-            "multiplicity": counts[d],
-        } for d in sorted(counts)]
+            "multiplicity": counts[d].item(),
+        } for d in np.flatnonzero(counts).tolist()]
         rows = [[str(r["degree"]), _fmt(r["entanglement"]), str(r["multiplicity"])]
                 for r in rows_payload]
         payload = {"alpha": alpha, "mode": "ensemble", "samples": args.samples, "rows": rows_payload}
@@ -474,7 +476,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 
     def command(name: str, help_text: str, *, default_format: str = "text") -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--format", choices=("json", "csv", "text"), default=default_format,
+        p.add_argument("--format", choices=FORMATS, default=default_format,
                        help=f"output format (default {default_format})")
         p.add_argument("--out", metavar="PATH", help="write output to PATH instead of stdout")
         p.add_argument("--config", metavar="PATH",
@@ -561,37 +563,27 @@ def _read_config(path: str) -> dict[str, str]:
     return values
 
 
-def _flag_given(argv: list[str], option_strings: list[str]) -> bool:
-    for token in argv:
-        for opt in option_strings:
-            if token == opt or token.startswith(opt + "="):
-                return True
-    return False
+def _config_defaults(args: argparse.Namespace) -> dict[str, object]:
+    """Parser defaults for ``args.command`` read from its config file.
 
-
-def _apply_config(subparser: argparse.ArgumentParser, args: argparse.Namespace,
-                  argv: list[str]) -> None:
-    """Fill namespace entries from the config file; explicit flags keep priority."""
-    overrides = _read_config(args.config)
-    actions = {action.dest: action for action in subparser._actions if action.option_strings}
-    for raw_key, raw_value in overrides.items():
+    Valued options get the raw string, which argparse converts exactly like a
+    command-line value but, unlike one, does not check against ``choices``;
+    on/off flags take 1/true/yes/on as set.
+    """
+    known = vars(args)
+    defaults: dict[str, object] = {}
+    for raw_key, raw_value in _read_config(args.config).items():
         dest = raw_key.replace("-", "_")
-        action = actions.get(dest)
-        if action is None or dest in ("help", "config"):
+        if dest not in known or dest in ("command", "config"):
             raise CliError(f"unknown config key {raw_key!r} for command {args.command!r}")
-        if _flag_given(argv, action.option_strings):
-            continue
-        if isinstance(action, argparse._StoreTrueAction):
-            setattr(args, dest, raw_value.lower() in ("1", "true", "yes", "on"))
-            continue
-        if action.choices is not None and raw_value not in action.choices:
+        if isinstance(known[dest], bool):
+            defaults[dest] = raw_value.lower() in ("1", "true", "yes", "on")
+        elif dest == "format" and raw_value not in FORMATS:
             raise CliError(f"config {raw_key!r}: invalid value {raw_value!r} "
-                           f"(choose from {', '.join(action.choices)})")
-        converter = action.type if action.type is not None else str
-        try:
-            setattr(args, dest, converter(raw_value))
-        except ValueError:
-            raise CliError(f"config {raw_key!r}: invalid value {raw_value!r}") from None
+                           f"(choose from {', '.join(FORMATS)})")
+        else:
+            defaults[dest] = raw_value
+    return defaults
 
 
 _HANDLERS = {
@@ -609,12 +601,13 @@ def main(argv: list[str] | None = None) -> int:
     parser, registry = _build_parser()
     try:
         args = parser.parse_args(raw_argv)
+        if getattr(args, "config", None):
+            # parse again with the config file as defaults: explicit flags win
+            registry[args.command].set_defaults(**_config_defaults(args))
+            args = parser.parse_args(raw_argv)
+        return _HANDLERS[args.command](args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    try:
-        if getattr(args, "config", None):
-            _apply_config(registry[args.command], args, raw_argv)
-        return _HANDLERS[args.command](args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

@@ -21,6 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import graph as graph_mod
 from .graph import GraphState
 
@@ -192,23 +194,23 @@ def purity(spec: KernelSpec) -> float:
 def profile(state: GraphState, source: str = "", seed: int | None = None) -> EntanglementReport:
     """Per-vertex entanglement report for a graph state.
 
-    Vertices sharing the same kappa get bit-identical lambda_max and E (values
-    are computed once per distinct kappa). Raises ValueError if the graph
-    violates its invariants.
+    The closed form is evaluated once per distinct kappa and scattered back to
+    the vertices, so vertices sharing the same kappa get bit-identical
+    lambda_max and E. Raises ValueError if the graph violates its invariants.
     """
     issues = graph_mod.validate(state.graph)
     if issues:
         raise ValueError("invalid graph: " + "; ".join(issues))
     g = state.graph
-    binary = g.is_binary
-    cache: dict[float, tuple[float, float]] = {}
-    records: list[VertexRecord] = []
-    for v in range(g.n):
-        kv = graph_mod.kappa(g, v)
-        if kv not in cache:
-            ks = KernelSpec(state.alpha, kv)
-            cache[kv] = (lambda_max(ks), entanglement(ks))
-        lam, ent = cache[kv]
-        deg = graph_mod.degree(g, v) if binary else None
+    kappas = graph_mod.kappa(g)
+    degrees = graph_mod.degree(g).tolist() if g.is_binary else [None] * g.n
+    distinct, which = np.unique(kappas, return_inverse=True)
+    values = []
+    for kv in distinct.tolist():
+        ks = KernelSpec(state.alpha, kv)
+        values.append((lambda_max(ks), entanglement(ks)))
+    records = []
+    for v, (deg, kv, i) in enumerate(zip(degrees, kappas.tolist(), which.tolist())):
+        lam, ent = values[i]
         records.append(VertexRecord(vertex=v, degree=deg, kappa=kv, lambda_max=lam, entanglement=ent))
     return EntanglementReport(alpha=state.alpha, records=tuple(records), source=source, seed=seed)

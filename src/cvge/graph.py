@@ -4,11 +4,18 @@ A graph is stored as a dense symmetric coupling matrix with zero diagonal.
 The quantity that feeds every entanglement formula is the per-vertex coupling
 strength ``kappa(g, v) = sum_j a_vj**2``, which collapses to the plain vertex
 degree whenever the weights are 0/1.
+
+Both per-vertex quantities are computed for all vertices at once, in one pass
+over the matrix when a :class:`Graph` is built, so that pass costs O(n**2) on
+this dense storage and every later lookup is O(1). ``kappa(g)`` and
+``degree(g)`` return the read-only vectors over all vertices; ``kappa(g, v)``
+and ``degree(g, v)`` index those same vectors, so the scalar and vector forms
+agree bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
@@ -24,14 +31,19 @@ class EdgeListError(ValueError):
 class Graph:
     """Undirected graph as an n x n real coupling matrix.
 
-    The matrix is copied and made read-only on construction. Only the shape is
-    enforced here; symmetry and zero-diagonal violations are reported by
-    :func:`validate` so that broken inputs can be diagnosed rather than
-    rejected opaquely.
+    The matrix is copied and made read-only on construction, and the
+    per-vertex coupling strengths and nonzero counts (the degrees, on 0/1
+    graphs) are computed from it once. Only the shape is enforced here;
+    symmetry and zero-diagonal violations are reported by :func:`validate` so
+    that broken inputs can be diagnosed rather than rejected opaquely.
     """
 
     n: int
     coupling: np.ndarray
+    #: True when every off-diagonal weight is exactly 0 or 1.
+    is_binary: bool = field(init=False)
+    _kappas: np.ndarray = field(init=False, repr=False)
+    _degrees: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -39,14 +51,17 @@ class Graph:
         mat = np.array(self.coupling, dtype=float, copy=True)
         if mat.shape != (self.n, self.n):
             raise ValueError(f"coupling must have shape ({self.n}, {self.n}), got {mat.shape}")
-        mat.setflags(write=False)
+        zero_or_one = mat == 0.0
+        zero_or_one |= mat == 1.0
+        np.fill_diagonal(zero_or_one, True)
+        kappas = np.einsum("ij,ij->i", mat, mat)
+        degrees = np.count_nonzero(mat, axis=1)
+        for arr in (mat, kappas, degrees):
+            arr.setflags(write=False)
         object.__setattr__(self, "coupling", mat)
-
-    @property
-    def is_binary(self) -> bool:
-        """True when every off-diagonal weight is exactly 0 or 1."""
-        off = self.coupling[~np.eye(self.n, dtype=bool)]
-        return bool(np.all((off == 0.0) | (off == 1.0)))
+        object.__setattr__(self, "is_binary", bool(zero_or_one.all()))
+        object.__setattr__(self, "_kappas", kappas)
+        object.__setattr__(self, "_degrees", degrees)
 
     def edges(self) -> Iterator[tuple[int, int, float]]:
         """Yield (u, v, weight) for each u < v with nonzero weight."""
@@ -134,15 +149,19 @@ def _check_vertex(g: Graph, v: int) -> None:
         raise ValueError(f"vertex {v} out of range [0, {g.n})")
 
 
-def degree(g: Graph, v: int) -> int:
-    """Number of edges incident to ``v``. Only defined for 0/1 weights."""
-    _check_vertex(g, v)
+def degree(g: Graph, v: int | None = None) -> int | np.ndarray:
+    """Number of edges incident to ``v``. Only defined for 0/1 weights.
+
+    Without ``v``, returns the read-only integer vector of all degrees.
+    """
+    if v is not None:
+        _check_vertex(g, v)
     if not g.is_binary:
         raise ValueError("degree is only defined for 0/1 weights; use kappa() on weighted graphs")
-    return int(np.count_nonzero(g.coupling[v]))
+    return g._degrees if v is None else int(g._degrees[v])
 
 
-def kappa(g: Graph, v: int) -> float:
+def kappa(g: Graph, v: int | None = None) -> float | np.ndarray:
     """Coupling strength of ``v``: the sum of its squared edge weights.
 
     Equals ``degree(g, v)`` exactly for 0/1 weights. This is the quantity the
@@ -150,10 +169,13 @@ def kappa(g: Graph, v: int) -> float:
     the state out contributes one factor exp(-a_vj**2 (x-x')**2 / 4 alpha) per
     neighbour), so it, not the plain weight sum, is what weighted graphs feed
     into the entanglement formulas.
+
+    Without ``v``, returns the read-only float vector over all vertices.
     """
+    if v is None:
+        return g._kappas
     _check_vertex(g, v)
-    row = g.coupling[v]
-    return float(np.dot(row, row))
+    return float(g._kappas[v])
 
 
 def validate(g: Graph) -> list[str]:

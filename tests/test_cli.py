@@ -1,5 +1,6 @@
 """End-to-end CLI behaviour: outputs, formats, exit codes, determinism."""
 
+import hashlib
 import io
 import json
 import math
@@ -7,6 +8,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+from cvge import graph as graph_mod
 from cvge.cli import EXIT_FAIL, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from cvge.closed_form import KernelSpec, entanglement
 from cvge.graph import parse_edge_list
@@ -323,6 +325,28 @@ class TestConfigFile:
         assert code == EXIT_USAGE
         assert "key = value" in err
 
+    def test_abbreviated_flag_wins_over_config(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("alpha = 2\n", encoding="utf-8")
+        code, out, _ = run_cli("profile", "--gen", "star", "--n", "3", "--alph", "3",
+                               "--config", str(cfg), "--format", "json")
+        assert code == EXIT_OK
+        assert json.loads(out)["alpha"] == 3.0
+
+    def test_config_switches_on_flag(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("numeric = yes\ngrid-size = 64\n", encoding="utf-8")
+        argv = ("profile", "--gen", "path", "--n", "2", "--format", "json")
+        code, out, _ = run_cli(*argv, "--config", str(cfg))
+        assert code == EXIT_OK
+        assert out == run_cli(*argv, "--numeric", "--grid-size", "64")[1]
+
+    @pytest.mark.parametrize("line", ["count = many", "format = xml"])
+    def test_invalid_value_is_usage_error(self, tmp_path, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n", encoding="utf-8")
+        assert run_cli("spectrum", "--kappa", "1", "--config", str(cfg))[0] == EXIT_USAGE
+
 
 class TestExitCodes:
     def test_unknown_command_is_usage(self):
@@ -333,3 +357,55 @@ class TestExitCodes:
 
     def test_usage_error_from_argparse(self):
         assert run_cli("profile", "--format", "xml")[0] == EXIT_USAGE
+
+
+class TestVectorizedGraphPath:
+    """The graph layer is entered once per graph, not once per vertex."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {"degree": 0, "kappa": 0}
+        for name in counts:
+            original = getattr(graph_mod, name)
+
+            def counted(*args, _name=name, _original=original):
+                counts[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(graph_mod, name, counted)
+        return counts
+
+    def test_profile_reads_each_vector_once(self, calls):
+        code, out, _ = run_cli("profile", "--gen", "erdos_renyi", "--n", "500", "--p", "0.01",
+                               "--seed", "2", "--format", "csv")
+        assert code == EXIT_OK
+        assert len(csv_rows(out)[1]) == 500
+        assert calls["degree"] <= 1 and calls["kappa"] <= 1
+
+    def test_ensemble_scan_reads_degrees_once_per_sample(self, calls):
+        code, _, _ = run_cli("scan", "--gen", "erdos_renyi", "--n", "200", "--p", "0.02",
+                             "--seed", "4", "--samples", "3")
+        assert code == EXIT_OK
+        assert calls["degree"] <= 3
+
+
+# sha256 of stdout, recorded before the graph layer computed all vertices in
+# one pass; binary graphs have integer kappa, so their output must not change.
+BINARY_OUTPUT_DIGESTS = [
+    (("profile", "--gen", "erdos_renyi", "--n", "200", "--p", "0.05", "--seed", "1", "--format", "json"),
+     "ba6052a7f8572319b89e3fc8fc58aa276f448abe746302902fb86e2741d90c60"),
+    (("profile", "--gen", "erdos_renyi", "--n", "200", "--p", "0.05", "--seed", "1", "--format", "csv"),
+     "ddea3bd188ac02b63b212e9d703b05f411a996607a0b016125e639e1cd548255"),
+    (("profile", "--gen", "erdos_renyi", "--n", "200", "--p", "0.05", "--seed", "1", "--format", "text"),
+     "e9b80465e96220e95d6e49e3584904a0d5cd9af1c89c142d7732ed380fed6f52"),
+    (("scan", "--gen", "erdos_renyi", "--n", "100", "--p", "0.05", "--seed", "1", "--samples", "4"),
+     "006a922ee0bc48a04e8b29e5ff12a32f17046c54513baea643aebaaaf2f504dd"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", BINARY_OUTPUT_DIGESTS,
+                         ids=["profile-json", "profile-csv", "profile-text", "scan-csv"])
+def test_binary_graph_output_is_unchanged(argv, digest):
+    code, out, _ = run_cli(*argv)
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -1,5 +1,7 @@
 """Graph construction, edge-list round trips, generators, and coupling strength."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -253,6 +255,56 @@ class TestDegreeKappa:
         g = generate(spec)
         for v in range(g.n):
             assert kappa(g, v) == float(degree(g, v))
+
+
+def _weighted_graph(n=12, seed=5):
+    rng = np.random.default_rng(seed)
+    upper = np.triu(rng.uniform(0.1, 3.0, size=(n, n)) * (rng.random((n, n)) < 0.4), 1)
+    return Graph(n, upper + upper.T)
+
+
+class TestAllVertexForms:
+    @pytest.mark.parametrize("spec", [
+        GraphGenSpec("path", 7),
+        GraphGenSpec("cycle", 7),
+        GraphGenSpec("star", 7),
+        GraphGenSpec("complete", 7),
+        GraphGenSpec("erdos_renyi", 40, p=0.2, seed=11),
+    ])
+    def test_vectors_match_scalar_forms_on_binary_graphs(self, spec):
+        g = generate(spec)
+        kap, deg = kappa(g), degree(g)
+        assert kap.shape == deg.shape == (g.n,)
+        for v in range(g.n):
+            assert kap[v] == kappa(g, v)
+            assert deg[v] == degree(g, v)
+
+    def test_vector_matches_scalar_form_on_weighted_graph(self):
+        g = _weighted_graph()
+        kap = kappa(g)
+        assert [kap[v] for v in range(g.n)] == [kappa(g, v) for v in range(g.n)]
+
+    def test_degree_vector_rejects_weighted_graph(self):
+        g = _weighted_graph()
+        with pytest.raises(ValueError, match="0/1") as scalar:
+            degree(g, 0)
+        with pytest.raises(ValueError, match="0/1") as vector:
+            degree(g)
+        assert str(vector.value) == str(scalar.value)
+
+    def test_weighted_kappa_matches_exact_sum_of_squares(self):
+        g = _weighted_graph(n=60, seed=9)
+        for v, kv in enumerate(kappa(g).tolist()):
+            exact = math.fsum(w * w for w in g.coupling[v].tolist())
+            assert kv == pytest.approx(exact, rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("g", [generate(GraphGenSpec("star", 5)), _weighted_graph()],
+                             ids=["binary", "weighted"])
+    def test_vectors_are_read_only(self, g):
+        vectors = [kappa(g)] + ([degree(g)] if g.is_binary else [])
+        for vec in vectors:
+            with pytest.raises(ValueError):
+                vec[0] = 7
 
 
 class TestValidate:
