@@ -29,6 +29,7 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 FORMATS = ("json", "csv", "text")
+MAX_ROWS = 100_000  # most values --count or --kappa-range may ask for
 
 
 class CliError(Exception):
@@ -84,9 +85,12 @@ def _kappa_range(text: str) -> list[float]:
         step = float(parts[2]) if len(parts) == 3 else 1.0
     except ValueError:
         raise CliError(f"--kappa-range expects numbers, got {text!r}") from None
-    if step <= 0.0 or hi < lo:
+    if not (step > 0.0 and lo <= hi):
         raise CliError(f"--kappa-range needs LO <= HI and STEP > 0, got {text!r}")
-    count = int(math.floor((hi - lo) / step + 1e-9)) + 1
+    span = (hi - lo) / step
+    if not span < MAX_ROWS:
+        raise CliError(f"--kappa-range expands to more than {MAX_ROWS} values, got {text!r}")
+    count = int(math.floor(span + 1e-9)) + 1
     return [lo + i * step for i in range(count)]
 
 
@@ -138,13 +142,10 @@ def _load_graph(args: argparse.Namespace) -> tuple[graph_mod.Graph, str, int | N
 
 
 def _policy(args: argparse.Namespace, top_k: int = 1) -> num.GridPolicy:
+    if args.grid_size > num.MAX_GRID_SIZE:
+        raise CliError(f"--grid-size must be <= {num.MAX_GRID_SIZE}, got {args.grid_size}")
     try:
-        return num.GridPolicy(
-            initial_size=args.grid_size,
-            max_size=max(args.grid_size, 4096),
-            extent_factor=args.extent_mult,
-            top_k=top_k,
-        )
+        return num.GridPolicy(initial_size=args.grid_size, extent_factor=args.extent_mult, top_k=top_k)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
 
@@ -277,8 +278,8 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         raise CliError("--kappa expects a single value for this command")
     if kappas[0] < 0.0:
         raise CliError(f"kappa must be nonnegative, got {kappas[0]!r}")
-    if args.count < 1:
-        raise CliError(f"--count must be >= 1, got {args.count}")
+    if not 1 <= args.count <= MAX_ROWS:
+        raise CliError(f"--count must be in [1, {MAX_ROWS}], got {args.count}")
     spect = cf.spectrum(cf.KernelSpec(alpha, kappas[0]), args.count)
     cumulative = spect.cumulative()
     header = ["n", "lambda_n", "cumulative"]
@@ -347,6 +348,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     g, source, seed = _load_graph(args)
     if g.n > num.ORACLE_MAX_VERTICES:
         raise CliError(f"oracle comparison is limited to {num.ORACLE_MAX_VERTICES} vertices, got n={g.n}")
+    if args.grid_size > num.ORACLE_MAX_GRID:
+        raise CliError(f"oracle --grid-size must be <= {num.ORACLE_MAX_GRID}, got {args.grid_size}")
     state = graph_mod.GraphState(g, alpha)
     try:
         grid = num.build_grid(args.extent_mult / math.sqrt(alpha), args.grid_size)
@@ -493,9 +496,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
         p.add_argument("--p", type=float, help="edge probability (erdos_renyi only)")
         p.add_argument("--seed", type=int, help="PRNG seed (erdos_renyi only)")
 
-    def numeric_options(p: argparse.ArgumentParser, default_grid: int) -> None:
+    def numeric_options(p: argparse.ArgumentParser, default_grid: int, max_grid: int) -> None:
         p.add_argument("--grid-size", type=int, default=default_grid,
-                       help=f"quadrature nodes (default {default_grid})")
+                       help=f"quadrature nodes (default {default_grid}, at most {max_grid})")
         p.add_argument("--extent-mult", type=float, default=num.DEFAULT_EXTENT_FACTOR,
                        help="interval half-width in units of 1/sqrt(alpha) (default 10, minimum 8)")
 
@@ -504,7 +507,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p.add_argument("--alpha", default="1", help="oscillator width parameter (default 1)")
     p.add_argument("--numeric", action="store_true",
                    help="add quadrature lambda_max and deviation columns")
-    numeric_options(p, 256)
+    numeric_options(p, 256, num.MAX_GRID_SIZE)
 
     p = command("spectrum", "leading eigenvalues of the reduced state for one (alpha, kappa)")
     p.add_argument("--kappa", help="coupling strength")
@@ -517,14 +520,14 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p.add_argument("--kappa-range", metavar="LO..HI[..STEP]", help="inclusive kappa range")
     p.add_argument("--tol", type=float, default=1e-8,
                    help="PASS threshold on |closed - numeric| (default 1e-8)")
-    numeric_options(p, 256)
+    numeric_options(p, 256, num.MAX_GRID_SIZE)
 
     p = command("oracle", "closed form vs full-state reduction vs alternating overlap (n <= 3)")
     graph_source(p)
     p.add_argument("--alpha", default="1", help="oscillator width parameter (default 1)")
     p.add_argument("--tol", type=float, default=1e-6,
                    help="PASS threshold on the worst deviation (default 1e-6)")
-    numeric_options(p, 64)
+    numeric_options(p, 64, num.ORACLE_MAX_GRID)
 
     p = command("scan", "entanglement curve over a kappa grid or a graph ensemble",
                 default_format="csv")
@@ -583,6 +586,11 @@ def _config_defaults(args: argparse.Namespace) -> dict[str, object]:
                            f"(choose from {', '.join(FORMATS)})")
         else:
             defaults[dest] = raw_value
+    # --graph and --gen are one choice of graph source: the command line's
+    # choice drops the config file's value for the other
+    for dest, rival in (("graph", "gen"), ("gen", "graph")):
+        if known.get(rival) is not None:
+            defaults.pop(dest, None)
     return defaults
 
 

@@ -21,6 +21,8 @@ from typing import Iterator
 import numpy as np
 
 GENERATOR_KINDS = ("path", "cycle", "star", "complete", "erdos_renyi")
+#: Largest vertex count the dense n x n coupling matrix is built for (800 MB).
+MAX_DENSE_VERTICES = 10_000
 
 
 class EdgeListError(ValueError):
@@ -100,6 +102,8 @@ class GraphGenSpec:
             raise ValueError(f"unknown graph kind {self.kind!r}; expected one of {GENERATOR_KINDS}")
         if self.n < 1:
             raise ValueError(f"vertex count must be >= 1, got {self.n}")
+        if self.n > MAX_DENSE_VERTICES:
+            raise ValueError(f"vertex count must be <= {MAX_DENSE_VERTICES} (dense storage), got {self.n}")
         if self.kind == "erdos_renyi":
             if self.p is None or not 0.0 <= self.p <= 1.0:
                 raise ValueError(f"erdos_renyi requires edge probability p in [0, 1], got {self.p!r}")
@@ -218,6 +222,10 @@ def parse_edge_list(text: str) -> Graph:
                 raise EdgeListError(f"line {lineno}: vertex count {tokens[1]!r} is not an integer") from None
             if n < 1:
                 raise EdgeListError(f"line {lineno}: vertex count must be >= 1, got {n}")
+            if n > MAX_DENSE_VERTICES:
+                raise EdgeListError(
+                    f"line {lineno}: vertex count must be <= {MAX_DENSE_VERTICES} (dense storage), got {n}"
+                )
             mat = np.zeros((n, n))
             continue
         if len(tokens) not in (2, 3):

@@ -5,10 +5,18 @@ The reduced one-oscillator kernel
     K(x, x') = sqrt(alpha/pi) * exp(-kappa (x - x')^2 / (4 alpha)
                                     - alpha (x^2 + x'^2) / 2)
 
-is discretized on a Gauss-Legendre grid over [-L, L] as the symmetric matrix
+is discretized on a quadrature grid over [-L, L] as the symmetric matrix
 B_ij = sqrt(w_i w_j) K(x_i, x_j), whose eigenvalues approximate those of the
 integral operator (Nystrom method). Eigenvector components map back to
-function samples through phi(x_i) = u_i / sqrt(w_i).
+function samples through phi(x_i) = u_i / sqrt(w_i). The eigenvalues come
+from one dense symmetric eigensolve (:func:`top_eigenvalues`).
+
+The adaptive solver :func:`numeric_entanglement` uses the equally spaced
+trapezoid rule, which converges exponentially on these Gaussian integrands,
+and doubles its node count until the top eigenvalue settles. The oracles and
+cross-check helpers (:func:`reduce_full_state`, :func:`alternating_maximization`,
+:func:`eigenfunction_residual`, :func:`purity_numeric`) take a grid from the
+caller, normally the Gauss-Legendre rule of :func:`build_grid`.
 
 Besides the Nystrom route this module carries two brute-force cross-checks
 that never touch the closed forms:
@@ -38,8 +46,8 @@ from .graph import kappa as vertex_kappa
 
 MIN_EXTENT_FACTOR = 8.0
 DEFAULT_EXTENT_FACTOR = 10.0
+MAX_GRID_SIZE = 4096  # largest ladder rung by default; its dense matrix is 128 MB
 POWER_ITERATION_CAP = 50_000
-MAX_DEFLATIONS = 12
 ORACLE_MAX_VERTICES = 3
 ORACLE_MAX_GRID = 128
 _RESEED = 777  # deterministic fallback when a start vector is annihilated
@@ -47,7 +55,7 @@ _RESEED = 777  # deterministic fallback when a start vector is annihilated
 
 @dataclass(frozen=True, eq=False)
 class QuadratureGrid:
-    """Gauss-Legendre nodes and weights mapped to [-extent, extent]."""
+    """Quadrature nodes and weights on [-extent, extent]."""
 
     nodes: np.ndarray
     weights: np.ndarray
@@ -79,6 +87,12 @@ class DiscretizedKernel:
 class NumericResult:
     """Eigendata from one numeric run.
 
+    ``residual`` is the last change that decided convergence: for
+    :func:`numeric_entanglement`, |delta lambda| between the last two rungs
+    (0.0 on the exactly rank-1 kappa = 0 kernel, ``math.inf`` when only one
+    rung ran); for :func:`alternating_maximization`, the last sweep's change;
+    for a direct :func:`top_eigenvalues` solve, 0.0.
+
     ``history`` carries the per-sweep lambda estimates of iterative schemes
     (empty for direct eigensolves).
     """
@@ -97,18 +111,19 @@ class NumericResult:
 
 @dataclass(frozen=True)
 class GridPolicy:
-    """Adaptive discretization policy.
+    """Adaptive discretization policy of :func:`numeric_entanglement`.
 
-    The node count doubles from ``initial_size`` until the top eigenvalue
-    moves by less than ``lambda_tol`` between refinements, or ``max_size`` is
-    reached. The interval half-width is ``extent_factor / sqrt(alpha)``.
+    Each rung is an equally spaced trapezoid grid on [-L, L] with
+    L = ``extent_factor / sqrt(alpha)``. The node count doubles from
+    ``initial_size`` (never past ``max_size``) until the top eigenvalue moves
+    by less than ``lambda_tol`` between two consecutive rungs; only then is
+    the result ``converged``.
     """
 
     initial_size: int = 256
-    max_size: int = 4096
+    max_size: int = MAX_GRID_SIZE
     extent_factor: float = DEFAULT_EXTENT_FACTOR
     lambda_tol: float = 1e-10
-    eig_tol: float = 1e-12
     top_k: int = 1
 
     def __post_init__(self) -> None:
@@ -118,6 +133,8 @@ class GridPolicy:
             raise ValueError("max_size must be >= initial_size")
         if self.top_k < 1:
             raise ValueError(f"top_k must be >= 1, got {self.top_k}")
+        if not math.isfinite(self.extent_factor):
+            raise ValueError(f"extent_factor must be finite, got {self.extent_factor!r}")
 
 
 def build_grid(extent: float, size: int) -> QuadratureGrid:
@@ -169,103 +186,52 @@ def discretize(spec: KernelSpec, grid: QuadratureGrid) -> DiscretizedKernel:
     return DiscretizedKernel(b, grid, spec)
 
 
-def _start_vector(grid: QuadratureGrid) -> np.ndarray:
-    # Mixes even and odd components: the kernel eigenfunctions alternate in
-    # parity, and a purely even start (e.g. all ones) never develops the odd
-    # ones, silently converging to the wrong eigenvalue after deflation.
-    v = 1.0 + grid.nodes / grid.extent
-    return v / np.linalg.norm(v)
-
-
-def top_eigenvalues(dk: DiscretizedKernel, k: int, tol: float = 1e-12) -> NumericResult:
+def top_eigenvalues(dk: DiscretizedKernel, k: int) -> NumericResult:
     """Largest ``k`` eigenvalues of the discretized operator, decreasing.
 
-    Power iteration with Hotelling deflation: each stage iterates v <- Bv/|Bv|
-    from the deterministic parity-mixed start until the residual
-    ||Bv - theta v|| with theta the Rayleigh quotient drops below ``tol``.
-    The geometric spectrum (ratio q < 1 for kappa > 0) guarantees linear
-    convergence; kappa = 0 kernels are rank-1 and converge in one step.
-
-    ``converged`` is False if any stage hits the iteration cap; the result
-    then carries that stage's last residual.
+    One dense symmetric eigensolve; LAPACK raises rather than return
+    unconverged values, so the result is always ``converged``.
     """
     size = dk.grid.size
     if not 1 <= k <= size:
         raise ValueError(f"k must be in [1, {size}], got {k}")
-    if k > MAX_DEFLATIONS:
-        raise ValueError(f"deflation is supported for at most {MAX_DEFLATIONS} eigenvalues, got k={k}")
-    if not (tol > 0.0):
-        raise ValueError(f"tol must be positive, got {tol!r}")
-    b = dk.matrix.copy()
-    start = _start_vector(dk.grid)
-    values: list[float] = []
-    worst_residual = 0.0
-    all_converged = True
-    for stage in range(k):
-        v = start
-        theta = 0.0
-        residual = math.inf
-        reseeded = False
-        stage_ok = False
-        for _ in range(POWER_ITERATION_CAP):
-            w = b @ v
-            theta = float(v @ w)
-            residual = float(np.linalg.norm(w - theta * v))
-            if residual < tol:
-                stage_ok = True
-                break
-            norm_w = float(np.linalg.norm(w))
-            if norm_w < 1e-300:
-                if reseeded:
-                    # operator is numerically zero on every probed direction
-                    theta, residual, stage_ok = 0.0, 0.0, True
-                    break
-                rng = np.random.default_rng(_RESEED + stage)
-                v = rng.standard_normal(size)
-                v /= np.linalg.norm(v)
-                reseeded = True
-                continue
-            v = w / norm_w
-        values.append(theta)
-        worst_residual = max(worst_residual, residual)
-        all_converged = all_converged and stage_ok
-        b -= theta * np.outer(v, v)
-    values.sort(reverse=True)
-    return NumericResult(
-        lambda_max_numeric=values[0],
-        top_eigenvalues=tuple(values),
-        residual=worst_residual,
-        grid_size=size,
-        converged=all_converged,
-    )
+    values = np.linalg.eigvalsh(dk.matrix)[::-1][:k].tolist()
+    return NumericResult(values[0], tuple(values), 0.0, size, True)
+
+
+def _trapezoid_grid(extent: float, size: int) -> QuadratureGrid:
+    """Equally spaced trapezoid rule with ``size`` nodes on [-extent, extent]."""
+    weights = np.full(size, 2.0 * extent / (size - 1))
+    weights[[0, -1]] /= 2.0
+    return QuadratureGrid(np.linspace(-extent, extent, size), weights, extent)
 
 
 def numeric_entanglement(spec: KernelSpec, policy: GridPolicy = GridPolicy()) -> NumericResult:
     """Top of the spectrum under the adaptive grid policy; E = 1 - lambda via ``.entanglement``.
 
+    Each rung discretizes the kernel on a trapezoid grid whose step follows
+    from the node count alone and solves it densely. ``converged`` means two
+    consecutive rungs agreed within ``policy.lambda_tol``; ``residual`` is
+    that last change.
+
     kappa = 0 short-circuits: the kernel is exactly rank-1, so its only
-    nonzero eigenvalue equals the quadrature trace and no iteration is needed.
+    nonzero eigenvalue equals the quadrature trace and no eigensolve is needed.
     """
     extent = max(policy.extent_factor, MIN_EXTENT_FACTOR) / math.sqrt(spec.alpha)
     if spec.kappa == 0.0:
-        dk = discretize(spec, build_grid(extent, policy.initial_size))
+        dk = discretize(spec, _trapezoid_grid(extent, policy.initial_size))
         lam = float(np.trace(dk.matrix))
         values = (lam,) + (0.0,) * (policy.top_k - 1)
         return NumericResult(lam, values, 0.0, policy.initial_size, True)
     size = policy.initial_size
     previous: float | None = None
     while True:
-        result = top_eigenvalues(discretize(spec, build_grid(extent, size)), policy.top_k, policy.eig_tol)
-        if (
-            previous is not None
-            and result.converged
-            and abs(result.lambda_max_numeric - previous) < policy.lambda_tol
-        ):
-            return result
-        if size >= policy.max_size:
-            return replace(result, converged=False)
+        result = top_eigenvalues(discretize(spec, _trapezoid_grid(extent, size)), policy.top_k)
+        change = math.inf if previous is None else abs(result.lambda_max_numeric - previous)
+        if change < policy.lambda_tol or size >= policy.max_size:
+            return replace(result, residual=change, converged=change < policy.lambda_tol)
         previous = result.lambda_max_numeric
-        size *= 2
+        size = min(2 * size, policy.max_size)
 
 
 def eigenfunction_residual(spec: KernelSpec, beta: float, grid: QuadratureGrid) -> float:

@@ -185,6 +185,13 @@ class TestValidate:
     def test_kappa_required(self):
         assert run_cli("validate", "--alpha", "1")[0] == EXIT_USAGE
 
+    @pytest.mark.parametrize("mult", ["inf", "nan"])
+    def test_non_finite_extent_is_usage_error(self, mult):
+        code, out, err = run_cli("validate", "--kappa", "1", "--extent-mult", mult)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: extent_factor must be finite") and err.count("\n") == 1
+
 
 class TestOracle:
     def test_single_edge_three_routes(self):
@@ -341,11 +348,61 @@ class TestConfigFile:
         assert code == EXIT_OK
         assert out == run_cli(*argv, "--numeric", "--grid-size", "64")[1]
 
+    def test_command_line_gen_beats_config_graph(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("graph = /no/such/file.txt\n", encoding="utf-8")
+        code, out, err = run_cli("profile", "--gen", "path", "--n", "3", "--config", str(cfg),
+                                 "--format", "json")
+        assert code == EXIT_OK, err
+        assert json.loads(out)["graph"]["source"] == "gen:path(n=3)"
+
+    def test_command_line_graph_beats_config_gen(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("gen = star\nn = 5\n", encoding="utf-8")
+        path = tmp_path / "edge.txt"
+        path.write_text("vertices 2\n0 1\n", encoding="utf-8")
+        code, out, err = run_cli("profile", "--graph", str(path), "--config", str(cfg),
+                                 "--format", "json")
+        assert code == EXIT_OK, err
+        assert json.loads(out)["graph"] == {"n": 2, "source": str(path), "seed": None}
+
     @pytest.mark.parametrize("line", ["count = many", "format = xml"])
     def test_invalid_value_is_usage_error(self, tmp_path, line):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(line + "\n", encoding="utf-8")
         assert run_cli("spectrum", "--kappa", "1", "--config", str(cfg))[0] == EXIT_USAGE
+
+
+class TestSizeLimits:
+    """Every size input is bounded when parsed: exit 2 with one line, before any allocation."""
+
+    @pytest.mark.parametrize("argv,message", [
+        (("oracle", "--gen", "path", "--n", "2", "--grid-size", "1000000"), "<= 128"),
+        (("validate", "--kappa", "1", "--grid-size", "1000000"), "<= 4096"),
+        (("profile", "--gen", "path", "--n", "3", "--numeric", "--grid-size", "4097"), "<= 4096"),
+        (("profile", "--gen", "path", "--n", "10000000"), "dense storage"),
+        (("gen", "--gen", "complete", "--n", "10001"), "dense storage"),
+        (("scan", "--gen", "star", "--n", "10000000"), "dense storage"),
+        (("spectrum", "--kappa", "1", "--count", "1000000000000"), "--count"),
+        (("scan", "--kappa-range", "0..1e12..1e-6"), "more than 100000"),
+        (("validate", "--kappa-range", "0..1e12..1e-6"), "more than 100000"),
+        (("scan", "--kappa-range", "0..inf"), "more than 100000"),
+        (("scan", "--kappa-range", "0..nan"), "LO <= HI"),
+    ], ids=["oracle-grid", "validate-grid", "profile-grid", "profile-n", "gen-n", "scan-n",
+            "count", "scan-range", "validate-range", "infinite-range", "nan-range"])
+    def test_oversized_input_is_usage_error(self, argv, message):
+        code, out, err = run_cli(*argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert message in err
+
+    def test_oversized_graph_file_header(self, tmp_path):
+        path = tmp_path / "big.txt"
+        path.write_text("vertices 10000000\n0 1\n", encoding="utf-8")
+        code, _, err = run_cli("profile", "--graph", str(path))
+        assert code == EXIT_USAGE
+        assert "line 1" in err and "dense storage" in err
 
 
 class TestExitCodes:

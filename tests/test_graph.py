@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cvge.graph import (
+    MAX_DENSE_VERTICES,
     EdgeListError,
     Graph,
     GraphGenSpec,
@@ -108,6 +109,10 @@ class TestParseEdgeList:
         g = parse_edge_list("vertices 2\n0 1\n1 0\n")
         assert g.coupling[0, 1] == 1.0
 
+    def test_vertex_count_over_dense_cap(self):
+        with pytest.raises(EdgeListError, match="line 2.*<= 10000"):
+            parse_edge_list(f"# big\nvertices {MAX_DENSE_VERTICES + 1}\n")
+
 
 class TestSerializeRoundTrip:
     @pytest.mark.parametrize("spec", [
@@ -195,6 +200,8 @@ class TestGenerate:
             GraphGenSpec("erdos_renyi", 4, p=0.5)
         with pytest.raises(ValueError, match="unknown graph kind"):
             GraphGenSpec("wheel", 4)
+        with pytest.raises(ValueError, match="dense storage"):
+            GraphGenSpec("path", MAX_DENSE_VERTICES + 1)
 
     @pytest.mark.parametrize("spec", [
         GraphGenSpec("path", 7),

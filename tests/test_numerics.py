@@ -1,11 +1,13 @@
-"""Quadrature grids, kernel discretization, the power-iteration eigensolver,
-and the adaptive entanglement solver; closed forms and numpy's direct
-eigensolver serve as mutual cross-checks."""
+"""Quadrature grids, kernel discretization, the dense eigensolver, and the
+adaptive trapezoid-ladder entanglement solver; closed forms serve as the
+cross-check."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cvge.closed_form import (
     KernelSpec,
@@ -176,8 +178,6 @@ class TestTopEigenvalues:
             top_eigenvalues(dk, 0)
         with pytest.raises(ValueError, match="k must be"):
             top_eigenvalues(dk, 17)
-        with pytest.raises(ValueError, match="at most 12"):
-            top_eigenvalues(discretize(KernelSpec(1.0, 1.0), default_grid(1.0, 32)), 13)
 
 
 class TestNumericEntanglement:
@@ -214,6 +214,17 @@ class TestNumericEntanglement:
         result = numeric_entanglement(KernelSpec(1.0, 1.0), policy)
         assert not result.converged
 
+    def test_large_coupling_ratio_converges_at_1024_nodes(self):
+        result = numeric_entanglement(KernelSpec(1.0, 1000.0))
+        assert result.converged
+        assert result.grid_size == 1024
+        assert abs(result.lambda_max_numeric - lambda_max(KernelSpec(1.0, 1000.0))) < 1e-10
+
+    @pytest.mark.parametrize("factor", [math.inf, math.nan])
+    def test_policy_rejects_non_finite_extent(self, factor):
+        with pytest.raises(ValueError, match="extent_factor must be finite"):
+            GridPolicy(extent_factor=factor)
+
     def test_policy_validation(self):
         with pytest.raises(ValueError, match="initial_size"):
             GridPolicy(initial_size=1)
@@ -221,6 +232,31 @@ class TestNumericEntanglement:
             GridPolicy(initial_size=64, max_size=32)
         with pytest.raises(ValueError, match="top_k"):
             GridPolicy(top_k=0)
+
+
+# alpha log-uniform over the supported range; the discretized problem depends
+# on kappa / alpha**2 only, so the coupling is drawn as that ratio
+ALPHA = st.floats(-3.0, 3.0).map(lambda e: 10.0**e)
+
+
+class TestSupportedRange:
+    @settings(max_examples=25, deadline=None)
+    @given(alpha=ALPHA, ratio=st.floats(0.0, 400.0))
+    def test_default_policy_converges_to_closed_form(self, alpha, ratio):
+        spec = KernelSpec(alpha, ratio * alpha**2)
+        result = numeric_entanglement(spec)
+        assert result.converged
+        assert result.residual < 1e-10
+        assert abs(result.lambda_max_numeric - lambda_max(spec)) < 1e-10
+
+    @settings(max_examples=25, deadline=None)
+    @given(alpha=ALPHA, ratio=st.floats(1e-6, 400.0))
+    def test_single_rung_is_never_reported_converged(self, alpha, ratio):
+        policy = GridPolicy(initial_size=16, max_size=16)
+        result = numeric_entanglement(KernelSpec(alpha, ratio * alpha**2), policy)
+        assert not result.converged
+        assert result.residual == math.inf
+        assert result.grid_size == 16
 
 
 class TestEigenfunctionResidual:
