@@ -586,9 +586,11 @@ def _config_defaults(args: argparse.Namespace) -> dict[str, object]:
                            f"(choose from {', '.join(FORMATS)})")
         else:
             defaults[dest] = raw_value
-    # --graph and --gen are one choice of graph source: the command line's
-    # choice drops the config file's value for the other
-    for dest, rival in (("graph", "gen"), ("gen", "graph")):
+    # --graph/--gen (the graph source) and --kappa/--kappa-range (the
+    # couplings) are each one choice: the command line's choice drops the
+    # config file's value for the other
+    for dest, rival in (("graph", "gen"), ("gen", "graph"),
+                        ("kappa", "kappa_range"), ("kappa_range", "kappa")):
         if known.get(rival) is not None:
             defaults.pop(dest, None)
     return defaults

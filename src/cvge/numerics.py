@@ -8,15 +8,27 @@ The reduced one-oscillator kernel
 is discretized on a quadrature grid over [-L, L] as the symmetric matrix
 B_ij = sqrt(w_i w_j) K(x_i, x_j), whose eigenvalues approximate those of the
 integral operator (Nystrom method). Eigenvector components map back to
-function samples through phi(x_i) = u_i / sqrt(w_i). The eigenvalues come
-from one dense symmetric eigensolve (:func:`top_eigenvalues`).
+function samples through phi(x_i) = u_i / sqrt(w_i).
 
-The adaptive solver :func:`numeric_entanglement` uses the equally spaced
-trapezoid rule, which converges exponentially on these Gaussian integrands,
-and doubles its node count until the top eigenvalue settles. The oracles and
-cross-check helpers (:func:`reduce_full_state`, :func:`alternating_maximization`,
-:func:`eigenfunction_residual`, :func:`purity_numeric`) take a grid from the
-caller, normally the Gauss-Legendre rule of :func:`build_grid`.
+Two representations of B exist:
+
+* :func:`discretize` assembles the dense matrix on any grid, and
+  :func:`top_eigenvalues` solves it with one dense symmetric eigensolve. The
+  oracles and cross-check helpers (:func:`reduce_full_state`,
+  :func:`alternating_maximization`, :func:`eigenfunction_residual`,
+  :func:`purity_numeric`) use this route, normally on the Gauss-Legendre rule
+  of :func:`build_grid`.
+* :func:`discretize_trapezoid` never forms B. The kernel factors as
+  K(x, x') = d(x) g(x - x') d(x'), so on an equally spaced trapezoid grid B is
+  diag(d_i sqrt(w_i)) . Toeplitz(g(k h)) . diag(d_i sqrt(w_i)): two length-m
+  vectors, and an O(m log m) product through a circulant FFT.
+  :func:`lanczos_eigenvalues` takes the top of its spectrum by Lanczos with
+  full reorthogonalisation and certifies it by the Ritz residuals.
+
+The adaptive solver :func:`numeric_entanglement` runs the matrix-free route
+on a ladder of trapezoid grids, which converge exponentially on these
+Gaussian integrands, doubling the node count until the top eigenvalue
+settles.
 
 Besides the Nystrom route this module carries two brute-force cross-checks
 that never touch the closed forms:
@@ -46,7 +58,9 @@ from .graph import kappa as vertex_kappa
 
 MIN_EXTENT_FACTOR = 8.0
 DEFAULT_EXTENT_FACTOR = 10.0
-MAX_GRID_SIZE = 4096  # largest ladder rung by default; its dense matrix is 128 MB
+MAX_GRID_SIZE = 4096  # largest ladder rung by default, and the CLI's bound on --grid-size
+LANCZOS_MAX_STEPS = 300
+RITZ_TOL = 1e-15  # a Lanczos solve is certified once every wanted Ritz residual is below this
 POWER_ITERATION_CAP = 50_000
 ORACLE_MAX_VERTICES = 3
 ORACLE_MAX_GRID = 128
@@ -91,10 +105,11 @@ class NumericResult:
     :func:`numeric_entanglement`, |delta lambda| between the last two rungs
     (0.0 on the exactly rank-1 kappa = 0 kernel, ``math.inf`` when only one
     rung ran); for :func:`alternating_maximization`, the last sweep's change;
-    for a direct :func:`top_eigenvalues` solve, 0.0.
+    for :func:`lanczos_eigenvalues`, the largest wanted Ritz residual; for a
+    direct :func:`top_eigenvalues` solve, 0.0.
 
-    ``history`` carries the per-sweep lambda estimates of iterative schemes
-    (empty for direct eigensolves).
+    ``history`` carries the per-sweep lambda estimates of
+    :func:`alternating_maximization` (empty for every other solver).
     """
 
     lambda_max_numeric: float
@@ -116,8 +131,8 @@ class GridPolicy:
     Each rung is an equally spaced trapezoid grid on [-L, L] with
     L = ``extent_factor / sqrt(alpha)``. The node count doubles from
     ``initial_size`` (never past ``max_size``) until the top eigenvalue moves
-    by less than ``lambda_tol`` between two consecutive rungs; only then is
-    the result ``converged``.
+    by less than ``lambda_tol`` between two consecutive rungs whose Lanczos
+    solves were both certified; only then is the result ``converged``.
     """
 
     initial_size: int = 256
@@ -160,6 +175,16 @@ def kernel_value(spec: KernelSpec, x, x2):
         - spec.alpha * (x**2 + x2**2) / 2.0
     )
     return float(value) if value.ndim == 0 else value
+
+
+def kernel_envelope(spec: KernelSpec, x):
+    """d(x) = (alpha/pi)^(1/4) exp(-alpha x^2 / 2), so K(x, x') = d(x) g(x - x') d(x')."""
+    return (spec.alpha / np.pi) ** 0.25 * np.exp(-spec.alpha * np.square(x) / 2.0)
+
+
+def kernel_difference(spec: KernelSpec, r):
+    """g(r) = exp(-kappa r^2 / (4 alpha)), the kernel's dependence on r = x - x'."""
+    return np.exp(-spec.kappa * np.square(r) / (4.0 * spec.alpha))
 
 
 def _check_extent(spec: KernelSpec, grid: QuadratureGrid) -> None:
@@ -206,31 +231,110 @@ def _trapezoid_grid(extent: float, size: int) -> QuadratureGrid:
     return QuadratureGrid(np.linspace(-extent, extent, size), weights, extent)
 
 
+@dataclass(frozen=True, eq=False)
+class ToeplitzKernel:
+    """Matrix-free Nystrom operator B = diag(envelope) . T . diag(envelope) on a trapezoid grid.
+
+    ``envelope`` holds d(x_i) sqrt(w_i), and T is the symmetric Toeplitz
+    matrix whose first column is g(k h), where d and g are
+    :func:`kernel_envelope` and :func:`kernel_difference`. ``circulant`` is
+    the real FFT of T embedded in a circulant of length 2m, computed once.
+    """
+
+    grid: QuadratureGrid
+    envelope: np.ndarray
+    circulant: np.ndarray
+
+    def matvec(self, v: np.ndarray) -> np.ndarray:
+        """B @ v in O(m log m)."""
+        n = 2 * self.grid.size
+        product = np.fft.irfft(self.circulant * np.fft.rfft(self.envelope * v, n), n)
+        return self.envelope * product[: self.grid.size]
+
+
+def discretize_trapezoid(spec: KernelSpec, extent: float, size: int) -> ToeplitzKernel:
+    """The kernel on the ``size``-node trapezoid grid over [-extent, extent], never formed densely.
+
+    On equally spaced nodes x_i = -extent + i h the difference factor
+    g(x_i - x_j) depends on |i - j| alone, so one column g(k h) holds it.
+    """
+    grid = _trapezoid_grid(extent, size)
+    _check_extent(spec, grid)
+    step = 2.0 * extent / (size - 1)
+    envelope = np.sqrt(grid.weights) * kernel_envelope(spec, grid.nodes)
+    column = kernel_difference(spec, step * np.arange(size))
+    circulant = np.fft.rfft(np.concatenate([column, [0.0], column[:0:-1]]))
+    return ToeplitzKernel(grid, envelope, circulant)
+
+
+def lanczos_eigenvalues(tk: ToeplitzKernel, k: int) -> NumericResult:
+    """Largest ``k`` eigenvalues of ``tk``, decreasing, by Lanczos with full reorthogonalisation.
+
+    The start vector envelope * (1 + x / L) has both an even and an odd part,
+    so the odd eigenfunctions are in its Krylov space too. The result is
+    ``converged`` (certified) once every wanted Ritz residual |beta_j s_jn|
+    is below :data:`RITZ_TOL` within :data:`LANCZOS_MAX_STEPS` steps;
+    ``residual`` is the largest of them.
+    """
+    size = tk.grid.size
+    steps = min(LANCZOS_MAX_STEPS, size)
+    if not 1 <= k <= steps:
+        raise ValueError(f"k must be in [1, {steps}], got {k}")
+    basis = np.empty((steps, size))
+    diagonal = np.empty(steps)
+    offdiagonal = np.empty(steps)
+    q = tk.envelope * (1.0 + tk.grid.nodes / tk.grid.extent)
+    q /= np.linalg.norm(q)
+    residual = math.inf
+    for j in range(steps):
+        basis[j] = q
+        w = tk.matvec(q)
+        diagonal[j] = q @ w
+        for _ in range(2):  # a second pass restores orthogonality lost to roundoff
+            w -= basis[: j + 1].T @ (basis[: j + 1] @ w)
+        offdiagonal[j] = np.linalg.norm(w)
+        tridiagonal = np.diag(diagonal[: j + 1]) + np.diag(offdiagonal[:j], 1) + np.diag(offdiagonal[:j], -1)
+        ritz, vectors = np.linalg.eigh(tridiagonal)
+        if j + 1 >= k:
+            residual = float(np.max(np.abs(offdiagonal[j] * vectors[-1, -k:])))
+        # a zero offdiagonal means the Krylov space is invariant: no further direction exists
+        if residual < RITZ_TOL or offdiagonal[j] == 0.0:
+            break
+        q = w / offdiagonal[j]
+    values = ritz[::-1][:k].tolist()
+    return NumericResult(values[0], tuple(values), residual, size, residual < RITZ_TOL)
+
+
 def numeric_entanglement(spec: KernelSpec, policy: GridPolicy = GridPolicy()) -> NumericResult:
     """Top of the spectrum under the adaptive grid policy; E = 1 - lambda via ``.entanglement``.
 
-    Each rung discretizes the kernel on a trapezoid grid whose step follows
-    from the node count alone and solves it densely. ``converged`` means two
-    consecutive rungs agreed within ``policy.lambda_tol``; ``residual`` is
-    that last change.
+    Each rung is the matrix-free kernel on a trapezoid grid whose step
+    follows from the node count alone, solved by :func:`lanczos_eigenvalues`.
+    ``converged`` means two consecutive certified rungs agreed within
+    ``policy.lambda_tol``; ``residual`` is that last change.
 
     kappa = 0 short-circuits: the kernel is exactly rank-1, so its only
-    nonzero eigenvalue equals the quadrature trace and no eigensolve is needed.
+    nonzero eigenvalue equals the quadrature trace sum_i w_i K(x_i, x_i) and
+    no eigensolve is needed.
     """
     extent = max(policy.extent_factor, MIN_EXTENT_FACTOR) / math.sqrt(spec.alpha)
     if spec.kappa == 0.0:
-        dk = discretize(spec, _trapezoid_grid(extent, policy.initial_size))
-        lam = float(np.trace(dk.matrix))
+        grid = _trapezoid_grid(extent, policy.initial_size)
+        lam = float(grid.weights @ kernel_value(spec, grid.nodes, grid.nodes))
         values = (lam,) + (0.0,) * (policy.top_k - 1)
         return NumericResult(lam, values, 0.0, policy.initial_size, True)
     size = policy.initial_size
-    previous: float | None = None
+    previous: NumericResult | None = None
     while True:
-        result = top_eigenvalues(discretize(spec, _trapezoid_grid(extent, size)), policy.top_k)
-        change = math.inf if previous is None else abs(result.lambda_max_numeric - previous)
-        if change < policy.lambda_tol or size >= policy.max_size:
-            return replace(result, residual=change, converged=change < policy.lambda_tol)
-        previous = result.lambda_max_numeric
+        result = lanczos_eigenvalues(discretize_trapezoid(spec, extent, size), policy.top_k)
+        if previous is None:
+            change, converged = math.inf, False
+        else:
+            change = abs(result.lambda_max_numeric - previous.lambda_max_numeric)
+            converged = change < policy.lambda_tol and result.converged and previous.converged
+        if converged or size >= policy.max_size:
+            return replace(result, residual=change, converged=converged)
+        previous = result
         size = min(2 * size, policy.max_size)
 
 

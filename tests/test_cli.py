@@ -4,10 +4,15 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
+import cvge
 from cvge import graph as graph_mod
 from cvge.cli import EXIT_FAIL, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from cvge.closed_form import KernelSpec, entanglement
@@ -192,6 +197,27 @@ class TestValidate:
         assert out == ""
         assert err.startswith("error: extent_factor must be finite") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("ratio", [36.0, 400.0])
+    def test_json_byte_identical_repeat_runs(self, ratio):
+        argv = ("validate", "--alpha", "2", "--kappa", repr(ratio * 4.0), "--format", "json")
+        code, first, _ = run_cli(*argv)
+        assert code == EXIT_OK
+        assert run_cli(*argv)[1] == first
+
+    def test_does_not_import_scipy(self):
+        # scipy.sparse.linalg alone takes longer to import than the whole CLI start-up
+        script = ("import contextlib, io, sys\n"
+                  "import cvge\n"
+                  "from cvge import cli\n"
+                  "with contextlib.redirect_stdout(io.StringIO()):\n"
+                  "    code = cli.main(['validate', '--alpha', '1', '--kappa', '0,1,400'])\n"
+                  "print(code, 'scipy' in sys.modules)\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(cvge.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", "False"]
+
 
 class TestOracle:
     def test_single_edge_three_routes(self):
@@ -365,6 +391,22 @@ class TestConfigFile:
                                  "--format", "json")
         assert code == EXIT_OK, err
         assert json.loads(out)["graph"] == {"n": 2, "source": str(path), "seed": None}
+
+    def test_command_line_kappa_range_beats_config_kappa(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("kappa = 1\n", encoding="utf-8")
+        code, out, err = run_cli("validate", "--kappa-range", "0..2", "--config", str(cfg),
+                                 "--format", "json")
+        assert code == EXIT_OK, err
+        assert [row["kappa"] for row in json.loads(out)["rows"]] == [0.0, 1.0, 2.0]
+
+    def test_command_line_kappa_beats_config_kappa_range(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("kappa-range = 0..2\n", encoding="utf-8")
+        code, out, err = run_cli("scan", "--kappa", "3", "--config", str(cfg))
+        assert code == EXIT_OK, err
+        _, rows = csv_rows(out)
+        assert [float(row[0]) for row in rows] == [3.0]
 
     @pytest.mark.parametrize("line", ["count = many", "format = xml"])
     def test_invalid_value_is_usage_error(self, tmp_path, line):

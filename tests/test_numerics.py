@@ -1,6 +1,6 @@
-"""Quadrature grids, kernel discretization, the dense eigensolver, and the
-adaptive trapezoid-ladder entanglement solver; closed forms serve as the
-cross-check."""
+"""Quadrature grids, the dense and the matrix-free kernel discretizations,
+their eigensolvers, and the adaptive trapezoid-ladder entanglement solver;
+closed forms serve as the cross-check."""
 
 import math
 
@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cvge import numerics
 from cvge.closed_form import (
     KernelSpec,
     entanglement_kappa_over_alpha,
@@ -18,11 +19,16 @@ from cvge.closed_form import (
     spectrum_ratio,
 )
 from cvge.numerics import (
+    RITZ_TOL,
     GridPolicy,
     build_grid,
     discretize,
+    discretize_trapezoid,
     eigenfunction_residual,
+    kernel_difference,
+    kernel_envelope,
     kernel_value,
+    lanczos_eigenvalues,
     numeric_entanglement,
     purity_numeric,
     top_eigenvalues,
@@ -133,12 +139,15 @@ class TestTopEigenvalues:
             assert result.top_eigenvalues[n] == pytest.approx(lambda_n(spec, n), abs=1e-9)
 
     def test_matches_direct_eigensolver(self):
-        # independent route: numpy's dense symmetric eigensolver
+        # two routes on one trapezoid grid: the dense matrix through eigvalsh,
+        # and the FFT operator through Lanczos
         for alpha, kap in ((1.0, 1.0), (0.5, 9.0), (4.0, 9.0)):
-            dk = discretize(KernelSpec(alpha, kap), default_grid(alpha))
-            result = top_eigenvalues(dk, 6)
-            reference = np.linalg.eigvalsh(dk.matrix)[::-1][:6]
-            assert result.top_eigenvalues == pytest.approx(reference, abs=1e-11)
+            spec = KernelSpec(alpha, kap)
+            tk = discretize_trapezoid(spec, 10.0 / math.sqrt(alpha), 256)
+            dense = top_eigenvalues(discretize(spec, tk.grid), 6)
+            matrix_free = lanczos_eigenvalues(tk, 6)
+            assert matrix_free.converged
+            assert matrix_free.top_eigenvalues == pytest.approx(dense.top_eigenvalues, abs=1e-13)
 
     def test_rank_one_pair(self):
         dk = discretize(KernelSpec(1.0, 0.0), default_grid(1.0))
@@ -234,6 +243,80 @@ class TestNumericEntanglement:
             GridPolicy(top_k=0)
 
 
+class TestMatrixFreeRung:
+    @pytest.mark.parametrize("alpha, kap", [(1.0, 3.0), (0.5, 9.0), (4.0, 9.0), (2.0, 1600.0)])
+    def test_factors_reproduce_kernel(self, alpha, kap):
+        spec = KernelSpec(alpha, kap)
+        x = discretize_trapezoid(spec, 10.0 / math.sqrt(alpha), 64).grid.nodes
+        exact = kernel_value(spec, x[:, None], x[None, :])
+        factored = (kernel_envelope(spec, x)[:, None] * kernel_difference(spec, x[:, None] - x[None, :])
+                    * kernel_envelope(spec, x)[None, :])
+        # splitting exp(a + b + c) into three factors costs |a + b + c| ulps, so
+        # compare where the exponent is moderate: the entries that carry the operator
+        body = exact > 1e-20 * exact.max()
+        assert body.sum() > 100
+        assert np.max(np.abs(factored - exact)[body] / exact[body]) < 1e-14
+
+    def test_matvec_matches_dense_matrix(self):
+        rng = np.random.default_rng(7)
+        for alpha, kap in ((1.0, 1.0), (0.5, 9.0), (2.0, 1600.0)):
+            spec = KernelSpec(alpha, kap)
+            tk = discretize_trapezoid(spec, 10.0 / math.sqrt(alpha), 128)
+            v = rng.standard_normal(128)
+            assert tk.matvec(v) == pytest.approx(discretize(spec, tk.grid).matrix @ v, abs=1e-14)
+
+    def test_ladder_builds_no_dense_matrix(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the ladder must stay matrix-free")
+
+        monkeypatch.setattr(numerics, "discretize", refuse)
+        monkeypatch.setattr(numerics, "top_eigenvalues", refuse)
+        for kap in (0.0, 1.0, 400.0 * 2.0**2):
+            spec = KernelSpec(2.0, kap)
+            result = numeric_entanglement(spec)
+            assert result.converged
+            assert abs(result.lambda_max_numeric - lambda_max(spec)) < 1e-15
+
+    @pytest.mark.parametrize("alpha, kap", [(1.0, 3.0), (0.5, 9.0)])
+    def test_top_four_include_the_odd_eigenvalues(self, alpha, kap):
+        spec = KernelSpec(alpha, kap)
+        result = numeric_entanglement(spec, GridPolicy(top_k=4))
+        assert result.converged
+        # lambda_1 and lambda_3 belong to odd eigenfunctions: the start
+        # vector's odd part puts them in the Krylov space from the first step
+        for n in range(4):
+            assert abs(result.top_eigenvalues[n] - lambda_n(spec, n)) < 1e-12
+
+    def test_capped_lanczos_is_uncertified(self, monkeypatch):
+        tk = discretize_trapezoid(KernelSpec(1.0, 1.0), 10.0, 256)
+        full = lanczos_eigenvalues(tk, 1)
+        assert full.converged
+        assert full.residual < RITZ_TOL
+        monkeypatch.setattr(numerics, "LANCZOS_MAX_STEPS", 6)
+        capped = lanczos_eigenvalues(tk, 1)
+        assert not capped.converged
+        assert capped.residual >= RITZ_TOL
+
+    def test_ladder_ending_on_uncertified_rungs_is_not_converged(self, monkeypatch):
+        # six steps leave lambda right to ~1e-16 on every rung, so the rungs
+        # agree, but no rung is certified
+        monkeypatch.setattr(numerics, "LANCZOS_MAX_STEPS", 6)
+        result = numeric_entanglement(KernelSpec(1.0, 1.0), GridPolicy(max_size=1024))
+        assert not result.converged
+        assert result.grid_size == 1024
+        assert result.residual < 1e-10
+
+    def test_lanczos_validation(self, monkeypatch):
+        tk = discretize_trapezoid(KernelSpec(1.0, 1.0), 10.0, 16)
+        with pytest.raises(ValueError, match="k must be"):
+            lanczos_eigenvalues(tk, 0)
+        with pytest.raises(ValueError, match="k must be"):
+            lanczos_eigenvalues(tk, 17)
+        monkeypatch.setattr(numerics, "LANCZOS_MAX_STEPS", 2)
+        with pytest.raises(ValueError, match="k must be"):
+            lanczos_eigenvalues(tk, 3)
+
+
 # alpha log-uniform over the supported range; the discretized problem depends
 # on kappa / alpha**2 only, so the coupling is drawn as that ratio
 ALPHA = st.floats(-3.0, 3.0).map(lambda e: 10.0**e)
@@ -241,7 +324,7 @@ ALPHA = st.floats(-3.0, 3.0).map(lambda e: 10.0**e)
 
 class TestSupportedRange:
     @settings(max_examples=25, deadline=None)
-    @given(alpha=ALPHA, ratio=st.floats(0.0, 400.0))
+    @given(alpha=ALPHA, ratio=st.floats(0.0, 1e4))
     def test_default_policy_converges_to_closed_form(self, alpha, ratio):
         spec = KernelSpec(alpha, ratio * alpha**2)
         result = numeric_entanglement(spec)
@@ -250,13 +333,20 @@ class TestSupportedRange:
         assert abs(result.lambda_max_numeric - lambda_max(spec)) < 1e-10
 
     @settings(max_examples=25, deadline=None)
-    @given(alpha=ALPHA, ratio=st.floats(1e-6, 400.0))
+    @given(alpha=ALPHA, ratio=st.floats(1e-6, 1e4))
     def test_single_rung_is_never_reported_converged(self, alpha, ratio):
         policy = GridPolicy(initial_size=16, max_size=16)
         result = numeric_entanglement(KernelSpec(alpha, ratio * alpha**2), policy)
         assert not result.converged
         assert result.residual == math.inf
         assert result.grid_size == 16
+
+    def test_ratio_ten_thousand_converges_at_the_cap(self):
+        spec = KernelSpec(1.0, 1e4)
+        result = numeric_entanglement(spec)
+        assert result.converged
+        assert result.grid_size == 4096
+        assert abs(result.lambda_max_numeric - lambda_max(spec)) < 1e-12
 
 
 class TestEigenfunctionResidual:
