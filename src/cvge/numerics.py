@@ -18,8 +18,9 @@ Two representations of B exist:
   :func:`alternating_maximization`, :func:`eigenfunction_residual`,
   :func:`purity_numeric`) use this route, normally on the Gauss-Legendre rule
   of :func:`build_grid`.
-* :func:`discretize_trapezoid` never forms B. The kernel factors as
-  K(x, x') = d(x) g(x - x') d(x'), so on an equally spaced trapezoid grid B is
+* ``discretize(..., matrix_free=True)`` never forms B. The kernel factors as
+  K(x, x') = d(x) g(x - x') d(x'), so on an equally spaced grid such as
+  :func:`trapezoid_grid` B is a :class:`ToeplitzMatrix`
   diag(d_i sqrt(w_i)) . Toeplitz(g(k h)) . diag(d_i sqrt(w_i)): two length-m
   vectors, and an O(m log m) product through a circulant FFT.
   :func:`lanczos_eigenvalues` takes the top of its spectrum by Lanczos with
@@ -89,10 +90,38 @@ class QuadratureGrid:
 
 
 @dataclass(frozen=True, eq=False)
-class DiscretizedKernel:
-    """Symmetric Nystrom matrix B_ij = sqrt(w_i w_j) K(x_i, x_j) with its provenance."""
+class ToeplitzMatrix:
+    """Matrix-free B = diag(envelope) . T . diag(envelope) on equally spaced nodes.
 
-    matrix: np.ndarray
+    ``envelope`` holds d(x_i) sqrt(w_i), and T is the symmetric Toeplitz
+    matrix whose first column is g(k h), where d and g are
+    :func:`kernel_envelope` and :func:`kernel_difference`. ``circulant`` is
+    the real FFT of T embedded in a circulant of length 2m, computed once.
+    """
+
+    envelope: np.ndarray
+    circulant: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.envelope.size, self.envelope.size)
+
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        """B @ v in O(m log m)."""
+        m = self.envelope.size
+        product = np.fft.irfft(self.circulant * np.fft.rfft(self.envelope * v, 2 * m), 2 * m)
+        return self.envelope * product[:m]
+
+
+@dataclass(frozen=True, eq=False)
+class DiscretizedKernel:
+    """Symmetric Nystrom matrix B_ij = sqrt(w_i w_j) K(x_i, x_j) with its provenance.
+
+    ``matrix`` is a dense array, or a :class:`ToeplitzMatrix` when
+    :func:`discretize` was asked for the matrix-free form.
+    """
+
+    matrix: np.ndarray | ToeplitzMatrix
     grid: QuadratureGrid
     spec: KernelSpec
 
@@ -196,19 +225,38 @@ def _check_extent(spec: KernelSpec, grid: QuadratureGrid) -> None:
         )
 
 
-def discretize(spec: KernelSpec, grid: QuadratureGrid) -> DiscretizedKernel:
+def discretize(spec: KernelSpec, grid: QuadratureGrid, matrix_free: bool = False) -> DiscretizedKernel:
     """Nystrom matrix of the kernel on ``grid``.
 
-    The matrix is assembled from its upper triangle so B_ij == B_ji holds
-    exactly, keeping the eigenproblem symmetric.
+    The dense matrix is assembled from its upper triangle so B_ij == B_ji
+    holds exactly, keeping the eigenproblem symmetric.
+
+    With ``matrix_free`` the grid must be equally spaced, x_i = x_0 + i h:
+    then g(x_i - x_j) depends on |i - j| alone, one column g(k h) holds it,
+    and the result is a :class:`ToeplitzMatrix` that is never formed densely.
     """
     _check_extent(spec, grid)
     x = grid.nodes
+    if matrix_free:
+        step = (x[-1] - x[0]) / (grid.size - 1)
+        if not np.allclose(np.diff(x), step, rtol=1e-9, atol=0.0):
+            raise ValueError("a matrix-free discretization needs equally spaced nodes")
+        envelope = np.sqrt(grid.weights) * kernel_envelope(spec, x)
+        column = kernel_difference(spec, step * np.arange(grid.size))
+        circulant = np.fft.rfft(np.concatenate([column, [0.0], column[:0:-1]]))
+        return DiscretizedKernel(ToeplitzMatrix(envelope, circulant), grid, spec)
     kmat = kernel_value(spec, x[:, None], x[None, :])
     sw = np.sqrt(grid.weights)
     b = np.outer(sw, sw) * kmat
     b = np.triu(b) + np.triu(b, 1).T
     return DiscretizedKernel(b, grid, spec)
+
+
+def trapezoid_grid(extent: float, size: int) -> QuadratureGrid:
+    """Equally spaced trapezoid rule with ``size`` nodes on [-extent, extent]."""
+    weights = np.full(size, 2.0 * extent / (size - 1))
+    weights[[0, -1]] /= 2.0
+    return QuadratureGrid(np.linspace(-extent, extent, size), weights, extent)
 
 
 def top_eigenvalues(dk: DiscretizedKernel, k: int) -> NumericResult:
@@ -224,51 +272,8 @@ def top_eigenvalues(dk: DiscretizedKernel, k: int) -> NumericResult:
     return NumericResult(values[0], tuple(values), 0.0, size, True)
 
 
-def _trapezoid_grid(extent: float, size: int) -> QuadratureGrid:
-    """Equally spaced trapezoid rule with ``size`` nodes on [-extent, extent]."""
-    weights = np.full(size, 2.0 * extent / (size - 1))
-    weights[[0, -1]] /= 2.0
-    return QuadratureGrid(np.linspace(-extent, extent, size), weights, extent)
-
-
-@dataclass(frozen=True, eq=False)
-class ToeplitzKernel:
-    """Matrix-free Nystrom operator B = diag(envelope) . T . diag(envelope) on a trapezoid grid.
-
-    ``envelope`` holds d(x_i) sqrt(w_i), and T is the symmetric Toeplitz
-    matrix whose first column is g(k h), where d and g are
-    :func:`kernel_envelope` and :func:`kernel_difference`. ``circulant`` is
-    the real FFT of T embedded in a circulant of length 2m, computed once.
-    """
-
-    grid: QuadratureGrid
-    envelope: np.ndarray
-    circulant: np.ndarray
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        """B @ v in O(m log m)."""
-        n = 2 * self.grid.size
-        product = np.fft.irfft(self.circulant * np.fft.rfft(self.envelope * v, n), n)
-        return self.envelope * product[: self.grid.size]
-
-
-def discretize_trapezoid(spec: KernelSpec, extent: float, size: int) -> ToeplitzKernel:
-    """The kernel on the ``size``-node trapezoid grid over [-extent, extent], never formed densely.
-
-    On equally spaced nodes x_i = -extent + i h the difference factor
-    g(x_i - x_j) depends on |i - j| alone, so one column g(k h) holds it.
-    """
-    grid = _trapezoid_grid(extent, size)
-    _check_extent(spec, grid)
-    step = 2.0 * extent / (size - 1)
-    envelope = np.sqrt(grid.weights) * kernel_envelope(spec, grid.nodes)
-    column = kernel_difference(spec, step * np.arange(size))
-    circulant = np.fft.rfft(np.concatenate([column, [0.0], column[:0:-1]]))
-    return ToeplitzKernel(grid, envelope, circulant)
-
-
-def lanczos_eigenvalues(tk: ToeplitzKernel, k: int) -> NumericResult:
-    """Largest ``k`` eigenvalues of ``tk``, decreasing, by Lanczos with full reorthogonalisation.
+def lanczos_eigenvalues(dk: DiscretizedKernel, k: int) -> NumericResult:
+    """Largest ``k`` eigenvalues of a matrix-free ``dk``, decreasing, by Lanczos with full reorthogonalisation.
 
     The start vector envelope * (1 + x / L) has both an even and an odd part,
     so the odd eigenfunctions are in its Krylov space too. The result is
@@ -276,19 +281,19 @@ def lanczos_eigenvalues(tk: ToeplitzKernel, k: int) -> NumericResult:
     is below :data:`RITZ_TOL` within :data:`LANCZOS_MAX_STEPS` steps;
     ``residual`` is the largest of them.
     """
-    size = tk.grid.size
+    size = dk.grid.size
     steps = min(LANCZOS_MAX_STEPS, size)
     if not 1 <= k <= steps:
         raise ValueError(f"k must be in [1, {steps}], got {k}")
     basis = np.empty((steps, size))
     diagonal = np.empty(steps)
     offdiagonal = np.empty(steps)
-    q = tk.envelope * (1.0 + tk.grid.nodes / tk.grid.extent)
+    q = dk.matrix.envelope * (1.0 + dk.grid.nodes / dk.grid.extent)
     q /= np.linalg.norm(q)
     residual = math.inf
     for j in range(steps):
         basis[j] = q
-        w = tk.matvec(q)
+        w = dk.matrix @ q
         diagonal[j] = q @ w
         for _ in range(2):  # a second pass restores orthogonality lost to roundoff
             w -= basis[: j + 1].T @ (basis[: j + 1] @ w)
@@ -319,14 +324,15 @@ def numeric_entanglement(spec: KernelSpec, policy: GridPolicy = GridPolicy()) ->
     """
     extent = max(policy.extent_factor, MIN_EXTENT_FACTOR) / math.sqrt(spec.alpha)
     if spec.kappa == 0.0:
-        grid = _trapezoid_grid(extent, policy.initial_size)
+        grid = trapezoid_grid(extent, policy.initial_size)
         lam = float(grid.weights @ kernel_value(spec, grid.nodes, grid.nodes))
         values = (lam,) + (0.0,) * (policy.top_k - 1)
         return NumericResult(lam, values, 0.0, policy.initial_size, True)
     size = policy.initial_size
     previous: NumericResult | None = None
     while True:
-        result = lanczos_eigenvalues(discretize_trapezoid(spec, extent, size), policy.top_k)
+        rung = discretize(spec, trapezoid_grid(extent, size), matrix_free=True)
+        result = lanczos_eigenvalues(rung, policy.top_k)
         if previous is None:
             change, converged = math.inf, False
         else:

@@ -23,7 +23,6 @@ from cvge.numerics import (
     GridPolicy,
     build_grid,
     discretize,
-    discretize_trapezoid,
     eigenfunction_residual,
     kernel_difference,
     kernel_envelope,
@@ -32,6 +31,7 @@ from cvge.numerics import (
     numeric_entanglement,
     purity_numeric,
     top_eigenvalues,
+    trapezoid_grid,
 )
 
 ALPHAS = (0.5, 1.0, 2.0, 4.0)
@@ -143,9 +143,9 @@ class TestTopEigenvalues:
         # and the FFT operator through Lanczos
         for alpha, kap in ((1.0, 1.0), (0.5, 9.0), (4.0, 9.0)):
             spec = KernelSpec(alpha, kap)
-            tk = discretize_trapezoid(spec, 10.0 / math.sqrt(alpha), 256)
-            dense = top_eigenvalues(discretize(spec, tk.grid), 6)
-            matrix_free = lanczos_eigenvalues(tk, 6)
+            grid = trapezoid_grid(10.0 / math.sqrt(alpha), 256)
+            dense = top_eigenvalues(discretize(spec, grid), 6)
+            matrix_free = lanczos_eigenvalues(discretize(spec, grid, matrix_free=True), 6)
             assert matrix_free.converged
             assert matrix_free.top_eigenvalues == pytest.approx(dense.top_eigenvalues, abs=1e-13)
 
@@ -247,7 +247,7 @@ class TestMatrixFreeRung:
     @pytest.mark.parametrize("alpha, kap", [(1.0, 3.0), (0.5, 9.0), (4.0, 9.0), (2.0, 1600.0)])
     def test_factors_reproduce_kernel(self, alpha, kap):
         spec = KernelSpec(alpha, kap)
-        x = discretize_trapezoid(spec, 10.0 / math.sqrt(alpha), 64).grid.nodes
+        x = trapezoid_grid(10.0 / math.sqrt(alpha), 64).nodes
         exact = kernel_value(spec, x[:, None], x[None, :])
         factored = (kernel_envelope(spec, x)[:, None] * kernel_difference(spec, x[:, None] - x[None, :])
                     * kernel_envelope(spec, x)[None, :])
@@ -261,15 +261,28 @@ class TestMatrixFreeRung:
         rng = np.random.default_rng(7)
         for alpha, kap in ((1.0, 1.0), (0.5, 9.0), (2.0, 1600.0)):
             spec = KernelSpec(alpha, kap)
-            tk = discretize_trapezoid(spec, 10.0 / math.sqrt(alpha), 128)
+            grid = trapezoid_grid(10.0 / math.sqrt(alpha), 128)
             v = rng.standard_normal(128)
-            assert tk.matvec(v) == pytest.approx(discretize(spec, tk.grid).matrix @ v, abs=1e-14)
+            matrix_free = discretize(spec, grid, matrix_free=True).matrix
+            assert matrix_free.shape == (128, 128)
+            assert matrix_free @ v == pytest.approx(discretize(spec, grid).matrix @ v, abs=1e-14)
+
+    def test_matrix_free_needs_equally_spaced_nodes(self):
+        with pytest.raises(ValueError, match="equally spaced"):
+            discretize(KernelSpec(1.0, 1.0), build_grid(10.0, 64), matrix_free=True)
 
     def test_ladder_builds_no_dense_matrix(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("the ladder must stay matrix-free")
+        dense_discretize = numerics.discretize
 
-        monkeypatch.setattr(numerics, "discretize", refuse)
+        def matrix_free_only(*args, **kwargs):
+            dk = dense_discretize(*args, **kwargs)
+            assert not isinstance(dk.matrix, np.ndarray), "the ladder must stay matrix-free"
+            return dk
+
+        def refuse(*args):
+            raise AssertionError("the ladder must not solve a dense matrix")
+
+        monkeypatch.setattr(numerics, "discretize", matrix_free_only)
         monkeypatch.setattr(numerics, "top_eigenvalues", refuse)
         for kap in (0.0, 1.0, 400.0 * 2.0**2):
             spec = KernelSpec(2.0, kap)
@@ -288,12 +301,12 @@ class TestMatrixFreeRung:
             assert abs(result.top_eigenvalues[n] - lambda_n(spec, n)) < 1e-12
 
     def test_capped_lanczos_is_uncertified(self, monkeypatch):
-        tk = discretize_trapezoid(KernelSpec(1.0, 1.0), 10.0, 256)
-        full = lanczos_eigenvalues(tk, 1)
+        dk = discretize(KernelSpec(1.0, 1.0), trapezoid_grid(10.0, 256), matrix_free=True)
+        full = lanczos_eigenvalues(dk, 1)
         assert full.converged
         assert full.residual < RITZ_TOL
         monkeypatch.setattr(numerics, "LANCZOS_MAX_STEPS", 6)
-        capped = lanczos_eigenvalues(tk, 1)
+        capped = lanczos_eigenvalues(dk, 1)
         assert not capped.converged
         assert capped.residual >= RITZ_TOL
 
@@ -307,14 +320,14 @@ class TestMatrixFreeRung:
         assert result.residual < 1e-10
 
     def test_lanczos_validation(self, monkeypatch):
-        tk = discretize_trapezoid(KernelSpec(1.0, 1.0), 10.0, 16)
+        dk = discretize(KernelSpec(1.0, 1.0), trapezoid_grid(10.0, 16), matrix_free=True)
         with pytest.raises(ValueError, match="k must be"):
-            lanczos_eigenvalues(tk, 0)
+            lanczos_eigenvalues(dk, 0)
         with pytest.raises(ValueError, match="k must be"):
-            lanczos_eigenvalues(tk, 17)
+            lanczos_eigenvalues(dk, 17)
         monkeypatch.setattr(numerics, "LANCZOS_MAX_STEPS", 2)
         with pytest.raises(ValueError, match="k must be"):
-            lanczos_eigenvalues(tk, 3)
+            lanczos_eigenvalues(dk, 3)
 
 
 # alpha log-uniform over the supported range; the discretized problem depends
