@@ -9,7 +9,6 @@ serves as the numerical arbiter for every closed form.
 from .closed_form import (
     EntanglementReport,
     KernelSpec,
-    NumericCheck,
     Spectrum,
     VertexRecord,
     entanglement,
@@ -57,7 +56,6 @@ __version__ = "0.1.0"
 __all__ = [
     "EntanglementReport",
     "KernelSpec",
-    "NumericCheck",
     "Spectrum",
     "VertexRecord",
     "entanglement",

@@ -1,8 +1,14 @@
 """Command-line surface: profiles, spectra, validation tables, oracles, scans, generation.
 
+Each table command builds its rows once, as the JSON row dicts, and declares a
+column table of (header, key) pairs, the key being where the value sits in a
+row. ``--format json`` prints the rows at full double precision; CSV and text
+show the same values under the headers through one cell rule: a bool is
+yes/NO, an int prints as is, a float to 10 significant digits, and a missing
+value (None) is an empty CSV field and ``-`` in text.
+
 Every command is deterministic for a fixed invocation: all randomness is
-seeded, numbers are printed with 10 significant digits in text/CSV and at full
-double precision in JSON, and rows are emitted in a fixed order.
+seeded and rows are emitted in a fixed order.
 
 Exit codes: 0 success (or validation PASS), 1 validation FAIL, 2 usage/input
 error, 3 I/O error.
@@ -141,13 +147,19 @@ def _load_graph(args: argparse.Namespace) -> tuple[graph_mod.Graph, str, int | N
     raise CliError("a graph source is required: --graph PATH or --gen KIND --n N")
 
 
-def _policy(args: argparse.Namespace, top_k: int = 1) -> num.GridPolicy:
+def _policy(args: argparse.Namespace) -> num.GridPolicy:
     if args.grid_size > num.MAX_GRID_SIZE:
         raise CliError(f"--grid-size must be <= {num.MAX_GRID_SIZE}, got {args.grid_size}")
     try:
-        return num.GridPolicy(initial_size=args.grid_size, extent_factor=args.extent_mult, top_k=top_k)
+        return num.GridPolicy(initial_size=args.grid_size, extent_factor=args.extent_mult)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
+
+
+def _tolerance(args: argparse.Namespace) -> float:
+    if not (args.tol > 0.0 and math.isfinite(args.tol)):
+        raise CliError(f"--tol must be positive and finite, got {args.tol!r}")
+    return args.tol
 
 
 # ---------------------------------------------------------------------------
@@ -165,40 +177,56 @@ def _emit(text: str, out_path: str | None) -> None:
         raise CliError(f"cannot write {out_path}: {exc}", EXIT_IO) from exc
 
 
-def _csv_text(header: list[str], rows: list[list[str]]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+def _cell(value: object, missing: str) -> str:
+    """The one cell rule of CSV and text: yes/NO, ints as is, floats to 10 digits, None as ``missing``."""
+    if value is None:
+        return missing
+    if isinstance(value, bool):
+        return "yes" if value else "NO"
+    if isinstance(value, int):
+        return str(value)
+    return _fmt(value)
 
 
-def _table_text(header: list[str], rows: list[list[str]], footers: list[str] | None = None) -> str:
-    widths = [len(cell) for cell in header]
-    for row in rows:
-        widths = [max(w, len(cell)) for w, cell in zip(widths, row)]
-    lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in [header] + rows]
-    if footers:
-        lines.extend(footers)
-    return "\n".join(lines) + "\n"
+def _lookup(row: dict, key: str | tuple[str, ...]) -> object:
+    for part in (key,) if isinstance(key, str) else key:
+        row = row[part]
+    return row
 
 
-def _json_text(payload: dict) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+def _render(fmt: str, payload: dict, rows_key: str,
+            columns: list[tuple[str, str | tuple[str, ...]]], footers: list[str]) -> str:
+    """JSON prints ``payload``; CSV and text show its ``rows_key`` rows under ``columns``.
 
-
-def _render_rows(fmt: str, header: list[str], rows: list[list[str]],
-                 payload: dict, footers: list[str] | None = None) -> str:
+    Each column is a (header, key) pair, the key being a row's JSON key or the
+    path of keys where the value nests. A missing value (None) is an empty
+    CSV field and a ``-`` in text.
+    """
     if fmt == "json":
-        return _json_text(payload)
+        return json.dumps(payload, indent=2) + "\n"
+    header = [name for name, _ in columns]
+    missing = "" if fmt == "csv" else "-"
+    cells = [[_cell(_lookup(row, key), missing) for _, key in columns] for row in payload[rows_key]]
     if fmt == "csv":
-        return _csv_text(header, rows)
-    return _table_text(header, rows, footers)
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(cells)
+        return buf.getvalue()
+    widths = [max(map(len, column)) for column in zip(header, *cells)]
+    lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in [header] + cells]
+    return "\n".join(lines + footers) + "\n"
 
 
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
+
+PROFILE_COLUMNS = [("vertex", "id"), ("degree", "degree"), ("kappa", "kappa"),
+                   ("lambda_max", "lambda_max"), ("entanglement", "entanglement")]
+NUMERIC_COLUMNS = [("numeric_lambda_max", ("numeric", "lambda_max")),
+                   ("deviation", ("numeric", "deviation")), ("grid_size", ("numeric", "grid_size"))]
+
 
 def cmd_profile(args: argparse.Namespace) -> int:
     alpha = _single_alpha(args)
@@ -207,66 +235,43 @@ def cmd_profile(args: argparse.Namespace) -> int:
         report = cf.profile(graph_mod.GraphState(g, alpha), source=source, seed=seed)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    if args.numeric:
-        report = _attach_numeric(report, args)
-    vertices = []
-    for rec in report.records:
-        numeric = None
-        if rec.numeric is not None:
-            numeric = {
-                "lambda_max": rec.numeric.lambda_max,
-                "deviation": rec.numeric.deviation,
-                "grid_size": rec.numeric.grid_size,
-            }
-        vertices.append({
-            "id": rec.vertex,
-            "degree": rec.degree,
-            "kappa": rec.kappa,
-            "lambda_max": rec.lambda_max,
-            "entanglement": rec.entanglement,
-            "numeric": numeric,
-        })
+    checks = _numeric_checks(report, args) if args.numeric else [None] * len(report.records)
+    vertices = [{
+        "id": rec.vertex,
+        "degree": rec.degree,
+        "kappa": rec.kappa,
+        "lambda_max": rec.lambda_max,
+        "entanglement": rec.entanglement,
+        "numeric": check,
+    } for rec, check in zip(report.records, checks)]
     payload = {
         "alpha": report.alpha,
         "graph": {"n": g.n, "source": report.source, "seed": report.seed},
         "vertices": vertices,
     }
-    header = ["vertex", "degree", "kappa", "lambda_max", "entanglement"]
-    if args.numeric:
-        header += ["numeric_lambda_max", "deviation", "grid_size"]
-    rows = []
-    for rec in report.records:
-        degree_cell = "" if rec.degree is None else str(rec.degree)
-        row = [str(rec.vertex), degree_cell, _fmt(rec.kappa), _fmt(rec.lambda_max), _fmt(rec.entanglement)]
-        if args.numeric:
-            assert rec.numeric is not None
-            row += [_fmt(rec.numeric.lambda_max), _fmt(rec.numeric.deviation), str(rec.numeric.grid_size)]
-        rows.append(row)
-    footers = [f"alpha {_fmt(report.alpha)}  source {report.source}"]
-    if args.format == "text":
-        for row in rows:
-            if row[1] == "":
-                row[1] = "-"
-    _emit(_render_rows(args.format, header, rows, payload, footers), args.out)
+    columns = PROFILE_COLUMNS + NUMERIC_COLUMNS if args.numeric else PROFILE_COLUMNS
+    footers = [f"alpha {_cell(report.alpha, '-')}  source {report.source}"]
+    _emit(_render(args.format, payload, "vertices", columns, footers), args.out)
     return EXIT_OK
 
 
-def _attach_numeric(report: cf.EntanglementReport, args: argparse.Namespace) -> cf.EntanglementReport:
-    """Solve once per distinct kappa and attach the result to every vertex sharing it."""
+def _numeric_checks(report: cf.EntanglementReport, args: argparse.Namespace) -> list[dict]:
+    """Quadrature cross-check of each vertex, solved once per distinct kappa and shared."""
     policy = _policy(args)
     kappas = np.array([rec.kappa for rec in report.records])
     distinct, first, which = np.unique(kappas, return_index=True, return_inverse=True)
     checks = []
     for kv, v in zip(distinct.tolist(), first.tolist()):
         result = num.numeric_entanglement(cf.KernelSpec(report.alpha, kv), policy)
-        checks.append(cf.NumericCheck(
-            lambda_max=result.lambda_max_numeric,
-            deviation=abs(result.lambda_max_numeric - report.records[v].lambda_max),
-            grid_size=result.grid_size,
-        ))
-    records = tuple(dataclasses.replace(rec, numeric=checks[i])
-                    for rec, i in zip(report.records, which.tolist()))
-    return dataclasses.replace(report, records=records)
+        checks.append({
+            "lambda_max": result.lambda_max_numeric,
+            "deviation": abs(result.lambda_max_numeric - report.records[v].lambda_max),
+            "grid_size": result.grid_size,
+        })
+    return [checks[i] for i in which.tolist()]
+
+
+SPECTRUM_COLUMNS = [("n", "n"), ("lambda_n", "value"), ("cumulative", "cumulative")]
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
@@ -281,28 +286,34 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     if not 1 <= args.count <= MAX_ROWS:
         raise CliError(f"--count must be in [1, {MAX_ROWS}], got {args.count}")
     spect = cf.spectrum(cf.KernelSpec(alpha, kappas[0]), args.count)
-    cumulative = spect.cumulative()
-    header = ["n", "lambda_n", "cumulative"]
-    rows = [[str(i), _fmt(v), _fmt(c)] for i, (v, c) in enumerate(zip(spect.values, cumulative))]
     payload = {
         "alpha": alpha,
         "kappa": kappas[0],
         "ratio": spect.ratio,
         "rows": [
             {"n": i, "value": v, "cumulative": c}
-            for i, (v, c) in enumerate(zip(spect.values, cumulative))
+            for i, (v, c) in enumerate(zip(spect.values, spect.cumulative()))
         ],
     }
-    footers = [f"ratio {_fmt(spect.ratio)}"]
-    _emit(_render_rows(args.format, header, rows, payload, footers), args.out)
+    footers = [f"ratio {_cell(spect.ratio, '-')}"]
+    _emit(_render(args.format, payload, "rows", SPECTRUM_COLUMNS, footers), args.out)
     return EXIT_OK
 
 
+VALIDATE_COLUMNS = [
+    ("alpha", "alpha"), ("kappa", "kappa"), ("lambda_max", "lambda_max"),
+    ("lambda_kappa_over_alpha", "lambda_max_kappa_over_alpha"), ("lambda_numeric", "lambda_numeric"),
+    ("dev_closed", "dev_closed"), ("dev_kappa_over_alpha", "dev_kappa_over_alpha"),
+    ("grid_size", "grid_size"), ("converged", "converged"),
+]
+
+
 def cmd_validate(args: argparse.Namespace) -> int:
+    tol = _tolerance(args)
     alphas = _alpha_list(args)
     kappas = _resolve_kappas(args)
     policy = _policy(args)
-    rows_payload = []
+    rows = []
     worst = 0.0
     all_converged = True
     for alpha in alphas:
@@ -315,7 +326,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
             dev_alt = abs(lam_alt - result.lambda_max_numeric)
             worst = max(worst, dev_closed)
             all_converged = all_converged and result.converged
-            rows_payload.append({
+            rows.append({
                 "alpha": alpha,
                 "kappa": kap,
                 "lambda_max": lam_closed,
@@ -326,25 +337,22 @@ def cmd_validate(args: argparse.Namespace) -> int:
                 "grid_size": result.grid_size,
                 "converged": result.converged,
             })
-    passed = all_converged and worst < args.tol
-    header = ["alpha", "kappa", "lambda_max", "lambda_kappa_over_alpha", "lambda_numeric",
-              "dev_closed", "dev_kappa_over_alpha", "grid_size", "converged"]
-    rows = [[
-        _fmt(r["alpha"]), _fmt(r["kappa"]), _fmt(r["lambda_max"]),
-        _fmt(r["lambda_max_kappa_over_alpha"]), _fmt(r["lambda_numeric"]),
-        _fmt(r["dev_closed"]), _fmt(r["dev_kappa_over_alpha"]),
-        str(r["grid_size"]), "yes" if r["converged"] else "NO",
-    ] for r in rows_payload]
+    passed = all_converged and worst < tol
     verdict = "PASS" if passed else "FAIL"
-    footers = [f"{verdict}: max |lambda_max - numeric| = {_fmt(worst)} over "
-               f"{len(rows_payload)} cells (tolerance {_fmt(args.tol)})"]
-    payload = {"tolerance": args.tol, "max_deviation": worst, "pass": passed, "rows": rows_payload}
-    _emit(_render_rows(args.format, header, rows, payload, footers), args.out)
+    footers = [f"{verdict}: max |lambda_max - numeric| = {_cell(worst, '-')} over "
+               f"{len(rows)} cells (tolerance {_cell(tol, '-')})"]
+    payload = {"tolerance": tol, "max_deviation": worst, "pass": passed, "rows": rows}
+    _emit(_render(args.format, payload, "rows", VALIDATE_COLUMNS, footers), args.out)
     return EXIT_OK if passed else EXIT_FAIL
+
+
+ORACLE_COLUMNS = [(key, key) for key in ("vertex", "kappa", "lambda_max", "lambda_reduced",
+                                         "lambda_alternating", "dev_reduced", "dev_alternating")]
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     alpha = _single_alpha(args)
+    tol = _tolerance(args)
     g, source, seed = _load_graph(args)
     if g.n > num.ORACLE_MAX_VERTICES:
         raise CliError(f"oracle comparison is limited to {num.ORACLE_MAX_VERTICES} vertices, got n={g.n}")
@@ -355,7 +363,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         grid = num.build_grid(args.extent_mult / math.sqrt(alpha), args.grid_size)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    rows_payload = []
+    rows = []
     worst = 0.0
     all_converged = True
     for v in range(g.n):
@@ -376,7 +384,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
             dev_alt = abs(lam_alt - lam_closed)
             worst = max(worst, dev_alt)
             all_converged = all_converged and alternating.converged
-        rows_payload.append({
+        rows.append({
             "vertex": v,
             "kappa": spec.kappa,
             "lambda_max": lam_closed,
@@ -385,29 +393,25 @@ def cmd_oracle(args: argparse.Namespace) -> int:
             "dev_reduced": dev_reduced,
             "dev_alternating": dev_alt,
         })
-    passed = all_converged and worst < args.tol
-    header = ["vertex", "kappa", "lambda_max", "lambda_reduced", "lambda_alternating",
-              "dev_reduced", "dev_alternating"]
-    rows = [[
-        str(r["vertex"]), _fmt(r["kappa"]), _fmt(r["lambda_max"]), _fmt(r["lambda_reduced"]),
-        "-" if r["lambda_alternating"] is None else _fmt(r["lambda_alternating"]),
-        _fmt(r["dev_reduced"]),
-        "-" if r["dev_alternating"] is None else _fmt(r["dev_alternating"]),
-    ] for r in rows_payload]
+    passed = all_converged and worst < tol
     verdict = "PASS" if passed else "FAIL"
-    footers = [f"{verdict}: max deviation = {_fmt(worst)} (tolerance {_fmt(args.tol)}), "
+    footers = [f"{verdict}: max deviation = {_cell(worst, '-')} (tolerance {_cell(tol, '-')}), "
                f"source {source}, grid {grid.size} nodes"]
     payload = {
         "alpha": alpha,
         "graph": {"n": g.n, "source": source, "seed": seed},
-        "tolerance": args.tol,
+        "tolerance": tol,
         "grid_size": grid.size,
         "max_deviation": worst,
         "pass": passed,
-        "rows": rows_payload,
+        "rows": rows,
     }
-    _emit(_render_rows(args.format, header, rows, payload, footers), args.out)
+    _emit(_render(args.format, payload, "rows", ORACLE_COLUMNS, footers), args.out)
     return EXIT_OK if passed else EXIT_FAIL
+
+
+SCAN_GRID_COLUMNS = [(key, key) for key in ("kappa", "coupling_ratio", "entanglement")]
+SCAN_ENSEMBLE_COLUMNS = [(key, key) for key in ("degree", "entanglement", "multiplicity")]
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
@@ -418,19 +422,14 @@ def cmd_scan(args: argparse.Namespace) -> int:
         raise CliError("scan needs exactly one of a kappa grid (--kappa/--kappa-range) "
                        "or a generator ensemble (--gen)")
     if grid_mode:
-        kappas = _resolve_kappas(args)
-        entries = sorted(
-            ((kap / alpha**2, kap) for kap in kappas),
-        )
-        header = ["kappa", "coupling_ratio", "entanglement"]
-        rows_payload = [{
+        entries = sorted((kap / alpha**2, kap) for kap in _resolve_kappas(args))
+        rows = [{
             "kappa": kap,
             "coupling_ratio": ratio,
             "entanglement": cf.entanglement(cf.KernelSpec(alpha, kap)),
         } for ratio, kap in entries]
-        rows = [[_fmt(r["kappa"]), _fmt(r["coupling_ratio"]), _fmt(r["entanglement"])]
-                for r in rows_payload]
-        payload = {"alpha": alpha, "mode": "grid", "rows": rows_payload}
+        payload = {"alpha": alpha, "mode": "grid", "rows": rows}
+        columns = SCAN_GRID_COLUMNS
     else:
         spec = _gen_spec(args)
         if args.samples < 1:
@@ -439,16 +438,14 @@ def cmd_scan(args: argparse.Namespace) -> int:
         for i in range(args.samples):
             sample = spec if spec.kind != "erdos_renyi" else dataclasses.replace(spec, seed=spec.seed + i)
             counts += np.bincount(graph_mod.degree(graph_mod.generate(sample)), minlength=spec.n)
-        header = ["degree", "entanglement", "multiplicity"]
-        rows_payload = [{
+        rows = [{
             "degree": d,
             "entanglement": cf.entanglement(cf.KernelSpec(alpha, float(d))),
             "multiplicity": counts[d].item(),
         } for d in np.flatnonzero(counts).tolist()]
-        rows = [[str(r["degree"]), _fmt(r["entanglement"]), str(r["multiplicity"])]
-                for r in rows_payload]
-        payload = {"alpha": alpha, "mode": "ensemble", "samples": args.samples, "rows": rows_payload}
-    _emit(_render_rows(args.format, header, rows, payload), args.out)
+        payload = {"alpha": alpha, "mode": "ensemble", "samples": args.samples, "rows": rows}
+        columns = SCAN_ENSEMBLE_COLUMNS
+    _emit(_render(args.format, payload, "rows", columns, []), args.out)
     return EXIT_OK
 
 

@@ -74,15 +74,6 @@ class Spectrum:
 
 
 @dataclass(frozen=True)
-class NumericCheck:
-    """Quadrature cross-check attached to a vertex record."""
-
-    lambda_max: float
-    deviation: float
-    grid_size: int
-
-
-@dataclass(frozen=True)
 class VertexRecord:
     """Entanglement data for one vertex; ``degree`` is None on weighted graphs."""
 
@@ -91,7 +82,6 @@ class VertexRecord:
     kappa: float
     lambda_max: float
     entanglement: float
-    numeric: NumericCheck | None = None
 
 
 @dataclass(frozen=True)

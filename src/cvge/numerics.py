@@ -179,6 +179,8 @@ class GridPolicy:
             raise ValueError(f"top_k must be >= 1, got {self.top_k}")
         if not math.isfinite(self.extent_factor):
             raise ValueError(f"extent_factor must be finite, got {self.extent_factor!r}")
+        if self.extent_factor < MIN_EXTENT_FACTOR:
+            raise ValueError(f"extent_factor must be >= {MIN_EXTENT_FACTOR:g}, got {self.extent_factor!r}")
 
 
 def build_grid(extent: float, size: int) -> QuadratureGrid:
@@ -322,7 +324,7 @@ def numeric_entanglement(spec: KernelSpec, policy: GridPolicy = GridPolicy()) ->
     nonzero eigenvalue equals the quadrature trace sum_i w_i K(x_i, x_i) and
     no eigensolve is needed.
     """
-    extent = max(policy.extent_factor, MIN_EXTENT_FACTOR) / math.sqrt(spec.alpha)
+    extent = policy.extent_factor / math.sqrt(spec.alpha)
     if spec.kappa == 0.0:
         grid = trapezoid_grid(extent, policy.initial_size)
         lam = float(grid.weights @ kernel_value(spec, grid.nodes, grid.nodes))

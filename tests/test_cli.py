@@ -1,10 +1,13 @@
 """End-to-end CLI behaviour: outputs, formats, exit codes, determinism."""
 
+import csv
 import hashlib
 import io
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -447,6 +450,29 @@ class TestSizeLimits:
         assert "line 1" in err and "dense storage" in err
 
 
+class TestValueBounds:
+    """A tolerance or extent outside its range is a usage error, never a FAIL table."""
+
+    @pytest.mark.parametrize("argv,message", [
+        (("validate", "--kappa", "1", "--tol", "nan"), "--tol must be positive and finite"),
+        (("validate", "--kappa", "1", "--tol", "-1"), "--tol must be positive and finite"),
+        (("validate", "--kappa", "1", "--tol", "0"), "--tol must be positive and finite"),
+        (("validate", "--kappa", "1", "--tol", "inf"), "--tol must be positive and finite"),
+        (("oracle", "--gen", "path", "--n", "2", "--tol", "nan"), "--tol must be positive and finite"),
+        (("oracle", "--gen", "path", "--n", "2", "--tol", "-1"), "--tol must be positive and finite"),
+        (("validate", "--kappa", "1", "--extent-mult", "-5"), "extent_factor must be >= 8"),
+        (("profile", "--gen", "path", "--n", "3", "--numeric", "--extent-mult", "5"),
+         "extent_factor must be >= 8"),
+    ], ids=["validate-tol-nan", "validate-tol-negative", "validate-tol-zero", "validate-tol-inf",
+            "oracle-tol-nan", "oracle-tol-negative", "validate-extent", "profile-extent"])
+    def test_out_of_range_value_is_usage_error(self, argv, message):
+        code, out, err = run_cli(*argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert message in err
+
+
 class TestExitCodes:
     def test_unknown_command_is_usage(self):
         assert run_cli("frobnicate")[0] == EXIT_USAGE
@@ -488,8 +514,24 @@ class TestVectorizedGraphPath:
         assert calls["degree"] <= 3
 
 
-# sha256 of stdout, recorded before the graph layer computed all vertices in
-# one pass; binary graphs have integer kappa, so their output must not change.
+# Edge weights that are exact binary fractions, so every kappa is exact
+# whatever order its squares are summed in.
+WEIGHTED_EDGE_LIST = """# exact binary-fraction weights
+vertices 5
+0 1 0.5
+0 2 1.5
+1 2 2.25
+2 3 0.5
+3 4 1.5
+4 0
+"""
+
+ENSEMBLE = ("scan", "--gen", "erdos_renyi", "--n", "100", "--p", "0.05", "--seed", "1", "--samples", "4")
+
+# sha256 of stdout. The binary-graph digests were recorded before the graph
+# layer computed all vertices in one pass (binary graphs have integer kappa);
+# the rest were recorded before CSV and text were rendered from the JSON rows.
+# All of them are closed-form output, so they do not depend on the platform.
 BINARY_OUTPUT_DIGESTS = [
     (("profile", "--gen", "erdos_renyi", "--n", "200", "--p", "0.05", "--seed", "1", "--format", "json"),
      "ba6052a7f8572319b89e3fc8fc58aa276f448abe746302902fb86e2741d90c60"),
@@ -497,14 +539,110 @@ BINARY_OUTPUT_DIGESTS = [
      "ddea3bd188ac02b63b212e9d703b05f411a996607a0b016125e639e1cd548255"),
     (("profile", "--gen", "erdos_renyi", "--n", "200", "--p", "0.05", "--seed", "1", "--format", "text"),
      "e9b80465e96220e95d6e49e3584904a0d5cd9af1c89c142d7732ed380fed6f52"),
-    (("scan", "--gen", "erdos_renyi", "--n", "100", "--p", "0.05", "--seed", "1", "--samples", "4"),
-     "006a922ee0bc48a04e8b29e5ff12a32f17046c54513baea643aebaaaf2f504dd"),
+    (ENSEMBLE, "006a922ee0bc48a04e8b29e5ff12a32f17046c54513baea643aebaaaf2f504dd"),
+    (("profile", "--graph", "weighted.txt", "--format", "json"),
+     "06728ef15313000af502a9b62e05c9ca52e8a9afd8a43589105f4f2e9a1c8164"),
+    (("profile", "--graph", "weighted.txt", "--format", "csv"),
+     "ca9d4eeb9c36c6e961b0f7714378b8e1f98eb3cd3a900649272c8e0b475b695f"),
+    (("profile", "--graph", "weighted.txt", "--format", "text"),
+     "cc672c24e44d5f05da9f435139a9f58f00447970ffdf57b88787aa0aa7b04d02"),
+    (("spectrum", "--kappa", "3", "--count", "8", "--format", "json"),
+     "d4a6a27a65c1e58b68df56395a84479590ab55a850d880c2330e232791f48220"),
+    (("spectrum", "--kappa", "3", "--count", "8", "--format", "csv"),
+     "1e1a29afc772041773f1c75c09af6d61e20f2620baf1259ca1c119e7e24e768a"),
+    (("spectrum", "--kappa", "3", "--count", "8", "--format", "text"),
+     "4032c011d14d855016c9e395d242a52f2784446f992c4faf8570458f83078b86"),
+    (("scan", "--kappa-range", "0..10..0.5", "--format", "json"),
+     "e42a319d6342ba37289e028d4f8413dde7255606fd78b206047fb69d895e6e8d"),
+    (("scan", "--kappa-range", "0..10..0.5", "--format", "text"),
+     "388e8a76e03d2d6ba6ac77561a40124bd33f886cce64b129e191a007fe7bd2d3"),
+    ((*ENSEMBLE, "--format", "json"), "6ca77fe0c4fd15f7bd8aa5b793704481fedc5614e086e6fe2e178cf5e6c8cd25"),
+    ((*ENSEMBLE, "--format", "text"), "fe931a04351c5cef2d1fce68adf7555d277acf0a9f2c6738aff303480b387cab"),
 ]
 
 
 @pytest.mark.parametrize("argv,digest", BINARY_OUTPUT_DIGESTS,
-                         ids=["profile-json", "profile-csv", "profile-text", "scan-csv"])
-def test_binary_graph_output_is_unchanged(argv, digest):
+                         ids=["profile-json", "profile-csv", "profile-text", "scan-csv",
+                              "weighted-profile-json", "weighted-profile-csv", "weighted-profile-text",
+                              "spectrum-json", "spectrum-csv", "spectrum-text",
+                              "scan-grid-json", "scan-grid-text", "scan-ensemble-json",
+                              "scan-ensemble-text"])
+def test_binary_graph_output_is_unchanged(argv, digest, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "weighted.txt").write_text(WEIGHTED_EDGE_LIST, encoding="utf-8")
     code, out, _ = run_cli(*argv)
     assert code == EXIT_OK
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def expected_cell(value, missing):
+    """The cell rule CSV and text follow: yes/NO, int as is, float to 10 digits, None missing."""
+    if value is None:
+        return missing
+    if isinstance(value, bool):
+        return "yes" if value else "NO"
+    if isinstance(value, int):
+        return str(value)
+    return f"{value:.10g}"
+
+
+VALIDATE_KEYS = ["alpha", "kappa", "lambda_max", "lambda_max_kappa_over_alpha", "lambda_numeric",
+                 "dev_closed", "dev_kappa_over_alpha", "grid_size", "converged"]
+ORACLE_KEYS = ["vertex", "kappa", "lambda_max", "lambda_reduced", "lambda_alternating",
+               "dev_reduced", "dev_alternating"]
+
+
+@pytest.mark.parametrize("argv,exit_code,rows_key,keys,has_missing", [
+    (("validate", "--alpha", "0.5,1,2,4", "--kappa", "0,1,2,3,5,8,9"), EXIT_OK, "rows",
+     VALIDATE_KEYS, False),
+    # one rung at the cap: kappa = 0 is converged, kappa = 1 is not
+    (("validate", "--kappa", "0,1", "--grid-size", "4096"), EXIT_FAIL, "rows", VALIDATE_KEYS, False),
+    (("oracle", "--gen", "path", "--n", "3"), EXIT_OK, "rows", ORACLE_KEYS, False),
+    (("oracle", "--gen", "path", "--n", "1"), EXIT_OK, "rows", ORACLE_KEYS, True),
+    (("profile", "--graph", "weighted.txt", "--alpha", "2", "--numeric"), EXIT_OK, "vertices",
+     ["id", "degree", "kappa", "lambda_max", "entanglement",
+      ("numeric", "lambda_max"), ("numeric", "deviation"), ("numeric", "grid_size")], True),
+], ids=["validate-grid", "validate-unconverged", "oracle-path-3", "oracle-one-vertex",
+        "profile-weighted-numeric"])
+def test_csv_and_text_rows_are_json_rows_under_the_cell_rule(argv, exit_code, rows_key, keys,
+                                                             has_missing, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "weighted.txt").write_text(WEIGHTED_EDGE_LIST, encoding="utf-8")
+    outputs = {}
+    for fmt in ("json", "csv", "text"):
+        code, outputs[fmt], _ = run_cli(*argv, "--format", fmt)
+        assert code == exit_code
+    values = []
+    for row in json.loads(outputs["json"])[rows_key]:
+        values.append([row[key] if isinstance(key, str) else row[key[0]][key[1]] for key in keys])
+    assert any(v is None for row in values for v in row) == has_missing
+
+    header, *csv_cells = csv.reader(io.StringIO(outputs["csv"]))
+    assert csv_cells == [[expected_cell(v, "") for v in row] for row in values]
+    text_lines = outputs["text"].splitlines()
+    assert text_lines[0].split() == header
+    assert [line.split() for line in text_lines[1:1 + len(values)]] == [
+        [expected_cell(v, "-") for v in row] for row in values]
+
+
+def readme_cli_examples():
+    """Every ``cvge ...`` example of README.md's CLI section, in code blocks or inline."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text[text.index("\n## CLI\n"):]
+    end = section.find("\n## ", 1)
+    section = section if end < 0 else section[:end]
+    found = re.finditer(r"^[ \t]*(cvge [^\n]+)$|`(cvge [^`]+)`", section, re.M)
+    examples = [re.sub(r"\s+#.*", "", m.group(1) or m.group(2)) for m in found]
+    # the synopsis is no example, and a named input file is not in the tree
+    return [e for e in examples if "<" not in e and "--graph" not in e]
+
+
+def test_readme_finds_its_cli_examples():
+    assert len(readme_cli_examples()) >= 8
+
+
+@pytest.mark.parametrize("example", readme_cli_examples())
+def test_readme_cli_example_runs(example, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_cli(*shlex.split(example)[1:])
+    assert code == EXIT_OK, err

@@ -234,6 +234,11 @@ class TestNumericEntanglement:
         with pytest.raises(ValueError, match="extent_factor must be finite"):
             GridPolicy(extent_factor=factor)
 
+    @pytest.mark.parametrize("factor", [-5.0, 0.0, 7.999])
+    def test_policy_rejects_extent_below_minimum(self, factor):
+        with pytest.raises(ValueError, match="extent_factor must be >= 8"):
+            GridPolicy(extent_factor=factor)
+
     def test_policy_validation(self):
         with pytest.raises(ValueError, match="initial_size"):
             GridPolicy(initial_size=1)
