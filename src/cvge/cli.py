@@ -36,6 +36,8 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 FORMATS = ("json", "csv", "text")
 MAX_ROWS = 100_000  # most values --count or --kappa-range may ask for
+# most --grid-size nodes of each command that takes --grid-size and --extent-mult
+GRID_CAPS = {"profile": num.MAX_GRID_SIZE, "validate": num.MAX_GRID_SIZE, "oracle": num.ORACLE_MAX_GRID}
 
 
 class CliError(Exception):
@@ -147,13 +149,18 @@ def _load_graph(args: argparse.Namespace) -> tuple[graph_mod.Graph, str, int | N
     raise CliError("a graph source is required: --graph PATH or --gen KIND --n N")
 
 
+def _check_numeric_flags(args: argparse.Namespace) -> None:
+    """Bound ``--grid-size`` and ``--extent-mult`` of the commands that take them, used or not."""
+    cap = GRID_CAPS[args.command]
+    if not 2 <= args.grid_size <= cap:
+        raise CliError(f"--grid-size must be >= 2 and <= {cap}, got {args.grid_size}")
+    if not (math.isfinite(args.extent_mult) and args.extent_mult >= num.MIN_EXTENT_FACTOR):
+        raise CliError(f"--extent-mult must be finite and >= {num.MIN_EXTENT_FACTOR:g}, "
+                       f"got {args.extent_mult:g}")
+
+
 def _policy(args: argparse.Namespace) -> num.GridPolicy:
-    if args.grid_size > num.MAX_GRID_SIZE:
-        raise CliError(f"--grid-size must be <= {num.MAX_GRID_SIZE}, got {args.grid_size}")
-    try:
-        return num.GridPolicy(initial_size=args.grid_size, extent_factor=args.extent_mult)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    return num.GridPolicy(initial_size=args.grid_size, extent_factor=args.extent_mult)
 
 
 def _tolerance(args: argparse.Namespace) -> float:
@@ -356,8 +363,6 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     g, source, seed = _load_graph(args)
     if g.n > num.ORACLE_MAX_VERTICES:
         raise CliError(f"oracle comparison is limited to {num.ORACLE_MAX_VERTICES} vertices, got n={g.n}")
-    if args.grid_size > num.ORACLE_MAX_GRID:
-        raise CliError(f"oracle --grid-size must be <= {num.ORACLE_MAX_GRID}, got {args.grid_size}")
     state = graph_mod.GraphState(g, alpha)
     try:
         grid = num.build_grid(args.extent_mult / math.sqrt(alpha), args.grid_size)
@@ -504,7 +509,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p.add_argument("--alpha", default="1", help="oscillator width parameter (default 1)")
     p.add_argument("--numeric", action="store_true",
                    help="add quadrature lambda_max and deviation columns")
-    numeric_options(p, 256, num.MAX_GRID_SIZE)
+    numeric_options(p, 256, GRID_CAPS["profile"])
 
     p = command("spectrum", "leading eigenvalues of the reduced state for one (alpha, kappa)")
     p.add_argument("--kappa", help="coupling strength")
@@ -517,14 +522,14 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p.add_argument("--kappa-range", metavar="LO..HI[..STEP]", help="inclusive kappa range")
     p.add_argument("--tol", type=float, default=1e-8,
                    help="PASS threshold on |closed - numeric| (default 1e-8)")
-    numeric_options(p, 256, num.MAX_GRID_SIZE)
+    numeric_options(p, 256, GRID_CAPS["validate"])
 
     p = command("oracle", "closed form vs full-state reduction vs alternating overlap (n <= 3)")
     graph_source(p)
     p.add_argument("--alpha", default="1", help="oscillator width parameter (default 1)")
     p.add_argument("--tol", type=float, default=1e-6,
                    help="PASS threshold on the worst deviation (default 1e-6)")
-    numeric_options(p, 64, num.ORACLE_MAX_GRID)
+    numeric_options(p, 64, GRID_CAPS["oracle"])
 
     p = command("scan", "entanglement curve over a kappa grid or a graph ensemble",
                 default_format="csv")
@@ -612,6 +617,8 @@ def main(argv: list[str] | None = None) -> int:
             # parse again with the config file as defaults: explicit flags win
             registry[args.command].set_defaults(**_config_defaults(args))
             args = parser.parse_args(raw_argv)
+        if args.command in GRID_CAPS:
+            _check_numeric_flags(args)
         return _HANDLERS[args.command](args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE

@@ -198,7 +198,7 @@ class TestValidate:
         code, out, err = run_cli("validate", "--kappa", "1", "--extent-mult", mult)
         assert code == EXIT_USAGE
         assert out == ""
-        assert err.startswith("error: extent_factor must be finite") and err.count("\n") == 1
+        assert err.startswith("error: --extent-mult must be finite") and err.count("\n") == 1
 
     @pytest.mark.parametrize("ratio", [36.0, 400.0])
     def test_json_byte_identical_repeat_runs(self, ratio):
@@ -425,6 +425,8 @@ class TestSizeLimits:
         (("oracle", "--gen", "path", "--n", "2", "--grid-size", "1000000"), "<= 128"),
         (("validate", "--kappa", "1", "--grid-size", "1000000"), "<= 4096"),
         (("profile", "--gen", "path", "--n", "3", "--numeric", "--grid-size", "4097"), "<= 4096"),
+        (("profile", "--gen", "path", "--n", "2", "--grid-size", "999999"), "<= 4096"),
+        (("validate", "--kappa", "1", "--grid-size", "1"), "--grid-size must be >= 2"),
         (("profile", "--gen", "path", "--n", "10000000"), "dense storage"),
         (("gen", "--gen", "complete", "--n", "10001"), "dense storage"),
         (("scan", "--gen", "star", "--n", "10000000"), "dense storage"),
@@ -433,7 +435,8 @@ class TestSizeLimits:
         (("validate", "--kappa-range", "0..1e12..1e-6"), "more than 100000"),
         (("scan", "--kappa-range", "0..inf"), "more than 100000"),
         (("scan", "--kappa-range", "0..nan"), "LO <= HI"),
-    ], ids=["oracle-grid", "validate-grid", "profile-grid", "profile-n", "gen-n", "scan-n",
+    ], ids=["oracle-grid", "validate-grid", "profile-grid", "profile-grid-without-numeric",
+            "grid-below-two", "profile-n", "gen-n", "scan-n",
             "count", "scan-range", "validate-range", "infinite-range", "nan-range"])
     def test_oversized_input_is_usage_error(self, argv, message):
         code, out, err = run_cli(*argv)
@@ -460,11 +463,16 @@ class TestValueBounds:
         (("validate", "--kappa", "1", "--tol", "inf"), "--tol must be positive and finite"),
         (("oracle", "--gen", "path", "--n", "2", "--tol", "nan"), "--tol must be positive and finite"),
         (("oracle", "--gen", "path", "--n", "2", "--tol", "-1"), "--tol must be positive and finite"),
-        (("validate", "--kappa", "1", "--extent-mult", "-5"), "extent_factor must be >= 8"),
+        (("validate", "--kappa", "1", "--extent-mult", "-5"), "--extent-mult must be finite and >= 8"),
         (("profile", "--gen", "path", "--n", "3", "--numeric", "--extent-mult", "5"),
-         "extent_factor must be >= 8"),
+         "--extent-mult must be finite and >= 8"),
+        (("profile", "--gen", "path", "--n", "2", "--extent-mult", "5"),
+         "--extent-mult must be finite and >= 8, got 5"),
+        (("oracle", "--gen", "path", "--n", "2", "--extent-mult", "5"),
+         "--extent-mult must be finite and >= 8, got 5"),
     ], ids=["validate-tol-nan", "validate-tol-negative", "validate-tol-zero", "validate-tol-inf",
-            "oracle-tol-nan", "oracle-tol-negative", "validate-extent", "profile-extent"])
+            "oracle-tol-nan", "oracle-tol-negative", "validate-extent", "profile-extent",
+            "profile-extent-without-numeric", "oracle-extent"])
     def test_out_of_range_value_is_usage_error(self, argv, message):
         code, out, err = run_cli(*argv)
         assert code == EXIT_USAGE

@@ -3,14 +3,21 @@ tensor-quadrature reduction and the alternating best-product-overlap
 iteration. Their agreement with the closed forms validates the kernel, the
 coupling-strength definition, and the eigensolver at once."""
 
+import io
 import math
+from contextlib import redirect_stdout
+from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cvge.cli import EXIT_OK, main
 from cvge.closed_form import KernelSpec, lambda_max
 from cvge.graph import Graph, GraphGenSpec, GraphState, generate, kappa
 from cvge.numerics import (
+    _one_vs_rest,
     alternating_maximization,
     build_grid,
     discretize,
@@ -19,6 +26,7 @@ from cvge.numerics import (
 )
 
 GRID = build_grid(10.0, 64)
+WEIGHTED_TRIANGLE = Graph(3, [[0.0, 0.7, -1.3], [0.7, 0.0, 1.9], [-1.3, 1.9, 0.0]])
 
 SMALL_BINARY_GRAPHS = [
     ("empty-2", Graph(2, np.zeros((2, 2)))),
@@ -137,3 +145,95 @@ class TestAlternatingMaximization:
         state = GraphState(generate(GraphGenSpec("star", 4)), 1.0)
         with pytest.raises(ValueError, match="limited to 3"):
             alternating_maximization(state, 0, GRID)
+
+
+def reference_one_vs_rest(state, v, grid):
+    """The wavefunction as one exp over the full meshgrid, weighted, with axis v moved first.
+
+    psi(x) = (alpha/pi)^(N/4) exp(-alpha/2 sum_j x_j^2 + i sum_{j<k} a_jk x_j x_k)
+
+    evaluated in extended precision where the platform has it: the phase
+    reaches a few hundred radians, so a double-precision sum alone is off by
+    about 1e-13 relative.
+    """
+    n = state.graph.n
+    axes = np.meshgrid(*([grid.nodes.astype(np.longdouble)] * n), indexing="ij")
+    quadratic = sum(x * x for x in axes)
+    phase = sum(state.graph.coupling[j, k] * axes[j] * axes[k]
+                for j in range(n) for k in range(j + 1, n))
+    psi = (state.alpha / np.pi) ** (n / 4.0) * np.exp(-0.5 * state.alpha * quadratic + 1j * phase)
+    weights = reduce(np.multiply.outer, [grid.weights] * n)
+    return np.moveaxis(np.sqrt(weights) * psi, v, 0).reshape(grid.size, -1).astype(complex)
+
+
+class TestOneVsRest:
+    """The edge-factor build of the weighted one-vs-rest matrix both oracles start from."""
+
+    @pytest.mark.parametrize("graph", [generate(GraphGenSpec("path", 3)),
+                                       generate(GraphGenSpec("cycle", 3)), WEIGHTED_TRIANGLE],
+                             ids=["path-3", "cycle-3", "weighted-triangle"])
+    @pytest.mark.parametrize("alpha", [0.8, 2.0])
+    def test_matches_single_exp_reference(self, graph, alpha):
+        state = GraphState(graph, alpha)
+        grid = build_grid(10.0 / math.sqrt(alpha), 32)
+        for v in range(graph.n):
+            amp = _one_vs_rest(state, v, grid)
+            assert amp.shape == (32, 32 * 32)
+            np.testing.assert_allclose(amp, reference_one_vs_rest(state, v, grid), rtol=1e-13, atol=0.0)
+
+    def test_first_alternating_step_never_vanishes(self):
+        # the uniform start gives g = integral psi d(rest), a Gaussian in x_v; the
+        # smallest norm over these cases is 0.0397, so no start is ever annihilated
+        graphs = [generate(GraphGenSpec(kind, n)) for kind, n in
+                  (("path", 2), ("path", 3), ("cycle", 3), ("complete", 3), ("star", 3))]
+        graphs += [Graph(2, np.zeros((2, 2))), WEIGHTED_TRIANGLE]
+        smallest = math.inf
+        for graph in graphs:
+            for alpha in (0.8, 1.0, 2.0):
+                for size in (64, 128):
+                    grid = build_grid(10.0 / math.sqrt(alpha), size)
+                    for v in range(graph.n):
+                        amp = _one_vs_rest(GraphState(graph, alpha), v, grid)
+                        start = np.full(amp.shape[1], 1.0 / math.sqrt(amp.shape[1]))
+                        smallest = min(smallest, float(np.linalg.norm(amp @ start)))
+        assert smallest > 1e-2
+
+
+class TestOracleBuild:
+    @pytest.mark.parametrize("graph", [Graph(1, np.zeros((1, 1))), generate(GraphGenSpec("path", 2)),
+                                       WEIGHTED_TRIANGLE], ids=["single", "edge", "weighted-triangle"])
+    def test_reduced_kernel_is_exactly_symmetric(self, graph):
+        for v in range(graph.n):
+            matrix = reduce_full_state(GraphState(graph, 1.3), v, GRID).matrix
+            assert np.array_equal(matrix, matrix.T)
+
+    # The phase exp(i a x y) oscillates on the scale a / alpha in units of the
+    # grid, which 64 nodes over [-10, 10] / sqrt(alpha) resolve to 1e-8 only
+    # while |a| <= alpha; at |a| = 2 alpha the kernel entries are off by 6e-5.
+    # So the weights, spanning [-2, 2], are drawn as alpha times [-1, 1].
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.sampled_from([2, 3]), units=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
+           alpha=st.floats(0.5, 2.0), pick=st.integers(0, 2))
+    def test_oracles_match_dense_kernel(self, n, units, alpha, pick):
+        coupling = np.zeros((n, n))
+        coupling[np.triu_indices(n, 1)] = [alpha * u for u in units[: n * (n - 1) // 2]]
+        graph = Graph(n, coupling + coupling.T)
+        state = GraphState(graph, alpha)
+        v = pick % n
+        grid = build_grid(10.0 / math.sqrt(alpha), 64)
+        dense = discretize(KernelSpec(alpha, kappa(graph, v)), grid)
+        oracle = reduce_full_state(state, v, grid)
+        assert np.max(np.abs(oracle.matrix - dense.matrix)) < 1e-8
+        alternating = alternating_maximization(state, v, grid)
+        assert alternating.lambda_max_numeric == pytest.approx(
+            top_eigenvalues(dense, 1).lambda_max_numeric, abs=1e-7)
+
+    def test_json_output_byte_identical(self):
+        argv = ["oracle", "--gen", "cycle", "--n", "3", "--grid-size", "128", "--format", "json"]
+        outputs = []
+        for _ in range(2):
+            buf = io.StringIO()
+            with redirect_stdout(buf):
+                assert main(argv) == EXIT_OK
+            outputs.append(buf.getvalue())
+        assert outputs[0] == outputs[1]
