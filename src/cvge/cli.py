@@ -232,7 +232,8 @@ def _render(fmt: str, payload: dict, rows_key: str,
 PROFILE_COLUMNS = [("vertex", "id"), ("degree", "degree"), ("kappa", "kappa"),
                    ("lambda_max", "lambda_max"), ("entanglement", "entanglement")]
 NUMERIC_COLUMNS = [("numeric_lambda_max", ("numeric", "lambda_max")),
-                   ("deviation", ("numeric", "deviation")), ("grid_size", ("numeric", "grid_size"))]
+                   ("deviation", ("numeric", "deviation")), ("grid_size", ("numeric", "grid_size")),
+                   ("converged", ("numeric", "converged"))]
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
@@ -274,6 +275,7 @@ def _numeric_checks(report: cf.EntanglementReport, args: argparse.Namespace) -> 
             "lambda_max": result.lambda_max_numeric,
             "deviation": abs(result.lambda_max_numeric - report.records[v].lambda_max),
             "grid_size": result.grid_size,
+            "converged": result.converged,
         })
     return [checks[i] for i in which.tolist()]
 
@@ -498,9 +500,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
         p.add_argument("--p", type=float, help="edge probability (erdos_renyi only)")
         p.add_argument("--seed", type=int, help="PRNG seed (erdos_renyi only)")
 
-    def numeric_options(p: argparse.ArgumentParser, default_grid: int, max_grid: int) -> None:
+    def numeric_options(p: argparse.ArgumentParser, grid_help: str, default_grid: int, max_grid: int) -> None:
         p.add_argument("--grid-size", type=int, default=default_grid,
-                       help=f"quadrature nodes (default {default_grid}, at most {max_grid})")
+                       help=f"{grid_help} (default {default_grid}, at most {max_grid})")
         p.add_argument("--extent-mult", type=float, default=num.DEFAULT_EXTENT_FACTOR,
                        help="interval half-width in units of 1/sqrt(alpha) (default 10, minimum 8)")
 
@@ -508,8 +510,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     graph_source(p)
     p.add_argument("--alpha", default="1", help="oscillator width parameter (default 1)")
     p.add_argument("--numeric", action="store_true",
-                   help="add quadrature lambda_max and deviation columns")
-    numeric_options(p, 256, GRID_CAPS["profile"])
+                   help="add quadrature lambda_max, deviation, grid_size and converged columns")
+    numeric_options(p, "fewest quadrature nodes of the coarse rung", 256, GRID_CAPS["profile"])
 
     p = command("spectrum", "leading eigenvalues of the reduced state for one (alpha, kappa)")
     p.add_argument("--kappa", help="coupling strength")
@@ -522,14 +524,14 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p.add_argument("--kappa-range", metavar="LO..HI[..STEP]", help="inclusive kappa range")
     p.add_argument("--tol", type=float, default=1e-8,
                    help="PASS threshold on |closed - numeric| (default 1e-8)")
-    numeric_options(p, 256, GRID_CAPS["validate"])
+    numeric_options(p, "fewest quadrature nodes of the coarse rung", 256, GRID_CAPS["validate"])
 
     p = command("oracle", "closed form vs full-state reduction vs alternating overlap (n <= 3)")
     graph_source(p)
     p.add_argument("--alpha", default="1", help="oscillator width parameter (default 1)")
     p.add_argument("--tol", type=float, default=1e-6,
                    help="PASS threshold on the worst deviation (default 1e-6)")
-    numeric_options(p, 64, GRID_CAPS["oracle"])
+    numeric_options(p, "Gauss-Legendre nodes per axis", 64, GRID_CAPS["oracle"])
 
     p = command("scan", "entanglement curve over a kappa grid or a graph ensemble",
                 default_format="csv")

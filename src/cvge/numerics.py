@@ -26,10 +26,11 @@ Two representations of B exist:
   :func:`lanczos_eigenvalues` takes the top of its spectrum by Lanczos with
   full reorthogonalisation and certifies it by the Ritz residuals.
 
-The adaptive solver :func:`numeric_entanglement` runs the matrix-free route
-on a ladder of trapezoid grids, which converge exponentially on these
-Gaussian integrands, doubling the node count until the top eigenvalue
-settles.
+The solver :func:`numeric_entanglement` runs the matrix-free route on two
+trapezoid grids, which converge exponentially on these Gaussian integrands
+once the step resolves both Gaussian widths of the kernel: a coarse rung at
+half the narrower width, and a fine rung at half that step, whose agreement
+certifies the top eigenvalue.
 
 Besides the Nystrom route this module carries two brute-force cross-checks
 that never touch the closed forms:
@@ -67,8 +68,9 @@ from .graph import kappa as vertex_kappa
 
 MIN_EXTENT_FACTOR = 8.0
 DEFAULT_EXTENT_FACTOR = 10.0
-MAX_GRID_SIZE = 4096  # largest ladder rung by default, and the CLI's bound on --grid-size
+MAX_GRID_SIZE = 4096  # the CLI's bound on --grid-size, the floor on the coarse rung
 LANCZOS_MAX_STEPS = 300
+LAMBDA_TOL = 1e-10  # the two rungs of numeric_entanglement must agree this closely to converge
 RITZ_TOL = 1e-15  # a Lanczos solve is certified once every wanted Ritz residual is below this
 POWER_ITERATION_CAP = 50_000
 ORACLE_MAX_VERTICES = 3
@@ -138,7 +140,7 @@ class NumericResult:
     """Eigendata from one numeric run.
 
     ``residual`` is the last change that decided convergence: for
-    :func:`numeric_entanglement`, |delta lambda| between the last two rungs
+    :func:`numeric_entanglement`, |delta lambda| between its two rungs
     (0.0 on the exactly rank-1 kappa = 0 kernel, ``math.inf`` when only one
     rung ran); for :func:`alternating_maximization`, the last sweep's change;
     for :func:`lanczos_eigenvalues`, the largest wanted Ritz residual; for a
@@ -162,19 +164,18 @@ class NumericResult:
 
 @dataclass(frozen=True)
 class GridPolicy:
-    """Adaptive discretization policy of :func:`numeric_entanglement`.
+    """Discretization policy of :func:`numeric_entanglement`.
 
-    Each rung is an equally spaced trapezoid grid on [-L, L] with
-    L = ``extent_factor / sqrt(alpha)``. The node count doubles from
-    ``initial_size`` (never past ``max_size``) until the top eigenvalue moves
-    by less than ``lambda_tol`` between two consecutive rungs whose Lanczos
-    solves were both certified; only then is the result ``converged``.
+    Both rungs span [-L, L] with L = ``extent_factor / sqrt(alpha)``.
+    ``initial_size`` is the fewest nodes of the coarse rung, and ``max_size``
+    the most of the fine rung: the default 40960 fits kappa / alpha^2 = 1e6
+    at the default extent, and bounds the Lanczos basis at
+    ``LANCZOS_MAX_STEPS * max_size * 8`` bytes, about 98 MB.
     """
 
     initial_size: int = 256
-    max_size: int = MAX_GRID_SIZE
+    max_size: int = 40960
     extent_factor: float = DEFAULT_EXTENT_FACTOR
-    lambda_tol: float = 1e-10
     top_k: int = 1
 
     def __post_init__(self) -> None:
@@ -319,13 +320,44 @@ def lanczos_eigenvalues(dk: DiscretizedKernel, k: int) -> NumericResult:
     return NumericResult(values[0], tuple(values), residual, size, residual < RITZ_TOL)
 
 
-def numeric_entanglement(spec: KernelSpec, policy: GridPolicy = GridPolicy()) -> NumericResult:
-    """Top of the spectrum under the adaptive grid policy; E = 1 - lambda via ``.entanglement``.
+def _smooth_size(count: int) -> int:
+    """Smallest m >= ``count`` with no prime factor above 5, so the circulant length 2m FFTs fast."""
+    size = count
+    while True:
+        rest = size
+        for prime in (2, 3, 5):
+            while rest % prime == 0:
+                rest //= prime
+        if rest == 1:
+            return size
+        size += 1
 
-    Each rung is the matrix-free kernel on a trapezoid grid whose step
-    follows from the node count alone, solved by :func:`lanczos_eigenvalues`.
-    ``converged`` means two consecutive certified rungs agreed within
-    ``policy.lambda_tol``; ``residual`` is that last change.
+
+def _coarse_size(spec: KernelSpec, extent: float, policy: GridPolicy) -> int | None:
+    """Node count m0 of the coarse rung, or None when the fine rung 2 m0 would exceed ``policy.max_size``."""
+    step = min(1.0 / math.sqrt(spec.alpha), 2.0 * math.sqrt(spec.alpha / spec.kappa)) / 2.0
+    # tested before dividing by the step or rounding: at extreme (alpha, kappa)
+    # the step underflows to 0, or 2 extent / step overflows
+    if not 2.0 * extent <= (policy.max_size / 2 - 1) * step:
+        return None
+    coarse = _smooth_size(max(policy.initial_size, math.ceil(2.0 * extent / step) + 1))
+    return coarse if 2 * coarse <= policy.max_size else None
+
+
+def numeric_entanglement(spec: KernelSpec, policy: GridPolicy = GridPolicy()) -> NumericResult:
+    """Top of the spectrum from two certified rungs; E = 1 - lambda via ``.entanglement``.
+
+    The coarse rung's step h0 = min(1/sqrt(alpha), 2 sqrt(alpha/kappa)) / 2
+    is half the narrower of the kernel's two Gaussian widths, read off the
+    exponents of :func:`kernel_envelope` and :func:`kernel_difference` at the
+    raw (alpha, kappa). Its node count m0 covers [-L, L] at that step, is at
+    least ``policy.initial_size``, and is 5-smooth; the fine rung has 2 m0
+    nodes on the same L, so its step is about h0 / 2. Each rung is the
+    matrix-free kernel solved by :func:`lanczos_eigenvalues`. ``converged``
+    means both rungs were certified and agreed within :data:`LAMBDA_TOL`;
+    ``residual`` is their difference. When the fine rung would exceed
+    ``policy.max_size``, one rung runs at ``policy.initial_size`` and the
+    result is not converged, with ``residual`` inf.
 
     kappa = 0 short-circuits: the kernel is exactly rank-1, so its only
     nonzero eigenvalue equals the quadrature trace sum_i w_i K(x_i, x_i) and
@@ -337,20 +369,18 @@ def numeric_entanglement(spec: KernelSpec, policy: GridPolicy = GridPolicy()) ->
         lam = float(grid.weights @ kernel_value(spec, grid.nodes, grid.nodes))
         values = (lam,) + (0.0,) * (policy.top_k - 1)
         return NumericResult(lam, values, 0.0, policy.initial_size, True)
-    size = policy.initial_size
-    previous: NumericResult | None = None
-    while True:
-        rung = discretize(spec, trapezoid_grid(extent, size), matrix_free=True)
-        result = lanczos_eigenvalues(rung, policy.top_k)
-        if previous is None:
-            change, converged = math.inf, False
-        else:
-            change = abs(result.lambda_max_numeric - previous.lambda_max_numeric)
-            converged = change < policy.lambda_tol and result.converged and previous.converged
-        if converged or size >= policy.max_size:
-            return replace(result, residual=change, converged=converged)
-        previous = result
-        size = min(2 * size, policy.max_size)
+
+    def rung(size: int) -> NumericResult:
+        dk = discretize(spec, trapezoid_grid(extent, size), matrix_free=True)
+        return lanczos_eigenvalues(dk, policy.top_k)
+
+    coarse = _coarse_size(spec, extent, policy)
+    if coarse is None:
+        return replace(rung(policy.initial_size), residual=math.inf, converged=False)
+    first, second = rung(coarse), rung(2 * coarse)
+    change = abs(second.lambda_max_numeric - first.lambda_max_numeric)
+    converged = change < LAMBDA_TOL and first.converged and second.converged
+    return replace(second, residual=change, converged=converged)
 
 
 def eigenfunction_residual(spec: KernelSpec, beta: float, grid: QuadratureGrid) -> float:

@@ -10,6 +10,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -60,6 +61,15 @@ class TestProfile:
         header, rows = csv_rows(out)
         dev_col = header.index("deviation")
         assert all(float(row[dev_col]) < 1e-8 for row in rows)
+
+    def test_numeric_flags_a_cell_beyond_the_bound(self, tmp_path):
+        # kappa / alpha^2 = 1e8 needs a finer step than the largest rung allows
+        path = tmp_path / "strong.txt"
+        path.write_text("vertices 2\n0 1 10000.0\n", encoding="utf-8")
+        code, out, _ = run_cli("profile", "--graph", str(path), "--numeric", "--format", "csv")
+        assert code == EXIT_OK
+        header, rows = csv_rows(out)
+        assert [row[header.index("converged")] for row in rows] == ["NO", "NO"]
 
     def test_numeric_flag_keeps_closed_columns(self):
         _, plain, _ = run_cli("profile", "--gen", "star", "--n", "4", "--format", "csv")
@@ -189,6 +199,17 @@ class TestValidate:
                                "--grid-size", "64", "--tol", "1e-18")
         assert code == EXIT_FAIL
         assert "FAIL" in out
+
+    @pytest.mark.parametrize("cell", [("--alpha", "1e-300", "--kappa", "1e300"), ("--kappa", "1e8")],
+                             ids=["step-underflows", "ratio-1e8"])
+    def test_cell_beyond_the_bound_ends_promptly(self, cell):
+        start = time.perf_counter()
+        code, out, err = run_cli("validate", *cell, "--format", "csv")
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_FAIL
+        assert err == ""
+        _, rows = csv_rows(out)
+        assert len(rows) == 1 and rows[0][-1] == "NO"
 
     def test_kappa_required(self):
         assert run_cli("validate", "--alpha", "1")[0] == EXIT_USAGE
@@ -538,8 +559,11 @@ ENSEMBLE = ("scan", "--gen", "erdos_renyi", "--n", "100", "--p", "0.05", "--seed
 
 # sha256 of stdout. The binary-graph digests were recorded before the graph
 # layer computed all vertices in one pass (binary graphs have integer kappa);
-# the rest were recorded before CSV and text were rendered from the JSON rows.
-# All of them are closed-form output, so they do not depend on the platform.
+# the validate digests before the solver took its step from the kernel's
+# widths; the rest before CSV and text were rendered from the JSON rows. All
+# but the validate ones are closed-form output, so they do not depend on the
+# platform; the validate JSON holds quadrature values at full precision.
+ACCEPTANCE_GRID = ("validate", "--alpha", "0.5,1,2,4", "--kappa", "0,1,2,3,5,8,9")
 BINARY_OUTPUT_DIGESTS = [
     (("profile", "--gen", "erdos_renyi", "--n", "200", "--p", "0.05", "--seed", "1", "--format", "json"),
      "ba6052a7f8572319b89e3fc8fc58aa276f448abe746302902fb86e2741d90c60"),
@@ -566,6 +590,12 @@ BINARY_OUTPUT_DIGESTS = [
      "388e8a76e03d2d6ba6ac77561a40124bd33f886cce64b129e191a007fe7bd2d3"),
     ((*ENSEMBLE, "--format", "json"), "6ca77fe0c4fd15f7bd8aa5b793704481fedc5614e086e6fe2e178cf5e6c8cd25"),
     ((*ENSEMBLE, "--format", "text"), "fe931a04351c5cef2d1fce68adf7555d277acf0a9f2c6738aff303480b387cab"),
+    ((*ACCEPTANCE_GRID, "--format", "json"),
+     "ed083f1a645d75155d7b3f1163fec6ac9eeda5dff60382ff7d68b77a8cde35ca"),
+    ((*ACCEPTANCE_GRID, "--format", "csv"),
+     "4f56b94c403520bdeda8888845eec75c32fe49f5c3bd23546d010b7390eeab3f"),
+    ((*ACCEPTANCE_GRID, "--format", "text"),
+     "8c3b36417b502670e22a7bf07fa06c24f6cead24b41f415a55a66ef7358db968"),
 ]
 
 
@@ -574,7 +604,8 @@ BINARY_OUTPUT_DIGESTS = [
                               "weighted-profile-json", "weighted-profile-csv", "weighted-profile-text",
                               "spectrum-json", "spectrum-csv", "spectrum-text",
                               "scan-grid-json", "scan-grid-text", "scan-ensemble-json",
-                              "scan-ensemble-text"])
+                              "scan-ensemble-text", "validate-grid-json", "validate-grid-csv",
+                              "validate-grid-text"])
 def test_binary_graph_output_is_unchanged(argv, digest, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "weighted.txt").write_text(WEIGHTED_EDGE_LIST, encoding="utf-8")
@@ -601,15 +632,15 @@ ORACLE_KEYS = ["vertex", "kappa", "lambda_max", "lambda_reduced", "lambda_altern
 
 
 @pytest.mark.parametrize("argv,exit_code,rows_key,keys,has_missing", [
-    (("validate", "--alpha", "0.5,1,2,4", "--kappa", "0,1,2,3,5,8,9"), EXIT_OK, "rows",
-     VALIDATE_KEYS, False),
-    # one rung at the cap: kappa = 0 is converged, kappa = 1 is not
-    (("validate", "--kappa", "0,1", "--grid-size", "4096"), EXIT_FAIL, "rows", VALIDATE_KEYS, False),
+    (ACCEPTANCE_GRID, EXIT_OK, "rows", VALIDATE_KEYS, False),
+    # kappa = 0 is converged; kappa = 1e8 is beyond the largest rung and is not
+    (("validate", "--kappa", "0,1e8"), EXIT_FAIL, "rows", VALIDATE_KEYS, False),
     (("oracle", "--gen", "path", "--n", "3"), EXIT_OK, "rows", ORACLE_KEYS, False),
     (("oracle", "--gen", "path", "--n", "1"), EXIT_OK, "rows", ORACLE_KEYS, True),
     (("profile", "--graph", "weighted.txt", "--alpha", "2", "--numeric"), EXIT_OK, "vertices",
      ["id", "degree", "kappa", "lambda_max", "entanglement",
-      ("numeric", "lambda_max"), ("numeric", "deviation"), ("numeric", "grid_size")], True),
+      ("numeric", "lambda_max"), ("numeric", "deviation"), ("numeric", "grid_size"),
+      ("numeric", "converged")], True),
 ], ids=["validate-grid", "validate-unconverged", "oracle-path-3", "oracle-one-vertex",
         "profile-weighted-numeric"])
 def test_csv_and_text_rows_are_json_rows_under_the_cell_rule(argv, exit_code, rows_key, keys,

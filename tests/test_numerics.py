@@ -1,6 +1,6 @@
 """Quadrature grids, the dense and the matrix-free kernel discretizations,
-their eigensolvers, and the adaptive trapezoid-ladder entanglement solver;
-closed forms serve as the cross-check."""
+their eigensolvers, and the two-rung trapezoid entanglement solver; closed
+forms serve as the cross-check."""
 
 import math
 
@@ -223,10 +223,11 @@ class TestNumericEntanglement:
         result = numeric_entanglement(KernelSpec(1.0, 1.0), policy)
         assert not result.converged
 
-    def test_large_coupling_ratio_converges_at_1024_nodes(self):
+    def test_large_coupling_ratio_converges_at_1280_nodes(self):
+        # h0 = 1 / sqrt(1000): 634 nodes cover [-10, 10], 640 is the next 5-smooth count
         result = numeric_entanglement(KernelSpec(1.0, 1000.0))
         assert result.converged
-        assert result.grid_size == 1024
+        assert result.grid_size == 1280
         assert abs(result.lambda_max_numeric - lambda_max(KernelSpec(1.0, 1000.0))) < 1e-10
 
     @pytest.mark.parametrize("factor", [math.inf, math.nan])
@@ -316,12 +317,12 @@ class TestMatrixFreeRung:
         assert capped.residual >= RITZ_TOL
 
     def test_ladder_ending_on_uncertified_rungs_is_not_converged(self, monkeypatch):
-        # six steps leave lambda right to ~1e-16 on every rung, so the rungs
-        # agree, but no rung is certified
+        # six steps leave lambda right to ~1e-16 on both rungs, so the rungs
+        # agree, but neither rung is certified
         monkeypatch.setattr(numerics, "LANCZOS_MAX_STEPS", 6)
-        result = numeric_entanglement(KernelSpec(1.0, 1.0), GridPolicy(max_size=1024))
+        result = numeric_entanglement(KernelSpec(1.0, 1.0))
         assert not result.converged
-        assert result.grid_size == 1024
+        assert result.grid_size == 512
         assert result.residual < 1e-10
 
     def test_lanczos_validation(self, monkeypatch):
@@ -336,13 +337,15 @@ class TestMatrixFreeRung:
 
 
 # alpha log-uniform over the supported range; the discretized problem depends
-# on kappa / alpha**2 only, so the coupling is drawn as that ratio
+# on kappa / alpha**2 only, so the coupling is drawn as that ratio, log-uniform
+# up to 1e6 or exactly 0
 ALPHA = st.floats(-3.0, 3.0).map(lambda e: 10.0**e)
+RATIO = st.just(0.0) | st.floats(-6.0, 6.0).map(lambda e: 10.0**e)
 
 
 class TestSupportedRange:
     @settings(max_examples=25, deadline=None)
-    @given(alpha=ALPHA, ratio=st.floats(0.0, 1e4))
+    @given(alpha=ALPHA, ratio=RATIO)
     def test_default_policy_converges_to_closed_form(self, alpha, ratio):
         spec = KernelSpec(alpha, ratio * alpha**2)
         result = numeric_entanglement(spec)
@@ -359,12 +362,16 @@ class TestSupportedRange:
         assert result.residual == math.inf
         assert result.grid_size == 16
 
-    def test_ratio_ten_thousand_converges_at_the_cap(self):
-        spec = KernelSpec(1.0, 1e4)
+    @pytest.mark.parametrize("alpha", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("ratio, nodes", [(1e4, 4050), (1e6, 40500)])
+    def test_large_ratio_converges_at_the_kernel_step(self, alpha, ratio, nodes):
+        # h0 = 1 / (sqrt(alpha) sqrt(ratio)) puts 20 sqrt(ratio) + 1 nodes on
+        # [-L, L]; 2025 and 20250 are the next 5-smooth counts
+        spec = KernelSpec(alpha, ratio * alpha**2)
         result = numeric_entanglement(spec)
         assert result.converged
-        assert result.grid_size == 4096
-        assert abs(result.lambda_max_numeric - lambda_max(spec)) < 1e-12
+        assert result.grid_size == nodes
+        assert abs(result.lambda_max_numeric - lambda_max(spec)) <= 1e-15
 
 
 class TestEigenfunctionResidual:
