@@ -157,6 +157,8 @@ def _check_numeric_flags(args: argparse.Namespace) -> None:
     if not (math.isfinite(args.extent_mult) and args.extent_mult >= num.MIN_EXTENT_FACTOR):
         raise CliError(f"--extent-mult must be finite and >= {num.MIN_EXTENT_FACTOR:g}, "
                        f"got {args.extent_mult:g}")
+    if args.extent_mult > num.MAX_EXTENT_FACTOR:
+        raise CliError(f"--extent-mult must be <= {num.MAX_EXTENT_FACTOR:g}, got {args.extent_mult:g}")
 
 
 def _policy(args: argparse.Namespace) -> num.GridPolicy:
@@ -429,12 +431,13 @@ def cmd_scan(args: argparse.Namespace) -> int:
         raise CliError("scan needs exactly one of a kappa grid (--kappa/--kappa-range) "
                        "or a generator ensemble (--gen)")
     if grid_mode:
-        entries = sorted((kap / alpha**2, kap) for kap in _resolve_kappas(args))
+        specs = sorted((cf.KernelSpec(alpha, kap) for kap in _resolve_kappas(args)),
+                       key=lambda spec: (spec.coupling_ratio, spec.kappa))
         rows = [{
-            "kappa": kap,
-            "coupling_ratio": ratio,
-            "entanglement": cf.entanglement(cf.KernelSpec(alpha, kap)),
-        } for ratio, kap in entries]
+            "kappa": spec.kappa,
+            "coupling_ratio": spec.coupling_ratio,
+            "entanglement": cf.entanglement(spec),
+        } for spec in specs]
         payload = {"alpha": alpha, "mode": "grid", "rows": rows}
         columns = SCAN_GRID_COLUMNS
     else:
@@ -504,7 +507,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
         p.add_argument("--grid-size", type=int, default=default_grid,
                        help=f"{grid_help} (default {default_grid}, at most {max_grid})")
         p.add_argument("--extent-mult", type=float, default=num.DEFAULT_EXTENT_FACTOR,
-                       help="interval half-width in units of 1/sqrt(alpha) (default 10, minimum 8)")
+                       help="interval half-width in units of 1/sqrt(alpha) (default 10, from 8 to 1000)")
 
     p = command("profile", "per-vertex degree/kappa, lambda_max, and entanglement")
     graph_source(p)

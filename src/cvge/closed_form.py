@@ -19,6 +19,7 @@ both candidates side by side.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,11 @@ class KernelSpec:
     def __post_init__(self) -> None:
         if not (self.alpha > 0.0 and math.isfinite(self.alpha)):
             raise ValueError(f"alpha must be positive and finite, got {self.alpha!r}")
+        try:
+            self.alpha**2  # the closed forms square alpha as a Python float
+        except OverflowError:
+            raise ValueError(f"alpha must be below {math.sqrt(sys.float_info.max):.4g} so that alpha**2 "
+                             f"is finite, got {self.alpha!r}") from None
         if not (self.kappa >= 0.0 and math.isfinite(self.kappa)):
             raise ValueError(f"kappa must be nonnegative and finite, got {self.kappa!r}")
 

@@ -1,75 +1,141 @@
 """Undirected weighted graphs: parsing, generation, and per-vertex coupling strength.
 
-A graph is stored as a dense symmetric coupling matrix with zero diagonal.
-The quantity that feeds every entanglement formula is the per-vertex coupling
-strength ``kappa(g, v) = sum_j a_vj**2``, which collapses to the plain vertex
-degree whenever the weights are 0/1.
+A graph stores each undirected edge once, as sorted int32 endpoint arrays
+``u < v`` and a float weight array ``w``. The quantity that feeds every
+entanglement formula is the per-vertex coupling strength
+``kappa(g, v) = sum_j a_vj**2``, which collapses to the plain vertex degree
+whenever the weights are 0/1.
 
-Both per-vertex quantities are computed for all vertices at once, in one pass
-over the matrix when a :class:`Graph` is built, so that pass costs O(n**2) on
-this dense storage and every later lookup is O(1). ``kappa(g)`` and
-``degree(g)`` return the read-only vectors over all vertices; ``kappa(g, v)``
-and ``degree(g, v)`` index those same vectors, so the scalar and vector forms
-agree bit for bit.
+Both per-vertex quantities are computed for all vertices at once when a
+:class:`Graph` is built, as ``np.bincount`` of ``w**2`` and of the endpoints,
+so building a graph costs O(n + E) and every later lookup is O(1).
+``kappa(g)`` and ``degree(g)`` return the read-only vectors over all vertices;
+``kappa(g, v)`` and ``degree(g, v)`` index those same vectors, so the scalar
+and vector forms agree bit for bit. Generation, parsing, validation and
+serialization work on the edge arrays and never build an n x n matrix;
+:attr:`Graph.coupling` builds one on demand for the small oracles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
 GENERATOR_KINDS = ("path", "cycle", "star", "complete", "erdos_renyi")
-#: Largest vertex count the dense n x n coupling matrix is built for (800 MB).
-MAX_DENSE_VERTICES = 10_000
+#: Largest vertex count of a generated or parsed graph. ``erdos_renyi`` draws
+#: one uniform per vertex pair, n(n-1)/2 of them, and the complete graph at
+#: this cap stores 5e7 edges of 16 bytes each, about 800 MB.
+MAX_VERTICES = 10_000
+#: Vertex pairs ``erdos_renyi`` and ``complete`` visit at a time, so that the
+#: uniforms and pair numbers in memory are O(2**20) whatever n.
+PAIR_BLOCK = 1 << 20
 
 
 class EdgeListError(ValueError):
     """Raised when an edge-list document cannot be parsed."""
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Graph:
-    """Undirected graph as an n x n real coupling matrix.
+    """Undirected graph: each edge once, as endpoints ``u[k] < v[k]`` with weight ``w[k]``.
 
-    The matrix is copied and made read-only on construction, and the
-    per-vertex coupling strengths and nonzero counts (the degrees, on 0/1
-    graphs) are computed from it once. Only the shape is enforced here;
-    symmetry and zero-diagonal violations are reported by :func:`validate` so
-    that broken inputs can be diagnosed rather than rejected opaquely.
+    The edges are sorted by (u, v), and all three arrays are read-only. The
+    per-vertex coupling strengths and edge counts (the degrees, on 0/1
+    graphs) are computed from them once. ``Graph(n, coupling)`` builds the
+    graph from a dense symmetric matrix with zero diagonal;
+    :meth:`from_edges` builds it from edge arrays, whose self-loops,
+    duplicate pairs and zero or non-finite weights :func:`validate` reports.
     """
 
     n: int
-    coupling: np.ndarray
-    #: True when every off-diagonal weight is exactly 0 or 1.
-    is_binary: bool = field(init=False)
-    _kappas: np.ndarray = field(init=False, repr=False)
-    _degrees: np.ndarray = field(init=False, repr=False)
+    u: np.ndarray
+    v: np.ndarray
+    w: np.ndarray
+    #: True when every edge weight is exactly 1.
+    is_binary: bool = field(repr=False)
+    _kappas: np.ndarray = field(repr=False)
+    _degrees: np.ndarray = field(repr=False)
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"vertex count must be >= 1, got {self.n}")
-        mat = np.array(self.coupling, dtype=float, copy=True)
-        if mat.shape != (self.n, self.n):
-            raise ValueError(f"coupling must have shape ({self.n}, {self.n}), got {mat.shape}")
-        zero_or_one = mat == 0.0
-        zero_or_one |= mat == 1.0
-        np.fill_diagonal(zero_or_one, True)
-        kappas = np.einsum("ij,ij->i", mat, mat)
-        degrees = np.count_nonzero(mat, axis=1)
-        for arr in (mat, kappas, degrees):
+    def __init__(self, n: int, coupling) -> None:
+        """Graph of the nonzero upper-triangle entries of an n x n ``coupling`` matrix.
+
+        Raises ValueError on a wrong shape, and on an asymmetric, nonzero-diagonal
+        or non-finite matrix, naming every violation.
+        """
+        mat = np.asarray(coupling, dtype=float)
+        if mat.shape != (n, n):
+            raise ValueError(f"coupling must have shape ({n}, {n}), got {mat.shape}")
+        issues = _matrix_issues(mat)
+        if issues:
+            raise ValueError("invalid graph: " + "; ".join(issues))
+        u, v = np.nonzero(np.triu(mat, 1))
+        self._store(n, u, v, mat[u, v])
+
+    @classmethod
+    def from_edges(cls, n: int, u, v, w) -> Graph:
+        """Graph of n vertices with one edge (u[k], v[k]) of weight w[k] per k.
+
+        Each pair is put in the order u < v and the edges are sorted by
+        (u, v); an input that is already in that order is not sorted again.
+        Raises ValueError on arrays of unequal length or an endpoint outside
+        [0, n).
+        """
+        graph = cls.__new__(cls)
+        graph._store(n, u, v, w)
+        return graph
+
+    def _store(self, n: int, u, v, w) -> None:
+        if n < 1:
+            raise ValueError(f"vertex count must be >= 1, got {n}")
+        u, v, w = np.asarray(u), np.asarray(v), np.array(w, dtype=float)
+        if not u.ndim == v.ndim == w.ndim == 1 or not u.size == v.size == w.size:
+            raise ValueError("edge arrays u, v and w must be 1-D and of equal length")
+        if u.size and not (min(u.min(), v.min()) >= 0 and max(u.max(), v.max()) < n):
+            raise ValueError(f"edge endpoint out of range [0, {n})")
+        u, v = np.minimum(u, v).astype(np.int32), np.maximum(u, v).astype(np.int32)
+        key = u.astype(np.int64) * n + v
+        if np.any(key[1:] < key[:-1]):
+            order = np.argsort(key, kind="stable")
+            u, v, w = u[order], v[order], w[order]
+        squares = w * w
+        kappas = np.zeros(n)  # float even with no edges, where a weighted bincount is integer
+        kappas += np.bincount(v, weights=squares, minlength=n)
+        kappas += np.bincount(u, weights=squares, minlength=n)
+        degrees = np.bincount(v, minlength=n) + np.bincount(u, minlength=n)
+        for arr in (u, v, w, kappas, degrees):
             arr.setflags(write=False)
-        object.__setattr__(self, "coupling", mat)
-        object.__setattr__(self, "is_binary", bool(zero_or_one.all()))
-        object.__setattr__(self, "_kappas", kappas)
-        object.__setattr__(self, "_degrees", degrees)
+        for name, value in (("n", n), ("u", u), ("v", v), ("w", w), ("is_binary", bool(np.all(w == 1.0))),
+                            ("_kappas", kappas), ("_degrees", degrees)):
+            object.__setattr__(self, name, value)
+
+    @property
+    def coupling(self) -> np.ndarray:
+        """Dense read-only n x n coupling matrix, built anew on each access: O(n**2) memory."""
+        mat = np.zeros((self.n, self.n))
+        mat[self.u, self.v] = self.w
+        mat[self.v, self.u] = self.w
+        mat.setflags(write=False)
+        return mat
 
     def edges(self) -> Iterator[tuple[int, int, float]]:
-        """Yield (u, v, weight) for each u < v with nonzero weight."""
-        iu, iv = np.nonzero(np.triu(self.coupling, 1))
-        for u, v in zip(iu.tolist(), iv.tolist()):
-            yield u, v, float(self.coupling[u, v])
+        """Iterate over (u, v, weight) of each edge, u < v, in sorted order."""
+        return zip(self.u.tolist(), self.v.tolist(), self.w.tolist())
+
+
+def _matrix_issues(mat: np.ndarray) -> list[str]:
+    """Every reason a square matrix is not a symmetric, zero-diagonal, finite coupling matrix."""
+    issues: list[str] = []
+    bad = np.argwhere(mat != mat.T)
+    for i, j in bad.tolist():
+        if i < j:
+            issues.append(f"asymmetric coupling at ({i}, {j}): {mat[i, j]!r} vs {mat[j, i]!r}")
+    for i in np.nonzero(np.diag(mat))[0].tolist():
+        issues.append(f"nonzero diagonal at {i}: {mat[i, i]!r}")
+    if not np.all(np.isfinite(mat)):
+        issues.append("coupling matrix contains non-finite entries")
+    return issues
 
 
 @dataclass(frozen=True)
@@ -82,6 +148,14 @@ class GraphState:
     def __post_init__(self) -> None:
         if not (self.alpha > 0.0 and np.isfinite(self.alpha)):
             raise ValueError(f"alpha must be positive and finite, got {self.alpha!r}")
+
+
+def _vertex_count_issue(n: int) -> str | None:
+    if n < 1:
+        return f"vertex count must be >= 1, got {n}"
+    if n > MAX_VERTICES:
+        return f"vertex count must be <= {MAX_VERTICES} (up to n(n-1)/2 edges), got {n}"
+    return None
 
 
 @dataclass(frozen=True)
@@ -100,10 +174,9 @@ class GraphGenSpec:
     def __post_init__(self) -> None:
         if self.kind not in GENERATOR_KINDS:
             raise ValueError(f"unknown graph kind {self.kind!r}; expected one of {GENERATOR_KINDS}")
-        if self.n < 1:
-            raise ValueError(f"vertex count must be >= 1, got {self.n}")
-        if self.n > MAX_DENSE_VERTICES:
-            raise ValueError(f"vertex count must be <= {MAX_DENSE_VERTICES} (dense storage), got {self.n}")
+        issue = _vertex_count_issue(self.n)
+        if issue:
+            raise ValueError(issue)
         if self.kind == "erdos_renyi":
             if self.p is None or not 0.0 <= self.p <= 1.0:
                 raise ValueError(f"erdos_renyi requires edge probability p in [0, 1], got {self.p!r}")
@@ -116,36 +189,52 @@ class GraphGenSpec:
                 raise ValueError(f"seed is only meaningful for erdos_renyi, not {self.kind!r}")
 
 
+def _upper_pairs(n: int, pick: Callable[[int, int], np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoints (u, v), u < v, of the picked vertex pairs, in row-major order.
+
+    The pairs are numbered row-major over the upper triangle, 0 to
+    n(n-1)/2 - 1, and visited in blocks of :data:`PAIR_BLOCK`;
+    ``pick(start, size)`` returns the increasing numbers it picks from
+    [start, start + size). Each is mapped to its row by a binary search over
+    the row offsets.
+    """
+    offsets = np.concatenate(([0], np.cumsum(np.arange(n - 1, 0, -1))))
+    total = int(offsets[-1])
+    us, vs = [np.empty(0, np.int32)], [np.empty(0, np.int32)]
+    for start in range(0, total, PAIR_BLOCK):
+        flat = pick(start, min(PAIR_BLOCK, total - start))
+        rows = np.searchsorted(offsets, flat, side="right") - 1
+        us.append(rows.astype(np.int32))
+        vs.append((flat - offsets[rows] + rows + 1).astype(np.int32))
+    return np.concatenate(us), np.concatenate(vs)
+
+
 def generate(spec: GraphGenSpec) -> Graph:
     """Build the graph described by ``spec``.
 
-    Deterministic: identical specs (including seed) produce identical coupling
-    matrices. Random graphs draw from ``numpy.random.default_rng(seed)``
-    (PCG64) over the upper triangle in row-major order.
+    Deterministic: identical specs (including seed) produce identical edges.
+    Random graphs draw one ``numpy.random.default_rng(seed)`` (PCG64) uniform
+    per vertex pair over the upper triangle in row-major order, and keep the
+    pairs whose uniform is below p.
     """
     n = spec.n
-    mat = np.zeros((n, n))
     if spec.kind == "path":
-        for i in range(n - 1):
-            mat[i, i + 1] = mat[i + 1, i] = 1.0
+        u = np.arange(n - 1)
+        v = u + 1
     elif spec.kind == "cycle":
         if n < 3:
             raise ValueError(f"cycle requires n >= 3, got {n}")
-        for i in range(n):
-            j = (i + 1) % n
-            mat[i, j] = mat[j, i] = 1.0
+        u = np.arange(n)
+        v = (u + 1) % n
     elif spec.kind == "star":
-        for i in range(1, n):
-            mat[0, i] = mat[i, 0] = 1.0
+        v = np.arange(1, n)
+        u = np.zeros_like(v)
     elif spec.kind == "complete":
-        mat = np.ones((n, n)) - np.eye(n)
-    elif spec.kind == "erdos_renyi":
+        u, v = _upper_pairs(n, lambda start, size: np.arange(start, start + size))
+    else:
         rng = np.random.default_rng(spec.seed)
-        iu, iv = np.triu_indices(n, 1)
-        picked = rng.random(iu.size) < spec.p
-        mat[iu[picked], iv[picked]] = 1.0
-        mat = mat + mat.T
-    return Graph(n, mat)
+        u, v = _upper_pairs(n, lambda start, size: start + np.flatnonzero(rng.random(size) < spec.p))
+    return Graph.from_edges(n, u, v, np.ones(u.size))
 
 
 def _check_vertex(g: Graph, v: int) -> None:
@@ -183,17 +272,17 @@ def kappa(g: Graph, v: int | None = None) -> float | np.ndarray:
 
 
 def validate(g: Graph) -> list[str]:
-    """Return every invariant violation of ``g``; an empty list means valid."""
-    issues: list[str] = []
-    mat = g.coupling
-    bad = np.argwhere(mat != mat.T)
-    for i, j in bad.tolist():
-        if i < j:
-            issues.append(f"asymmetric coupling at ({i}, {j}): {mat[i, j]!r} vs {mat[j, i]!r}")
-    for i in np.nonzero(np.diag(mat))[0].tolist():
-        issues.append(f"nonzero diagonal at {i}: {mat[i, i]!r}")
-    if not np.all(np.isfinite(mat)):
-        issues.append("coupling matrix contains non-finite entries")
+    """Return every invariant violation of ``g``'s edges; an empty list means valid.
+
+    One O(E) pass: no self-loops, no pair listed twice, and every weight
+    finite and nonzero.
+    """
+    issues = [f"self-loop at vertex {i}" for i in g.u[g.u == g.v].tolist()]
+    same = (g.u[1:] == g.u[:-1]) & (g.v[1:] == g.v[:-1])
+    issues += [f"duplicate edge ({g.u[k]}, {g.v[k]})" for k in np.flatnonzero(same).tolist()]
+    bad = ~np.isfinite(g.w) | (g.w == 0.0)
+    issues += [f"edge ({g.u[k]}, {g.v[k]}) has weight {float(g.w[k])!r}; weights must be finite and nonzero"
+               for k in np.flatnonzero(bad).tolist()]
     return issues
 
 
@@ -203,10 +292,10 @@ def parse_edge_list(text: str) -> Graph:
     Lines starting with ``#`` are comments and blank lines are skipped. The
     first significant line must be ``vertices <N>``; every following
     significant line is ``u v`` or ``u v w`` declaring one undirected edge
-    with 0-indexed endpoints and optional real weight (default 1.0).
+    with 0-indexed endpoints and optional real weight (default 1.0). An edge
+    of weight 0 is no edge.
     """
     n: int | None = None
-    mat: np.ndarray | None = None
     seen: dict[tuple[int, int], tuple[float, int]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -220,13 +309,9 @@ def parse_edge_list(text: str) -> Graph:
                 n = int(tokens[1])
             except ValueError:
                 raise EdgeListError(f"line {lineno}: vertex count {tokens[1]!r} is not an integer") from None
-            if n < 1:
-                raise EdgeListError(f"line {lineno}: vertex count must be >= 1, got {n}")
-            if n > MAX_DENSE_VERTICES:
-                raise EdgeListError(
-                    f"line {lineno}: vertex count must be <= {MAX_DENSE_VERTICES} (dense storage), got {n}"
-                )
-            mat = np.zeros((n, n))
+            issue = _vertex_count_issue(n)
+            if issue:
+                raise EdgeListError(f"line {lineno}: {issue}")
             continue
         if len(tokens) not in (2, 3):
             raise EdgeListError(f"line {lineno}: expected 'u v' or 'u v w', got {len(tokens)} fields")
@@ -253,11 +338,11 @@ def parse_edge_list(text: str) -> Graph:
                 f"line {lineno}: edge {key} already declared with weight {prev_w!r} on line {prev_line}"
             )
         seen[key] = (weight, lineno)
-        assert mat is not None
-        mat[u, v] = mat[v, u] = weight
     if n is None:
         raise EdgeListError("missing 'vertices <N>' header")
-    return Graph(n, mat)
+    edges = [(a, b, weight) for (a, b), (weight, _) in seen.items() if weight != 0.0]
+    u, v, w = zip(*edges) if edges else ((), (), ())
+    return Graph.from_edges(n, np.array(u, dtype=np.int64), np.array(v, dtype=np.int64), w)
 
 
 def serialize_edge_list(g: Graph, comment: str | None = None) -> str:

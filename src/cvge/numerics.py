@@ -68,6 +68,9 @@ from .graph import kappa as vertex_kappa
 
 MIN_EXTENT_FACTOR = 8.0
 DEFAULT_EXTENT_FACTOR = 10.0
+# the CLI's bound on --extent-mult, 125 times the truncation minimum: a wider
+# interval only spends nodes on the vanishing tail, and at 1e200 the squared nodes overflow
+MAX_EXTENT_FACTOR = 1000.0
 MAX_GRID_SIZE = 4096  # the CLI's bound on --grid-size, the floor on the coarse rung
 LANCZOS_MAX_STEPS = 300
 LAMBDA_TOL = 1e-10  # the two rungs of numeric_entanglement must agree this closely to converge
@@ -223,7 +226,9 @@ def kernel_envelope(spec: KernelSpec, x):
 
 def kernel_difference(spec: KernelSpec, r):
     """g(r) = exp(-kappa r^2 / (4 alpha)), the kernel's dependence on r = x - x'."""
-    return np.exp(-spec.kappa * np.square(r) / (4.0 * spec.alpha))
+    # at extreme cells kappa r^2 overflows to inf, and exp(-inf) = 0 is the right value
+    with np.errstate(over="ignore"):
+        return np.exp(-spec.kappa * np.square(r) / (4.0 * spec.alpha))
 
 
 def _check_extent(spec: KernelSpec, grid: QuadratureGrid) -> None:

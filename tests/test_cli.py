@@ -30,6 +30,12 @@ def run_cli(*argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def run_python(*args):
+    """Run a fresh interpreter on this checkout's cvge; returns the CompletedProcess."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cvge.__file__).resolve().parents[1]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=60)
+
+
 def csv_rows(text):
     lines = text.strip().split("\n")
     header = lines[0].split(",")
@@ -211,6 +217,13 @@ class TestValidate:
         _, rows = csv_rows(out)
         assert len(rows) == 1 and rows[0][-1] == "NO"
 
+    def test_overflowing_kernel_cell_writes_nothing_to_stderr(self):
+        # a fresh interpreter, since pytest records numpy's warnings instead of printing them
+        proc = run_python("-m", "cvge.cli", "validate", "--alpha", "1e-300", "--kappa", "1e300")
+        assert proc.returncode == EXIT_FAIL
+        assert proc.stderr == ""
+        assert "NO" in proc.stdout
+
     def test_kappa_required(self):
         assert run_cli("validate", "--alpha", "1")[0] == EXIT_USAGE
 
@@ -236,9 +249,7 @@ class TestValidate:
                   "with contextlib.redirect_stdout(io.StringIO()):\n"
                   "    code = cli.main(['validate', '--alpha', '1', '--kappa', '0,1,400'])\n"
                   "print(code, 'scipy' in sys.modules)\n")
-        env = dict(os.environ, PYTHONPATH=str(Path(cvge.__file__).resolve().parents[1]))
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                              env=env, timeout=60)
+        proc = run_python("-c", script)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["0", "False"]
 
@@ -448,9 +459,9 @@ class TestSizeLimits:
         (("profile", "--gen", "path", "--n", "3", "--numeric", "--grid-size", "4097"), "<= 4096"),
         (("profile", "--gen", "path", "--n", "2", "--grid-size", "999999"), "<= 4096"),
         (("validate", "--kappa", "1", "--grid-size", "1"), "--grid-size must be >= 2"),
-        (("profile", "--gen", "path", "--n", "10000000"), "dense storage"),
-        (("gen", "--gen", "complete", "--n", "10001"), "dense storage"),
-        (("scan", "--gen", "star", "--n", "10000000"), "dense storage"),
+        (("profile", "--gen", "path", "--n", "10000000"), "up to n(n-1)/2 edges"),
+        (("gen", "--gen", "complete", "--n", "10001"), "up to n(n-1)/2 edges"),
+        (("scan", "--gen", "star", "--n", "10000000"), "up to n(n-1)/2 edges"),
         (("spectrum", "--kappa", "1", "--count", "1000000000000"), "--count"),
         (("scan", "--kappa-range", "0..1e12..1e-6"), "more than 100000"),
         (("validate", "--kappa-range", "0..1e12..1e-6"), "more than 100000"),
@@ -471,7 +482,7 @@ class TestSizeLimits:
         path.write_text("vertices 10000000\n0 1\n", encoding="utf-8")
         code, _, err = run_cli("profile", "--graph", str(path))
         assert code == EXIT_USAGE
-        assert "line 1" in err and "dense storage" in err
+        assert "line 1" in err and "up to n(n-1)/2 edges" in err
 
 
 class TestValueBounds:
@@ -491,15 +502,63 @@ class TestValueBounds:
          "--extent-mult must be finite and >= 8, got 5"),
         (("oracle", "--gen", "path", "--n", "2", "--extent-mult", "5"),
          "--extent-mult must be finite and >= 8, got 5"),
+        *[((command, *source, "--extent-mult", mult), f"--extent-mult must be <= 1000, got {mult}")
+          for command, source in (("profile", ("--gen", "path", "--n", "2")), ("validate", ("--kappa", "1")),
+                                  ("oracle", ("--gen", "path", "--n", "2")))
+          for mult in ("1e+200", "1e+308")],
+        # alpha**2 overflows a Python float above about 1.34e154
+        (("validate", "--alpha", "1e300", "--kappa", "1e-300"), "alpha must be below 1.341e+154"),
+        (("spectrum", "--alpha", "1e300", "--kappa", "1e-300"), "alpha must be below 1.341e+154"),
+        (("profile", "--gen", "path", "--n", "2", "--alpha", "1e300"), "alpha must be below 1.341e+154"),
+        (("scan", "--kappa", "1", "--alpha", "1e300"), "alpha must be below 1.341e+154"),
+        (("scan", "--gen", "path", "--n", "2", "--alpha", "1e300"), "alpha must be below 1.341e+154"),
     ], ids=["validate-tol-nan", "validate-tol-negative", "validate-tol-zero", "validate-tol-inf",
             "oracle-tol-nan", "oracle-tol-negative", "validate-extent", "profile-extent",
-            "profile-extent-without-numeric", "oracle-extent"])
+            "profile-extent-without-numeric", "oracle-extent",
+            "profile-extent-1e200", "profile-extent-1e308", "validate-extent-1e200",
+            "validate-extent-1e308", "oracle-extent-1e200", "oracle-extent-1e308",
+            "validate-alpha-squared-overflows", "spectrum-alpha-squared-overflows",
+            "profile-alpha-squared-overflows", "scan-grid-alpha-squared-overflows",
+            "scan-ensemble-alpha-squared-overflows"])
     def test_out_of_range_value_is_usage_error(self, argv, message):
         code, out, err = run_cli(*argv)
         assert code == EXIT_USAGE
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
         assert message in err
+
+
+class TestEdgeStorage:
+    """Graphs are edge arrays: the commands that read graphs never build the n x n matrix."""
+
+    def test_hot_path_never_reads_the_dense_matrix(self, tmp_path, monkeypatch):
+        def refuse(graph):
+            raise RuntimeError("dense coupling matrix requested")
+
+        monkeypatch.setattr(graph_mod.Graph, "coupling", property(refuse))
+        path = tmp_path / "weighted.txt"
+        path.write_text(WEIGHTED_EDGE_LIST, encoding="utf-8")
+        er = ("--gen", "erdos_renyi", "--n", "300", "--p", "0.02", "--seed", "3")
+        for argv in (("profile", *er, "--format", "json"), ("scan", *er, "--samples", "2"), ("gen", *er),
+                     ("profile", "--graph", str(path))):
+            code, out, err = run_cli(*argv)
+            assert code == EXIT_OK, err
+            assert out
+
+    def test_largest_erdos_renyi_profile_stays_small(self):
+        # the child reports its own peak RSS: RUSAGE_CHILDREN would also count
+        # the pages of this process copied at fork; ru_maxrss is in KiB on Linux
+        script = ("import contextlib, io, resource\n"
+                  "from cvge.cli import main\n"
+                  "with contextlib.redirect_stdout(io.StringIO()):\n"
+                  "    code = main(['profile', '--gen', 'erdos_renyi', '--n', '10000', '--p', '0.0005',\n"
+                  "                 '--seed', '1'])\n"
+                  "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+        proc = run_python("-c", script)
+        assert proc.returncode == 0, proc.stderr
+        code, peak_kib = proc.stdout.split()
+        assert code == "0"
+        assert int(peak_kib) < 150 * 1024
 
 
 class TestExitCodes:
@@ -560,7 +619,8 @@ ENSEMBLE = ("scan", "--gen", "erdos_renyi", "--n", "100", "--p", "0.05", "--seed
 # sha256 of stdout. The binary-graph digests were recorded before the graph
 # layer computed all vertices in one pass (binary graphs have integer kappa);
 # the validate digests before the solver took its step from the kernel's
-# widths; the rest before CSV and text were rendered from the JSON rows. All
+# widths; the three largest graphs (gen, profile and scan) before graphs were
+# stored as edge arrays; the rest before CSV and text were rendered from the JSON rows. All
 # but the validate ones are closed-form output, so they do not depend on the
 # platform; the validate JSON holds quadrature values at full precision.
 ACCEPTANCE_GRID = ("validate", "--alpha", "0.5,1,2,4", "--kappa", "0,1,2,3,5,8,9")
@@ -596,6 +656,12 @@ BINARY_OUTPUT_DIGESTS = [
      "4f56b94c403520bdeda8888845eec75c32fe49f5c3bd23546d010b7390eeab3f"),
     ((*ACCEPTANCE_GRID, "--format", "text"),
      "8c3b36417b502670e22a7bf07fa06c24f6cead24b41f415a55a66ef7358db968"),
+    (("gen", "--gen", "erdos_renyi", "--n", "500", "--p", "0.02", "--seed", "2"),
+     "228ceb963c95bce441b6e7da69da6277c4e20b2b28fd3c74ff2960d63ab5bc32"),
+    (("profile", "--gen", "erdos_renyi", "--n", "10000", "--p", "0.0005", "--seed", "1", "--format", "json"),
+     "1503ebb4f0629578c96067f5eec332f7bb27fca235d4201099956c588e31dc99"),
+    (("scan", "--gen", "erdos_renyi", "--n", "2000", "--p", "0.003", "--seed", "5", "--samples", "3",
+      "--format", "json"), "fdc7100b1df499adae9d5b69f0f5cbe430a3518226340f131220cb8583498fa7"),
 ]
 
 
@@ -605,7 +671,8 @@ BINARY_OUTPUT_DIGESTS = [
                               "spectrum-json", "spectrum-csv", "spectrum-text",
                               "scan-grid-json", "scan-grid-text", "scan-ensemble-json",
                               "scan-ensemble-text", "validate-grid-json", "validate-grid-csv",
-                              "validate-grid-text"])
+                              "validate-grid-text", "gen-erdos-renyi-500", "profile-erdos-renyi-10000-json",
+                              "scan-erdos-renyi-2000-json"])
 def test_binary_graph_output_is_unchanged(argv, digest, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "weighted.txt").write_text(WEIGHTED_EDGE_LIST, encoding="utf-8")

@@ -242,8 +242,12 @@ class TestProfile:
         assert report.records[0].kappa == 0.25
 
     def test_invalid_graph_is_rejected(self):
-        bad = Graph(2, [[0.0, 1.0], [2.0, 0.0]])
         with pytest.raises(ValueError, match="invalid graph.*asymmetric"):
+            Graph(2, [[0.0, 1.0], [2.0, 0.0]])
+
+    def test_invalid_edges_are_rejected(self):
+        bad = Graph.from_edges(2, [0], [0], [1.0])
+        with pytest.raises(ValueError, match="invalid graph: self-loop at vertex 0"):
             profile(GraphState(bad, 1.0))
 
     def test_provenance_carried(self):

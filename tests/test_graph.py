@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from cvge import graph as graph_mod
 from cvge.graph import (
-    MAX_DENSE_VERTICES,
+    MAX_VERTICES,
     EdgeListError,
     Graph,
     GraphGenSpec,
@@ -109,9 +110,80 @@ class TestParseEdgeList:
         g = parse_edge_list("vertices 2\n0 1\n1 0\n")
         assert g.coupling[0, 1] == 1.0
 
-    def test_vertex_count_over_dense_cap(self):
+    @pytest.mark.parametrize("zero", ["0", "-0.0", "0.0"])
+    def test_zero_weight_is_no_edge(self, zero):
+        g = parse_edge_list(f"vertices 3\n0 1 {zero}\n1 2\n")
+        assert (g.u.tolist(), g.v.tolist()) == ([1], [2])
+        assert g.is_binary
+        assert degree(g).tolist() == [0, 1, 1]
+        assert kappa(g).tolist() == [0.0, 1.0, 1.0]
+        assert validate(g) == []
+        assert serialize_edge_list(g) == "vertices 3\n1 2\n"
+
+    def test_zero_weight_beside_a_weighted_edge(self):
+        g = parse_edge_list("vertices 3\n0 1 0\n1 2 0.5\n")
+        assert not g.is_binary
+        assert kappa(g).tolist() == [0.0, 0.25, 0.25]
+
+    def test_zero_weight_still_conflicts_with_a_redeclaration(self):
+        with pytest.raises(EdgeListError, match="line 3.*already declared with weight 0.0"):
+            parse_edge_list("vertices 2\n0 1 0\n1 0 1\n")
+
+    def test_vertex_count_over_cap(self):
         with pytest.raises(EdgeListError, match="line 2.*<= 10000"):
-            parse_edge_list(f"# big\nvertices {MAX_DENSE_VERTICES + 1}\n")
+            parse_edge_list(f"# big\nvertices {MAX_VERTICES + 1}\n")
+
+
+class TestFromEdges:
+    def test_pairs_are_ordered_and_sorted(self):
+        g = Graph.from_edges(4, [3, 0, 2], [0, 2, 1], [1.0, 0.5, 2.0])
+        assert g.u.dtype == g.v.dtype == np.int32
+        assert (g.u.tolist(), g.v.tolist(), g.w.tolist()) == ([0, 0, 1], [2, 3, 2], [0.5, 1.0, 2.0])
+        assert list(g.edges()) == [(0, 2, 0.5), (0, 3, 1.0), (1, 2, 2.0)]
+
+    def test_arrays_are_copied_and_readonly(self):
+        u, w = np.array([0]), np.array([2.0])
+        g = Graph.from_edges(2, u, [1], w)
+        u[0], w[0] = 1, 7.0
+        assert (g.u.tolist(), g.w.tolist()) == ([0], [2.0])
+        for arr in (g.u, g.v, g.w):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+    def test_matches_the_matrix_constructor(self):
+        g = _weighted_graph()
+        again = Graph.from_edges(g.n, g.v[::-1], g.u[::-1], g.w[::-1])
+        assert np.array_equal(again.coupling, g.coupling)
+        assert np.array_equal(kappa(again), kappa(g))
+
+    @pytest.mark.parametrize("u,v,w,message", [
+        ([0], [2], [1.0], "out of range"),
+        ([-1], [1], [1.0], "out of range"),
+        ([0, 1], [1], [1.0], "equal length"),
+        ([[0]], [[1]], [[1.0]], "1-D"),
+    ])
+    def test_rejects_malformed_arrays(self, u, v, w, message):
+        with pytest.raises(ValueError, match=message):
+            Graph.from_edges(2, u, v, w)
+
+    def test_validate_reports_every_edge_violation(self):
+        g = Graph.from_edges(4, [1, 0, 1, 2, 3], [1, 1, 0, 3, 2], [1.0, 0.0, 0.0, math.inf, math.inf])
+        assert validate(g) == [
+            "self-loop at vertex 1",
+            "duplicate edge (0, 1)",
+            "duplicate edge (2, 3)",
+            "edge (0, 1) has weight 0.0; weights must be finite and nonzero",
+            "edge (0, 1) has weight 0.0; weights must be finite and nonzero",
+            "edge (2, 3) has weight inf; weights must be finite and nonzero",
+            "edge (2, 3) has weight inf; weights must be finite and nonzero",
+        ]
+
+    def test_no_edges(self):
+        g = Graph.from_edges(3, [], [], [])
+        assert g.coupling.shape == (3, 3) and not g.coupling.any()
+        assert g.is_binary and validate(g) == []
+        # a weighted bincount over no edges is integer; kappa stays float, as JSON prints it
+        assert kappa(g).dtype == np.float64 and kappa(g).tolist() == [0.0, 0.0, 0.0]
 
 
 class TestSerializeRoundTrip:
@@ -170,6 +242,28 @@ class TestGenerate:
         g = generate(GraphGenSpec("erdos_renyi", 6, p=1.0, seed=1))
         assert all(degree(g, v) == 5 for v in range(6))
 
+    @pytest.mark.parametrize("n,p,seed,block", [
+        (1, 0.5, 0, None), (2, 1.0, 3, None), (2, 1.0, 3, 1), (10, 0.0, 2, 7), (10, 1.0, 2, 7),
+        (37, 0.3, 4, 7), (200, 0.05, 11, None), (200, 0.05, 11, 7), (1500, 0.002, 9, None)])
+    def test_erdos_renyi_matches_triu_reference(self, n, p, seed, block, monkeypatch):
+        # the documented draw: one uniform per pair of np.triu_indices(n, 1), edge when below p;
+        # n = 1500 has 1,124,250 pairs, more than one block of the default size
+        if block is not None:
+            monkeypatch.setattr(graph_mod, "PAIR_BLOCK", block)
+        iu, iv = np.triu_indices(n, 1)
+        picked = np.random.default_rng(seed).random(iu.size) < p
+        g = generate(GraphGenSpec("erdos_renyi", n, p=p, seed=seed))
+        assert g.u.dtype == g.v.dtype == np.int32
+        assert np.array_equal(g.u, iu[picked]) and np.array_equal(g.v, iv[picked])
+        assert np.array_equal(g.w, np.ones(picked.sum()))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 9])
+    def test_complete_has_every_pair(self, n, monkeypatch):
+        monkeypatch.setattr(graph_mod, "PAIR_BLOCK", 4)
+        g = generate(GraphGenSpec("complete", n))
+        iu, iv = np.triu_indices(n, 1)
+        assert np.array_equal(g.u, iu) and np.array_equal(g.v, iv)
+
     def test_erdos_renyi_reproducible(self):
         spec = GraphGenSpec("erdos_renyi", 30, p=0.4, seed=123)
         assert np.array_equal(generate(spec).coupling, generate(spec).coupling)
@@ -200,8 +294,8 @@ class TestGenerate:
             GraphGenSpec("erdos_renyi", 4, p=0.5)
         with pytest.raises(ValueError, match="unknown graph kind"):
             GraphGenSpec("wheel", 4)
-        with pytest.raises(ValueError, match="dense storage"):
-            GraphGenSpec("path", MAX_DENSE_VERTICES + 1)
+        with pytest.raises(ValueError, match=r"<= 10000 \(up to n\(n-1\)/2 edges\)"):
+            GraphGenSpec("path", MAX_VERTICES + 1)
 
     @pytest.mark.parametrize("spec", [
         GraphGenSpec("path", 7),
@@ -314,22 +408,31 @@ class TestAllVertexForms:
                 vec[0] = 7
 
 
+def matrix_issues(exc):
+    """The violations a rejected matrix's ValueError lists."""
+    return str(exc.value).removeprefix("invalid graph: ").split("; ")
+
+
 class TestValidate:
     def test_valid_triangle(self):
         assert validate(generate(GraphGenSpec("cycle", 3))) == []
 
+    # an invalid matrix is rejected when the Graph is built, naming every violation
     def test_reports_asymmetry_location(self):
-        g = Graph(2, [[0.0, 1.0], [0.0, 0.0]])
-        issues = validate(g)
+        with pytest.raises(ValueError, match="^invalid graph: ") as exc:
+            Graph(2, [[0.0, 1.0], [0.0, 0.0]])
+        issues = matrix_issues(exc)
         assert len(issues) == 1
         assert "(0, 1)" in issues[0]
 
     def test_reports_nonzero_diagonal(self):
-        g = Graph(2, [[1.0, 0.0], [0.0, 0.0]])
-        issues = validate(g)
+        with pytest.raises(ValueError, match="^invalid graph: ") as exc:
+            Graph(2, [[1.0, 0.0], [0.0, 0.0]])
+        issues = matrix_issues(exc)
         assert any("diagonal at 0" in issue for issue in issues)
 
     def test_reports_every_violation(self):
-        g = Graph(3, [[1.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 2.0]])
-        issues = validate(g)
+        with pytest.raises(ValueError, match="^invalid graph: ") as exc:
+            Graph(3, [[1.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 2.0]])
+        issues = matrix_issues(exc)
         assert len(issues) == 3
