@@ -372,6 +372,11 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         grid = num.build_grid(args.extent_mult / math.sqrt(alpha), args.grid_size)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
+    # the tensor's phases are a x x' on nodes out to the extent: past the float
+    # range they are inf, and exp(i inf) is nan
+    if g.w.size and not math.isfinite(max(1.0, float(np.max(np.abs(g.w)))) * grid.extent * grid.extent):
+        raise CliError(f"--alpha {alpha:g} is too small for --extent-mult {args.extent_mult:g}: "
+                       f"the oracle grid reaches {grid.extent:g}, where the phases a x x' overflow")
     rows = []
     worst = 0.0
     all_converged = True
@@ -379,7 +384,9 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         spec = cf.KernelSpec(alpha, graph_mod.kappa(g, v))
         lam_closed = cf.lambda_max(spec)
         try:
-            reduced = num.top_eigenvalues(num.reduce_full_state(state, v, grid), 1)
+            # both oracles read this one matrix, released below before the next vertex builds its own
+            amp = num.one_vs_rest(state, v, grid)
+            reduced = num.top_eigenvalues(num.reduce_full_state(state, v, grid, amp), 1)
         except ValueError as exc:
             raise CliError(str(exc)) from exc
         dev_reduced = abs(reduced.lambda_max_numeric - lam_closed)
@@ -388,11 +395,12 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         lam_alt: float | None = None
         dev_alt: float | None = None
         if g.n >= 2:
-            alternating = num.alternating_maximization(state, v, grid)
+            alternating = num.alternating_maximization(state, v, grid, amp=amp)
             lam_alt = alternating.lambda_max_numeric
             dev_alt = abs(lam_alt - lam_closed)
             worst = max(worst, dev_alt)
             all_converged = all_converged and alternating.converged
+        del amp
         rows.append({
             "vertex": v,
             "kappa": spec.kappa,

@@ -99,7 +99,8 @@ class Graph:
         if np.any(key[1:] < key[:-1]):
             order = np.argsort(key, kind="stable")
             u, v, w = u[order], v[order], w[order]
-        squares = w * w
+        with np.errstate(over="ignore"):  # validate() reports a kappa that overflows to inf
+            squares = w * w
         kappas = np.zeros(n)  # float even with no edges, where a weighted bincount is integer
         kappas += np.bincount(v, weights=squares, minlength=n)
         kappas += np.bincount(u, weights=squares, minlength=n)
@@ -283,7 +284,19 @@ def validate(g: Graph) -> list[str]:
     bad = ~np.isfinite(g.w) | (g.w == 0.0)
     issues += [f"edge ({g.u[k]}, {g.v[k]}) has weight {float(g.w[k])!r}; weights must be finite and nonzero"
                for k in np.flatnonzero(bad).tolist()]
-    return issues
+    return issues + [_kappa_overflow(i) for i in _overflowed_vertices(g)]
+
+
+def _overflowed_vertices(g: Graph) -> list[int]:
+    """Vertices whose finite edge weights square and sum past the float range, to kappa = inf."""
+    tainted = np.zeros(g.n, dtype=bool)
+    nonfinite = ~np.isfinite(g.w)
+    tainted[g.u[nonfinite]] = tainted[g.v[nonfinite]] = True
+    return np.flatnonzero(np.isinf(g._kappas) & ~tainted).tolist()
+
+
+def _kappa_overflow(v: int) -> str:
+    return f"vertex {v}: the sum of its squared edge weights overflows, so kappa is inf"
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -342,7 +355,11 @@ def parse_edge_list(text: str) -> Graph:
         raise EdgeListError("missing 'vertices <N>' header")
     edges = [(a, b, weight) for (a, b), (weight, _) in seen.items() if weight != 0.0]
     u, v, w = zip(*edges) if edges else ((), (), ())
-    return Graph.from_edges(n, np.array(u, dtype=np.int64), np.array(v, dtype=np.int64), w)
+    g = Graph.from_edges(n, np.array(u, dtype=np.int64), np.array(v, dtype=np.int64), w)
+    overflowed = _overflowed_vertices(g)
+    if overflowed:
+        raise EdgeListError(_kappa_overflow(overflowed[0]))
+    return g
 
 
 def serialize_edge_list(g: Graph, comment: str | None = None) -> str:

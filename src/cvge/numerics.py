@@ -42,13 +42,15 @@ that never touch the closed forms:
   fixed-point equations on the discretized wavefunction, converging to the
   maximal squared overlap.
 
-Both start from the weighted one-vs-rest matrix of :func:`_one_vs_rest`,
+Both start from the weighted one-vs-rest matrix of :func:`one_vs_rest`,
 built on the full tensor grid from the graph state's definition (one
 envelope per oscillator and one phase factor per edge) and never from the
 reduced kernel, kappa or the closed forms. Every factor is a vector or an
 m x m matrix, so no exp runs over the m^N points; at 3 vertices and 128
-nodes the build fills 2,097,152 complex points in about 25 ms and each
-oracle call takes about 50 ms (one core, one BLAS thread).
+nodes the build fills 2,097,152 complex points in about 23 ms. A caller
+that runs both oracles on one vertex builds the matrix once and passes it
+to each, which then takes about 25 ms; called without it, each builds its
+own (one core, one BLAS thread).
 
 The truncation extent must satisfy L >= 8 / sqrt(alpha): the integrand mass
 beyond that is below exp(-32) of the total, so truncation error stays far
@@ -221,7 +223,11 @@ def kernel_value(spec: KernelSpec, x, x2):
 
 def kernel_envelope(spec: KernelSpec, x):
     """d(x) = (alpha/pi)^(1/4) exp(-alpha x^2 / 2), so K(x, x') = d(x) g(x - x') d(x')."""
-    return (spec.alpha / np.pi) ** 0.25 * np.exp(-spec.alpha * np.square(x) / 2.0)
+    # below alpha ~ 1e-306 the outer nodes of extent 10 / sqrt(alpha) square to
+    # inf and get d = 0; every kappa > 0 there is beyond max_size, so the cell
+    # runs one rung and is reported unconverged
+    with np.errstate(over="ignore"):
+        return (spec.alpha / np.pi) ** 0.25 * np.exp(-spec.alpha * np.square(x) / 2.0)
 
 
 def kernel_difference(spec: KernelSpec, r):
@@ -301,26 +307,31 @@ def lanczos_eigenvalues(dk: DiscretizedKernel, k: int) -> NumericResult:
     if not 1 <= k <= steps:
         raise ValueError(f"k must be in [1, {steps}], got {k}")
     basis = np.empty((steps, size))
-    diagonal = np.empty(steps)
-    offdiagonal = np.empty(steps)
+    # step j writes row and column j of the leading (j+1) x (j+1) block in place;
+    # np.zeros would clear all steps^2 entries on every call, which raised the
+    # validate-sweep peak RSS by 3 MB
+    tridiagonal = np.empty((steps, steps))
     q = dk.matrix.envelope * (1.0 + dk.grid.nodes / dk.grid.extent)
     q /= np.linalg.norm(q)
     residual = math.inf
+    beta = 0.0
     for j in range(steps):
         basis[j] = q
         w = dk.matrix @ q
-        diagonal[j] = q @ w
+        tridiagonal[j, :j] = tridiagonal[:j, j] = 0.0
+        tridiagonal[j, j] = q @ w
+        if j:
+            tridiagonal[j, j - 1] = tridiagonal[j - 1, j] = beta
         for _ in range(2):  # a second pass restores orthogonality lost to roundoff
             w -= basis[: j + 1].T @ (basis[: j + 1] @ w)
-        offdiagonal[j] = np.linalg.norm(w)
-        tridiagonal = np.diag(diagonal[: j + 1]) + np.diag(offdiagonal[:j], 1) + np.diag(offdiagonal[:j], -1)
-        ritz, vectors = np.linalg.eigh(tridiagonal)
+        beta = np.linalg.norm(w)
+        ritz, vectors = np.linalg.eigh(tridiagonal[: j + 1, : j + 1])
         if j + 1 >= k:
-            residual = float(np.max(np.abs(offdiagonal[j] * vectors[-1, -k:])))
+            residual = float(np.max(np.abs(beta * vectors[-1, -k:])))
         # a zero offdiagonal means the Krylov space is invariant: no further direction exists
-        if residual < RITZ_TOL or offdiagonal[j] == 0.0:
+        if residual < RITZ_TOL or beta == 0.0:
             break
-        q = w / offdiagonal[j]
+        q = w / beta
     values = ritz[::-1][:k].tolist()
     return NumericResult(values[0], tuple(values), residual, size, residual < RITZ_TOL)
 
@@ -405,7 +416,7 @@ def eigenfunction_residual(spec: KernelSpec, beta: float, grid: QuadratureGrid) 
     return float(np.linalg.norm(dk.matrix @ u - rayleigh * u)) / norm_u
 
 
-def _one_vs_rest(state: GraphState, v: int, grid: QuadratureGrid) -> np.ndarray:
+def one_vs_rest(state: GraphState, v: int, grid: QuadratureGrid) -> np.ndarray:
     """Weighted one-vs-rest matrix sqrt(w_v) psi(x_v, rest) sqrt(w_rest), shape m x m^(N-1).
 
     Built from the graph state's definition,
@@ -418,7 +429,12 @@ def _one_vs_rest(state: GraphState, v: int, grid: QuadratureGrid) -> np.ndarray:
     with d(x_k), folded into the m x m phase of its first edge to an earlier
     axis; each further such edge multiplies in place. No exp runs over more
     than m^2 points.
+
+    Both oracles start from this matrix; a caller that runs both on one
+    vertex builds it once and passes it to each. At 3 vertices and 128 nodes
+    it is 32 MiB.
     """
+    _check_oracle_limits(state, v, grid)
     n = state.graph.n
     x = grid.nodes
     order = [v] + [j for j in range(n) if j != v]
@@ -449,22 +465,26 @@ def _check_oracle_limits(state: GraphState, v: int, grid: QuadratureGrid) -> Non
         raise ValueError(f"vertex {v} out of range [0, {n})")
     if grid.size > ORACLE_MAX_GRID:
         raise ValueError(f"per-axis grid is limited to {ORACLE_MAX_GRID} nodes, got {grid.size}")
+    _check_extent(KernelSpec(state.alpha, 0.0), grid)
 
 
-def reduce_full_state(state: GraphState, v: int, grid: QuadratureGrid) -> DiscretizedKernel:
+def reduce_full_state(
+    state: GraphState, v: int, grid: QuadratureGrid, amp: np.ndarray | None = None
+) -> DiscretizedKernel:
     """Reduced kernel of oscillator ``v`` by tensor quadrature over all other coordinates.
 
     Integrates psi(x_v, rest) conj(psi(x_v', rest)) directly from the full
     wavefunction, never using the closed-form kernel, so the result can be
     compared entrywise against ``discretize(KernelSpec(alpha, kappa_v), grid)``.
+    ``amp`` is the matrix of :func:`one_vs_rest` when the caller has built it;
+    without it the matrix is built here.
     """
     _check_oracle_limits(state, v, grid)
-    _check_extent(KernelSpec(state.alpha, 0.0), grid)
     # interleaved (Re, Im) columns: R R^T = Re(amp amp^H), the real kernel, at
     # half the flops of the complex product; numpy computes a product with its
     # own transpose as one symmetric rank-k update, so the result is exactly
     # symmetric
-    pairs = _one_vs_rest(state, v, grid).view(float)
+    pairs = (one_vs_rest(state, v, grid) if amp is None else amp).view(float)
     equivalent = KernelSpec(state.alpha, vertex_kappa(state.graph, v))
     return DiscretizedKernel(pairs @ pairs.T, grid, equivalent)
 
@@ -475,6 +495,7 @@ def alternating_maximization(
     grid: QuadratureGrid,
     tol: float = 1e-12,
     cap: int = POWER_ITERATION_CAP,
+    amp: np.ndarray | None = None,
 ) -> NumericResult:
     """Best product-state overlap across the (oscillator v) vs (rest) split.
 
@@ -488,15 +509,17 @@ def alternating_maximization(
     operator, so the lambda iterates (returned in ``history``) increase
     monotonically to the squared largest Schmidt coefficient, i.e. the same
     lambda_max the kernel eigenproblem yields. Convergence is declared when
-    lambda moves by less than ``tol`` between sweeps.
+    lambda moves by less than ``tol`` between sweeps. ``amp`` is the matrix of
+    :func:`one_vs_rest` when the caller has built it; without it the matrix
+    is built here.
     """
     if state.graph.n < 2:
         raise ValueError("the one-vs-rest split needs at least 2 oscillators")
     _check_oracle_limits(state, v, grid)
-    _check_extent(KernelSpec(state.alpha, 0.0), grid)
     if not (tol > 0.0):
         raise ValueError(f"tol must be positive, got {tol!r}")
-    amp = _one_vs_rest(state, v, grid)
+    if amp is None:
+        amp = one_vs_rest(state, v, grid)
     # from the uniform start the first g is integral psi d(rest), a Gaussian in
     # x_v that never vanishes, so no start vector is annihilated
     phi2 = np.full(amp.shape[1], 1.0 + 0.0j)

@@ -11,6 +11,7 @@ import shlex
 import subprocess
 import sys
 import time
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -526,6 +527,45 @@ class TestValueBounds:
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
         assert message in err
+
+
+class TestOverflowingInputs:
+    """Inputs whose arithmetic overflows a double end in one line, with no numpy RuntimeWarning."""
+
+    @staticmethod
+    def run_strict(*argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return run_cli(*argv)
+
+    @pytest.mark.parametrize("command", ["profile", "oracle"])
+    @pytest.mark.parametrize("edges,vertex", [
+        ("0 1 1e307\n", 0),  # the square of the weight overflows
+        ("0 2 1.2e154\n1 2 1.2e154\n", 2),  # each square is finite, their sum is not
+    ], ids=["square", "sum"])
+    def test_kappa_overflow_names_the_vertex(self, tmp_path, command, edges, vertex):
+        path = tmp_path / "huge.txt"
+        path.write_text("vertices 3\n" + edges, encoding="utf-8")
+        code, out, err = self.run_strict(command, "--graph", str(path))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: {path}: vertex {vertex}:") and "kappa is inf" in err
+
+    def test_oracle_phase_overflow_names_the_flags(self):
+        code, out, err = self.run_strict("oracle", "--gen", "path", "--n", "2", "--alpha", "1e-308")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "--alpha 1e-308" in err and "--extent-mult 10" in err
+
+    def test_envelope_overflow_is_silent(self):
+        # the nodes out to 10 / sqrt(alpha) square to inf; the cell stays unconverged
+        code, out, err = self.run_strict("validate", "--alpha", "1e-308", "--kappa", "1")
+        assert (code, err) == (EXIT_FAIL, "")
+        assert out.splitlines()[-2].endswith("NO")
+        code, out, err = self.run_strict("profile", "--gen", "path", "--n", "2", "--alpha", "1e-308", "--numeric")
+        assert (code, err) == (EXIT_OK, "")
 
 
 class TestEdgeStorage:

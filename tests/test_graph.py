@@ -178,6 +178,14 @@ class TestFromEdges:
             "edge (2, 3) has weight inf; weights must be finite and nonzero",
         ]
 
+    def test_validate_reports_kappa_overflow(self):
+        # each square 1.44e308 is finite; vertex 0 sums two of them past the float range
+        g = Graph.from_edges(3, [0, 0], [1, 2], [1.2e154, 1.2e154])
+        assert kappa(g, 0) == math.inf
+        assert validate(g) == ["vertex 0: the sum of its squared edge weights overflows, so kappa is inf"]
+        with pytest.raises(EdgeListError, match="vertex 0: the sum"):
+            parse_edge_list(serialize_edge_list(g))
+
     def test_no_edges(self):
         g = Graph.from_edges(3, [], [], [])
         assert g.coupling.shape == (3, 3) and not g.coupling.any()

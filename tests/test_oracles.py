@@ -4,7 +4,9 @@ iteration. Their agreement with the closed forms validates the kernel, the
 coupling-strength definition, and the eigensolver at once."""
 
 import io
+import json
 import math
+import tracemalloc
 from contextlib import redirect_stdout
 from functools import reduce
 
@@ -13,11 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cvge import numerics
 from cvge.cli import EXIT_OK, main
 from cvge.closed_form import KernelSpec, lambda_max
-from cvge.graph import Graph, GraphGenSpec, GraphState, generate, kappa
+from cvge.graph import Graph, GraphGenSpec, GraphState, generate, kappa, serialize_edge_list
 from cvge.numerics import (
-    _one_vs_rest,
+    one_vs_rest,
     alternating_maximization,
     build_grid,
     discretize,
@@ -177,7 +180,7 @@ class TestOneVsRest:
         state = GraphState(graph, alpha)
         grid = build_grid(10.0 / math.sqrt(alpha), 32)
         for v in range(graph.n):
-            amp = _one_vs_rest(state, v, grid)
+            amp = one_vs_rest(state, v, grid)
             assert amp.shape == (32, 32 * 32)
             np.testing.assert_allclose(amp, reference_one_vs_rest(state, v, grid), rtol=1e-13, atol=0.0)
 
@@ -193,7 +196,7 @@ class TestOneVsRest:
                 for size in (64, 128):
                     grid = build_grid(10.0 / math.sqrt(alpha), size)
                     for v in range(graph.n):
-                        amp = _one_vs_rest(GraphState(graph, alpha), v, grid)
+                        amp = one_vs_rest(GraphState(graph, alpha), v, grid)
                         start = np.full(amp.shape[1], 1.0 / math.sqrt(amp.shape[1]))
                         smallest = min(smallest, float(np.linalg.norm(amp @ start)))
         assert smallest > 1e-2
@@ -237,3 +240,83 @@ class TestOracleBuild:
                 assert main(argv) == EXIT_OK
             outputs.append(buf.getvalue())
         assert outputs[0] == outputs[1]
+
+
+# every n <= 3 graph the oracle command takes: each generator kind, an
+# edgeless graph and the weighted triangle, as (CLI source, graph)
+ORACLE_SOURCES = [
+    *[(("--gen", kind, "--n", str(n)), generate(GraphGenSpec(kind, n)))
+      for kind, n in (("path", 1), ("path", 2), ("path", 3), ("cycle", 3), ("star", 3), ("complete", 3))],
+    (("--gen", "erdos_renyi", "--n", "3", "--p", "0", "--seed", "1"),
+     generate(GraphGenSpec("erdos_renyi", 3, p=0.0, seed=1))),
+    ((), WEIGHTED_TRIANGLE),
+]
+ORACLE_SOURCE_IDS = ["path-1", "path-2", "path-3", "cycle-3", "star-3", "complete-3", "empty-3",
+                     "weighted-triangle"]
+
+
+def oracle_json(source, graph, tmp_path, *extra):
+    if not source:
+        path = tmp_path / "graph.txt"
+        path.write_text(serialize_edge_list(graph), encoding="utf-8")
+        source = ("--graph", str(path))
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = main(["oracle", *source, "--format", "json", *extra])
+    return code, json.loads(buf.getvalue())
+
+
+class TestSharedOneVsRest:
+    """The oracle command builds each vertex's one-vs-rest matrix once and runs both oracles on it."""
+
+    @pytest.mark.parametrize("source,graph", ORACLE_SOURCES, ids=ORACLE_SOURCE_IDS)
+    def test_one_build_per_vertex(self, source, graph, tmp_path, monkeypatch):
+        built = []
+        original = numerics.one_vs_rest
+
+        def spy(state, v, grid):
+            built.append(v)
+            return original(state, v, grid)
+
+        monkeypatch.setattr(numerics, "one_vs_rest", spy)
+        code, payload = oracle_json(source, graph, tmp_path)
+        assert code == EXIT_OK
+        assert built == list(range(graph.n))
+
+    @pytest.mark.parametrize("source,graph", ORACLE_SOURCES, ids=ORACLE_SOURCE_IDS)
+    def test_equals_separate_oracle_calls(self, source, graph, tmp_path):
+        alpha = 1.3
+        code, payload = oracle_json(source, graph, tmp_path, "--alpha", repr(alpha), "--grid-size", "64")
+        assert code == EXIT_OK
+        state = GraphState(graph, alpha)
+        grid = build_grid(10.0 / math.sqrt(alpha), 64)
+        for row in payload["rows"]:
+            v = row["vertex"]
+            reduced = top_eigenvalues(reduce_full_state(state, v, grid), 1).lambda_max_numeric
+            assert row["lambda_reduced"] == reduced
+            if graph.n >= 2:
+                assert row["lambda_alternating"] == alternating_maximization(state, v, grid).lambda_max_numeric
+            else:
+                assert row["lambda_alternating"] is None
+
+    def test_prebuilt_matrix_gives_the_same_results(self):
+        state = GraphState(WEIGHTED_TRIANGLE, 1.0)
+        for v in range(3):
+            amp = one_vs_rest(state, v, GRID)
+            assert np.array_equal(reduce_full_state(state, v, GRID, amp).matrix,
+                                  reduce_full_state(state, v, GRID).matrix)
+            assert alternating_maximization(state, v, GRID, amp=amp) == alternating_maximization(state, v, GRID)
+
+    def test_one_matrix_is_live_at_a_time(self):
+        # one 3-vertex, 128-node matrix is 32 MiB and the peak with it is about
+        # 34 MiB; a matrix kept alive while the next vertex builds its own
+        # would put the peak above 64 MiB
+        argv = ["oracle", "--gen", "cycle", "--n", "3", "--grid-size", "128"]
+        tracemalloc.start()
+        try:
+            with redirect_stdout(io.StringIO()):
+                assert main(argv) == EXIT_OK
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * 2**20
