@@ -5,7 +5,10 @@ column table of (header, key) pairs, the key being where the value sits in a
 row. ``--format json`` prints the rows at full double precision; CSV and text
 show the same values under the headers through one cell rule: a bool is
 yes/NO, an int prints as is, a float to 10 significant digits, and a missing
-value (None) is an empty CSV field and ``-`` in text.
+value (None) is an empty CSV field and ``-`` in text. The JSON layout is
+exactly ``json.dumps(payload, indent=2)``'s. One renderer writes every format
+column by column, formatting each distinct value of a column once, and fills
+each JSON row into one template made from the first row's layout.
 
 Every command is deterministic for a fixed invocation: all randomness is
 seeded and rows are emitted in a fixed order.
@@ -22,7 +25,9 @@ import dataclasses
 import io
 import json
 import math
+import operator
 import sys
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -197,10 +202,95 @@ def _cell(value: object, missing: str) -> str:
     return _fmt(value)
 
 
-def _lookup(row: dict, key: str | tuple[str, ...]) -> object:
-    for part in (key,) if isinstance(key, str) else key:
-        row = row[part]
-    return row
+def _pluck(rows: list, path: tuple[str, ...]) -> list:
+    """The value at ``path`` (a key, then the keys nested under it) of every row."""
+    values = rows
+    for key in path:
+        values = map(operator.itemgetter(key), values)
+    return list(values)
+
+
+def _encode(values: list, encode) -> list[str]:
+    """``encode`` of each value, called once per distinct (type, value).
+
+    A zero is never memoised, so it is encoded each time: 0.0 == -0.0, yet
+    they print apart.
+    """
+    memo: dict[tuple[type, object], str] = {}
+    out = []
+    for value in values:
+        key = (value.__class__, value)
+        text = memo.get(key)
+        if text is None:
+            text = encode(value)
+            if value != 0:
+                memo[key] = text
+        out.append(text)
+    return out
+
+
+def _json_scalar(value: object) -> str:
+    """``value``, None or a bool, int, float or str, as json.dumps writes it."""
+    if value.__class__ is int or (value.__class__ is float and math.isfinite(value)):
+        return repr(value)  # json.dumps writes these by their repr
+    if value is not None and not isinstance(value, (str, int, float)):
+        raise TypeError(f"a JSON scalar must be None, a bool, int, float or str, not {type(value).__name__}")
+    return json.dumps(value)
+
+
+def _json(value: object, level: int = 0, scalar=_json_scalar) -> str:
+    """``value`` as ``json.dumps(value, indent=2)`` lays it out at depth ``level``.
+
+    Dict keys are strings, every non-empty list is table rows
+    (:func:`_json_rows`), and ``scalar`` writes each other value.
+    """
+    if not isinstance(value, (dict, list)):
+        return scalar(value)
+    if not value:
+        return json.dumps(value)
+    inner = "\n" + "  " * (level + 1)
+    if isinstance(value, dict):
+        body = ("," + inner).join(f"{json.dumps(key)}: {_json(item, level + 1, scalar)}"
+                                  for key, item in value.items())
+        return "{" + inner + body + "\n" + "  " * level + "}"
+    return "[" + inner + _json_rows(value, level + 1, "," + inner) + "\n" + "  " * level + "]"
+
+
+def _layout(row: object, path: tuple[str, ...], dicts: list, scalars: list) -> None:
+    """Append the (path, keys) of each dict in ``row`` to ``dicts`` and the path of each scalar to ``scalars``."""
+    if isinstance(row, list):
+        raise TypeError(f"a table row holds scalars and dicts, but {'/'.join(path)} is a list")
+    if not isinstance(row, dict):
+        scalars.append(path)
+        return
+    dicts.append((path, list(row)))
+    for key, value in row.items():
+        _layout(value, path + (key,), dicts, scalars)
+
+
+def _json_rows(rows: list, level: int, separator: str) -> str:
+    """``rows`` as :func:`_json` lays each out, joined by ``separator``, filled in column by column.
+
+    The first row's layout, split at its scalars, is the template of every
+    row, and each column's values are encoded once per distinct value. A row
+    whose dicts hold other keys, or the same keys in another order, raises
+    ValueError.
+    """
+    dicts: list[tuple[tuple[str, ...], list[str]]] = []
+    scalars: list[tuple[str, ...]] = []
+    _layout(rows[0], (), dicts, scalars)
+    for path, keys in dicts:
+        found = _pluck(rows, path)
+        if not all(map(isinstance, found, repeat(dict))) or not all(map(keys.__eq__, map(list, found))):
+            raise ValueError(f"rows differ in shape at {'/'.join(path) or 'the top level'}: "
+                             f"the first row has keys {keys}")
+    # json.dumps writes a NUL only as the escape \u0000, so a bare one marks a scalar
+    chunks = _json(rows[0], level, lambda value: "\0").split("\0")
+    chunks[-1] += separator
+    fields = [repeat(chunks[0])]
+    for path, chunk in zip(scalars, chunks[1:]):
+        fields += [_encode(_pluck(rows, path), _json_scalar), repeat(chunk)]
+    return "".join(chain.from_iterable(zip(*fields)))[:-len(separator)]
 
 
 def _render(fmt: str, payload: dict, rows_key: str,
@@ -209,21 +299,28 @@ def _render(fmt: str, payload: dict, rows_key: str,
 
     Each column is a (header, key) pair, the key being a row's JSON key or the
     path of keys where the value nests. A missing value (None) is an empty
-    CSV field and a ``-`` in text.
+    CSV field and a ``-`` in text. Every format encodes a column's values
+    once per distinct value.
     """
     if fmt == "json":
-        return json.dumps(payload, indent=2) + "\n"
+        return _json(payload) + "\n"
     header = [name for name, _ in columns]
     missing = "" if fmt == "csv" else "-"
-    cells = [[_cell(_lookup(row, key), missing) for _, key in columns] for row in payload[rows_key]]
+    rows = payload[rows_key]
+    cells = [_encode(_pluck(rows, (key,) if isinstance(key, str) else key), lambda v: _cell(v, missing))
+             for _, key in columns]
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows(cells)
+        writer.writerows(zip(*cells))
         return buf.getvalue()
-    widths = [max(map(len, column)) for column in zip(header, *cells)]
-    lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in [header] + cells]
+    padded = []
+    for name, column in zip(header, cells):
+        column = [name] + column
+        width = max(map(len, column))
+        padded.append([cell.ljust(width) for cell in column])
+    lines = [line.rstrip() for line in map("  ".join, zip(*padded))]
     return "\n".join(lines + footers) + "\n"
 
 

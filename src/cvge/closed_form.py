@@ -114,7 +114,13 @@ def spectrum_ratio(spec: KernelSpec) -> float:
 
 
 def lambda_max(spec: KernelSpec) -> float:
-    """Largest eigenvalue 2 alpha / (alpha + sqrt(alpha^2 + kappa)); always in (0, 1]."""
+    """Largest eigenvalue 2 alpha / (alpha + sqrt(alpha^2 + kappa)); always in (0, 1].
+
+    kappa = 0 is exactly 1: below alpha ~ 1.5e-162, alpha**2 underflows to 0
+    and the formula would give 2 alpha / alpha = 2.
+    """
+    if spec.kappa == 0.0:
+        return 1.0
     return 2.0 * spec.alpha / (spec.alpha + math.sqrt(spec.alpha**2 + spec.kappa))
 
 
@@ -148,8 +154,11 @@ def entanglement(spec: KernelSpec) -> float:
     Evaluated as kappa / (alpha + sqrt(alpha^2 + kappa))**2, which is
     algebraically identical to (sqrt(alpha^2+kappa) - alpha) /
     (sqrt(alpha^2+kappa) + alpha) but free of subtractive cancellation at
-    small kappa.
+    small kappa. kappa = 0 returns kappa itself as a float (0.0, or -0.0 with
+    its sign kept): below alpha ~ 1.5e-162 the denominator underflows to 0.
     """
+    if spec.kappa == 0.0:
+        return float(spec.kappa)
     root = math.sqrt(spec.alpha**2 + spec.kappa)
     return spec.kappa / (spec.alpha + root) ** 2
 

@@ -377,14 +377,18 @@ def numeric_entanglement(spec: KernelSpec, policy: GridPolicy = GridPolicy()) ->
 
     kappa = 0 short-circuits: the kernel is exactly rank-1, so its only
     nonzero eigenvalue equals the quadrature trace sum_i w_i K(x_i, x_i) and
-    no eigensolve is needed.
+    no eigensolve is needed. When L^2 overflows (alpha below about 1e-306 at
+    the default extent), the outer nodes square to inf and drop out of that
+    trace, so the result is not converged, with ``residual`` inf.
     """
     extent = policy.extent_factor / math.sqrt(spec.alpha)
     if spec.kappa == 0.0:
         grid = trapezoid_grid(extent, policy.initial_size)
-        lam = float(grid.weights @ kernel_value(spec, grid.nodes, grid.nodes))
+        with np.errstate(over="ignore"):
+            lam = float(grid.weights @ kernel_value(spec, grid.nodes, grid.nodes))
         values = (lam,) + (0.0,) * (policy.top_k - 1)
-        return NumericResult(lam, values, 0.0, policy.initial_size, True)
+        certified = math.isfinite(extent * extent)
+        return NumericResult(lam, values, 0.0 if certified else math.inf, policy.initial_size, certified)
 
     def rung(size: int) -> NumericResult:
         dk = discretize(spec, trapezoid_grid(extent, size), matrix_free=True)

@@ -16,8 +16,11 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cvge
+from cvge import cli
 from cvge import graph as graph_mod
 from cvge.cli import EXIT_FAIL, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from cvge.closed_form import KernelSpec, entanglement
@@ -566,6 +569,146 @@ class TestOverflowingInputs:
         assert out.splitlines()[-2].endswith("NO")
         code, out, err = self.run_strict("profile", "--gen", "path", "--n", "2", "--alpha", "1e-308", "--numeric")
         assert (code, err) == (EXIT_OK, "")
+
+
+    def test_uncoupled_cell_whose_extent_squares_past_the_float_range_is_unconverged(self):
+        # L = 10 / sqrt(1e-308) = 1e155 squares to inf, so the kappa = 0 trace drops its outer nodes
+        code, out, err = self.run_strict("validate", "--alpha", "1e-308", "--kappa", "0", "--format", "csv")
+        assert (code, err) == (EXIT_FAIL, "")
+        _, rows = csv_rows(out)
+        assert len(rows) == 1 and rows[0][-1] == "NO"
+
+
+class TestUnderflowingAlpha:
+    """Below alpha ~ 1.5e-162, alpha**2 underflows to 0; kappa = 0 still gives lambda_max = 1 and E = 0."""
+
+    def test_profile_of_an_isolated_vertex(self):
+        code, out, err = run_cli("profile", "--gen", "path", "--n", "1", "--alpha", "1e-200", "--format", "json")
+        assert (code, err) == (EXIT_OK, "")
+        vertex = json.loads(out)["vertices"][0]
+        assert (vertex["lambda_max"], vertex["entanglement"]) == (1.0, 0.0)
+
+    def test_spectrum_is_pure(self):
+        code, out, err = run_cli("spectrum", "--alpha", "1e-200", "--kappa", "0", "--count", "2",
+                                 "--format", "json")
+        assert (code, err) == (EXIT_OK, "")
+        assert [row["value"] for row in json.loads(out)["rows"]] == [1.0, 0.0]
+
+    def test_validate_passes(self):
+        code, out, err = run_cli("validate", "--alpha", "1e-300", "--kappa", "0", "--format", "json")
+        assert (code, err) == (EXIT_OK, "")
+        row = json.loads(out)["rows"][0]
+        assert row["lambda_max"] == 1.0 and row["converged"] is True
+
+
+def reference_render(fmt, payload, rows_key, columns, footers):
+    """The renderer before it went column by column: ``json.dumps`` and the cell rule row by row."""
+    if fmt == "json":
+        return json.dumps(payload, indent=2) + "\n"
+
+    def lookup(row, key):
+        for part in (key,) if isinstance(key, str) else key:
+            row = row[part]
+        return row
+
+    header = [name for name, _ in columns]
+    missing = "" if fmt == "csv" else "-"
+    cells = [[expected_cell(lookup(row, key), missing) for _, key in columns] for row in payload[rows_key]]
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(cells)
+        return buf.getvalue()
+    widths = [max(map(len, column)) for column in zip(header, *cells)]
+    lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in [header] + cells]
+    return "\n".join(lines + footers) + "\n"
+
+
+SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-2**70, 2**70), st.floats(),
+    st.sampled_from([0.0, -0.0, 0, 1, 1.0, True, False, math.nan, math.inf, -math.inf, 0.1, 5e-324]),
+)
+KEYS = st.text(max_size=4).filter(lambda key: key != "numeric")
+
+
+@st.composite
+def tables(draw):
+    """(payload, rows_key, columns, footers): rows of one shape, with a nested dict when ``nested`` is drawn."""
+    keys = draw(st.lists(KEYS, min_size=1, max_size=5, unique=True))
+    nested = draw(st.none() | st.lists(KEYS, max_size=3, unique=True))
+    pool = draw(st.lists(SCALARS, min_size=1, max_size=4))  # so that columns repeat values
+    cell = st.sampled_from(pool) | SCALARS
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        row = {key: draw(cell) for key in keys}
+        if nested is not None:
+            row["numeric"] = {key: draw(cell) for key in nested}
+        rows.append(row)
+    rows_key = draw(st.sampled_from(["rows", "vertices"]))
+    payload = {"alpha": draw(SCALARS),
+               "graph": {"n": draw(st.integers(0, 9)), "source": draw(st.text(max_size=6)),
+                         "seed": draw(st.none() | st.integers())},
+               rows_key: rows}
+    columns = [(key, key) for key in keys] + [(key, ("numeric", key)) for key in nested or []]
+    return payload, rows_key, columns, draw(st.lists(st.text(max_size=5), max_size=2))
+
+
+class TestColumnRenderer:
+    """One renderer, column by column, prints what json.dumps and the row-by-row cell rule printed."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(table=tables(), fmt=st.sampled_from(["json", "csv", "text"]))
+    def test_matches_the_reference(self, table, fmt):
+        payload, rows_key, columns, footers = table
+        expected = reference_render(fmt, payload, rows_key, columns, footers)
+        assert cli._render(fmt, payload, rows_key, columns, footers) == expected
+
+    @pytest.mark.parametrize("fmt,expected", [
+        ("json", '{\n  "alpha": 1.0,\n  "mode": "grid",\n  "rows": [\n'
+                 '    {\n      "kappa": 0.0,\n      "coupling_ratio": 0.0,\n      "entanglement": 0.0\n    },\n'
+                 '    {\n      "kappa": -0.0,\n      "coupling_ratio": -0.0,\n      "entanglement": -0.0\n    }\n'
+                 '  ]\n}\n'),
+        ("csv", "kappa,coupling_ratio,entanglement\n0,0,0\n-0,-0,-0\n"),
+        ("text", "kappa  coupling_ratio  entanglement\n0      0               0\n-0     -0              -0\n"),
+    ], ids=["json", "csv", "text"])
+    def test_negative_zero_keeps_its_sign(self, fmt, expected):
+        assert run_cli("scan", "--kappa", "0,-0.0", "--format", fmt) == (EXIT_OK, expected, "")
+
+    @pytest.mark.parametrize("second", [
+        {"b": 2, "a": 1, "numeric": {"x": 1}},  # same keys, another order
+        {"a": 1, "b": 2, "c": 3, "numeric": {"x": 1}},  # a key more
+        {"a": 1, "numeric": {"x": 1}},  # a key less
+        {"a": 1, "b": 2, "numeric": {"y": 1}},  # another nested key
+        {"a": 1, "b": 2, "numeric": None},  # a scalar where the first row nests
+    ], ids=["reordered", "extra", "missing", "nested-key", "nested-none"])
+    def test_row_of_another_shape_is_an_error(self, second):
+        payload = {"rows": [{"a": 1, "b": 2, "numeric": {"x": 1}}, second]}
+        with pytest.raises(ValueError, match="rows differ in shape"):
+            cli._render("json", payload, "rows", [("a", "a")], [])
+
+    @pytest.mark.parametrize("rows", [
+        [{"a": 1, "numeric": None}, {"a": 1, "numeric": {"x": 1}}],  # a dict where the first row has a scalar
+        [{"a": 1, "numeric": None}, {"a": 1, "numeric": [1]}],  # a list there
+        [{"a": 1, "numeric": None}, {"a": 1, "numeric": (1,)}],  # a tuple there
+        [{"a": 1, "numeric": []}, {"a": 1, "numeric": [1]}],  # a list in the first row
+    ], ids=["dict", "list", "tuple", "first-row-list"])
+    def test_row_holding_a_container_where_a_scalar_belongs_is_an_error(self, rows):
+        with pytest.raises(TypeError):
+            cli._render("json", {"rows": rows}, "rows", [("a", "a")], [])
+
+
+class TestConfigIsolation:
+    """A --config call's defaults stay with that call."""
+
+    def test_config_defaults_do_not_carry_over(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("alpha = 2\n", encoding="utf-8")
+        argv = ("profile", "--gen", "star", "--n", "3", "--format", "json")
+        code, out, _ = run_cli(*argv, "--config", str(cfg))
+        assert code == EXIT_OK and json.loads(out)["alpha"] == 2.0
+        code, out, _ = run_cli(*argv)
+        assert code == EXIT_OK and json.loads(out)["alpha"] == 1.0
 
 
 class TestEdgeStorage:

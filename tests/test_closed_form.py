@@ -1,8 +1,11 @@
 """Closed-form eigenvalues, entanglement, purity, and their algebraic invariants."""
 
 import math
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cvge.closed_form import (
     KernelSpec,
@@ -82,6 +85,19 @@ class TestLambdaMax:
             for kap in KAPPAS:
                 lam = lambda_max(KernelSpec(alpha, kap))
                 assert 0.0 < lam <= 1.0
+
+    @settings(max_examples=200, deadline=None)
+    # alpha**2 is normal from the lower bound up; above the upper one, (2 alpha)**2
+    # overflows and the formula for E raises OverflowError
+    @given(alpha=st.floats(math.sqrt(sys.float_info.min), math.sqrt(sys.float_info.max) / 2),
+           kappa=st.sampled_from([0.0, -0.0, 0]))
+    def test_uncoupled_value_is_the_formula_wherever_alpha_squared_is_normal(self, alpha, kappa):
+        spec = KernelSpec(alpha, kappa)
+        root = math.sqrt(alpha**2 + kappa)
+        assert lambda_max(spec) == 2.0 * alpha / (alpha + root) == 1.0
+        assert math.copysign(1.0, entanglement(spec)) == math.copysign(1.0, kappa / (alpha + root) ** 2)
+        assert entanglement(spec) == 0.0
+        assert type(lambda_max(spec)) is type(entanglement(spec)) is float  # an int kappa too
 
     def test_kappa_over_alpha_variant_agrees_only_at_unit_alpha(self):
         spec = KernelSpec(1.0, 5.0)
