@@ -342,15 +342,17 @@ def cmd_profile(args: argparse.Namespace) -> int:
         report = cf.profile(graph_mod.GraphState(g, alpha), source=source, seed=seed)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    checks = _numeric_checks(report, args) if args.numeric else [None] * len(report.records)
+    checks = _numeric_checks(report, args) if args.numeric else repeat(None)
+    degrees = repeat(None) if report.degree is None else report.degree
     vertices = [{
-        "id": rec.vertex,
-        "degree": rec.degree,
-        "kappa": rec.kappa,
-        "lambda_max": rec.lambda_max,
-        "entanglement": rec.entanglement,
+        "id": v,
+        "degree": deg,
+        "kappa": kv,
+        "lambda_max": lam,
+        "entanglement": ent,
         "numeric": check,
-    } for rec, check in zip(report.records, checks)]
+    } for v, deg, kv, lam, ent, check in zip(range(g.n), degrees, report.kappa, report.lambda_max,
+                                              report.entanglement, checks)]
     payload = {
         "alpha": report.alpha,
         "graph": {"n": g.n, "source": report.source, "seed": report.seed},
@@ -365,14 +367,13 @@ def cmd_profile(args: argparse.Namespace) -> int:
 def _numeric_checks(report: cf.EntanglementReport, args: argparse.Namespace) -> list[dict]:
     """Quadrature cross-check of each vertex, solved once per distinct kappa and shared."""
     policy = _policy(args)
-    kappas = np.array([rec.kappa for rec in report.records])
-    distinct, first, which = np.unique(kappas, return_index=True, return_inverse=True)
+    distinct, first, which = np.unique(report.kappa, return_index=True, return_inverse=True)
     checks = []
     for kv, v in zip(distinct.tolist(), first.tolist()):
         result = num.numeric_entanglement(cf.KernelSpec(report.alpha, kv), policy)
         checks.append({
             "lambda_max": result.lambda_max_numeric,
-            "deviation": abs(result.lambda_max_numeric - report.records[v].lambda_max),
+            "deviation": abs(result.lambda_max_numeric - report.lambda_max[v]),
             "grid_size": result.grid_size,
             "converged": result.converged,
         })

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,12 +93,46 @@ class VertexRecord:
 
 @dataclass(frozen=True)
 class EntanglementReport:
-    """Per-vertex entanglement of a graph state, with provenance."""
+    """Per-vertex entanglement of a graph state, with provenance, as one column per quantity.
+
+    Entry v of each column belongs to vertex v; ``degree`` is None on
+    weighted graphs. :attr:`records` gives the same data one vertex at a time.
+    """
 
     alpha: float
-    records: tuple[VertexRecord, ...]
+    kappa: tuple[float, ...]
+    degree: tuple[int, ...] | None
+    lambda_max: tuple[float, ...]
+    entanglement: tuple[float, ...]
     source: str = ""
     seed: int | None = None
+
+    @property
+    def records(self) -> VertexRecords:
+        """The columns as one :class:`VertexRecord` per vertex, in vertex order; each is built when read."""
+        return VertexRecords(self)
+
+
+class VertexRecords(Sequence):
+    """Read-only sequence view of an :class:`EntanglementReport`'s columns, one record per vertex.
+
+    Taking its length builds no record; a record is built only when it is
+    indexed or iterated over. A slice is a tuple of records.
+    """
+
+    def __init__(self, report: EntanglementReport) -> None:
+        self._report = report
+
+    def __len__(self) -> int:
+        return len(self._report.kappa)
+
+    def __getitem__(self, index):
+        vertices = range(len(self))[index]  # IndexError past either end, negatives count back
+        if isinstance(vertices, range):
+            return tuple(map(self.__getitem__, vertices))
+        r = self._report
+        return VertexRecord(vertices, None if r.degree is None else r.degree[vertices], r.kappa[vertices],
+                            r.lambda_max[vertices], r.entanglement[vertices])
 
 
 def spectral_denominator(spec: KernelSpec) -> float:
@@ -156,11 +191,16 @@ def entanglement(spec: KernelSpec) -> float:
     (sqrt(alpha^2+kappa) + alpha) but free of subtractive cancellation at
     small kappa. kappa = 0 returns kappa itself as a float (0.0, or -0.0 with
     its sign kept): below alpha ~ 1.5e-162 the denominator underflows to 0.
+    Above alpha ~ 6.7e153 the square of alpha + root overflows, and kappa is
+    divided by alpha + root twice instead.
     """
     if spec.kappa == 0.0:
         return float(spec.kappa)
-    root = math.sqrt(spec.alpha**2 + spec.kappa)
-    return spec.kappa / (spec.alpha + root) ** 2
+    total = spec.alpha + math.sqrt(spec.alpha**2 + spec.kappa)
+    try:
+        return spec.kappa / total**2
+    except OverflowError:
+        return spec.kappa / total / total
 
 
 def entanglement_kappa_over_alpha(spec: KernelSpec) -> float:
@@ -189,33 +229,35 @@ def spectrum(spec: KernelSpec, count: int) -> Spectrum:
 def purity(spec: KernelSpec) -> float:
     """Sum of squared eigenvalues in closed form: 2 alpha sqrt(D) / (D + kappa).
 
-    Equals 1 exactly when kappa = 0 (pure reduced state); used as a
+    kappa = 0 is exactly 1 (a pure reduced state): below alpha ~ 1.5e-162,
+    D underflows to 0 and the formula would divide 0 by 0. Used as a
     cross-check against double quadrature of the squared kernel.
     """
+    if spec.kappa == 0.0:
+        return 1.0
     d = spectral_denominator(spec)
     return 2.0 * spec.alpha * math.sqrt(d) / (d + spec.kappa)
 
 
 def profile(state: GraphState, source: str = "", seed: int | None = None) -> EntanglementReport:
-    """Per-vertex entanglement report for a graph state.
+    """Per-vertex entanglement report for a graph state, as columns over the vertices.
 
-    The closed form is evaluated once per distinct kappa and scattered back to
-    the vertices, so vertices sharing the same kappa get bit-identical
-    lambda_max and E. Raises ValueError if the graph violates its invariants.
+    The scalar :func:`lambda_max` and :func:`entanglement` run once per
+    distinct kappa, and ``np.unique``'s inverse scatters their values to the
+    vertices. So vertices sharing the same kappa get bit-identical lambda_max
+    and E, and every value is bit-identical to the scalar call at its kappa.
+    Raises ValueError if the graph violates its invariants.
     """
     issues = graph_mod.validate(state.graph)
     if issues:
         raise ValueError("invalid graph: " + "; ".join(issues))
     g = state.graph
     kappas = graph_mod.kappa(g)
-    degrees = graph_mod.degree(g).tolist() if g.is_binary else [None] * g.n
+    degrees = tuple(graph_mod.degree(g).tolist()) if g.is_binary else None
     distinct, which = np.unique(kappas, return_inverse=True)
-    values = []
-    for kv in distinct.tolist():
-        ks = KernelSpec(state.alpha, kv)
-        values.append((lambda_max(ks), entanglement(ks)))
-    records = []
-    for v, (deg, kv, i) in enumerate(zip(degrees, kappas.tolist(), which.tolist())):
-        lam, ent = values[i]
-        records.append(VertexRecord(vertex=v, degree=deg, kappa=kv, lambda_max=lam, entanglement=ent))
-    return EntanglementReport(alpha=state.alpha, records=tuple(records), source=source, seed=seed)
+    specs = [KernelSpec(state.alpha, kv) for kv in distinct.tolist()]
+    lams = np.array([lambda_max(ks) for ks in specs])[which]
+    ents = np.array([entanglement(ks) for ks in specs])[which]
+    return EntanglementReport(alpha=state.alpha, kappa=tuple(kappas.tolist()), degree=degrees,
+                              lambda_max=tuple(lams.tolist()), entanglement=tuple(ents.tolist()),
+                              source=source, seed=seed)

@@ -14,6 +14,11 @@ so building a graph costs O(n + E) and every later lookup is O(1).
 and vector forms agree bit for bit. Generation, parsing, validation and
 serialization work on the edge arrays and never build an n x n matrix;
 :attr:`Graph.coupling` builds one on demand for the small oracles.
+
+:func:`parse_edge_list` keeps no Python object per edge either. It reads the
+text in blocks of lines, converts each block's fields to int64 and float
+arrays, checks them as arrays, and finds pairs listed twice with one stable
+sort of the pair keys.
 """
 
 from __future__ import annotations
@@ -31,6 +36,9 @@ MAX_VERTICES = 10_000
 #: Vertex pairs ``erdos_renyi`` and ``complete`` visit at a time, so that the
 #: uniforms and pair numbers in memory are O(2**20) whatever n.
 PAIR_BLOCK = 1 << 20
+#: Characters of edge-list text that :func:`parse_edge_list` splits into lines
+#: and converts at a time, so its per-line strings are O(2**16) whatever the file.
+PARSE_BLOCK = 1 << 16
 
 
 class EdgeListError(ValueError):
@@ -299,63 +307,153 @@ def _kappa_overflow(v: int) -> str:
     return f"vertex {v}: the sum of its squared edge weights overflows, so kappa is inf"
 
 
+def _line_blocks(text: str) -> Iterator[list[str]]:
+    """``text.splitlines()`` in consecutive blocks of about :data:`PARSE_BLOCK` characters.
+
+    Each block but the last ends just after a ``\\n``, so no line, and no
+    ``\\r\\n`` pair, is split between two blocks.
+    """
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + PARSE_BLOCK)
+        end = len(text) if end < 0 else end + 1
+        yield text[start:end].splitlines()
+        start = end
+
+
+def _header(line: str, lineno: int) -> int:
+    """Vertex count of the ``vertices <N>`` header line."""
+    tokens = line.split()
+    if tokens[0] != "vertices" or len(tokens) != 2:
+        raise EdgeListError(f"line {lineno}: expected header 'vertices <N>', got {line.strip()!r}")
+    try:
+        n = int(tokens[1])
+    except ValueError:
+        raise EdgeListError(f"line {lineno}: vertex count {tokens[1]!r} is not an integer") from None
+    issue = _vertex_count_issue(n)
+    if issue:
+        raise EdgeListError(f"line {lineno}: {issue}")
+    return n
+
+
+def _convert(convert: Callable[[str], object], tokens: list[str]) -> tuple[list, int]:
+    """``convert`` of each token up to the first it rejects, and that token's index (len if none)."""
+    try:
+        return list(map(convert, tokens)), len(tokens)
+    except ValueError:
+        values = []
+        for token in tokens:
+            try:
+                values.append(convert(token))
+            except ValueError:
+                break
+        return values, len(values)
+
+
+def _vertex_indices(values: list[int]) -> np.ndarray:
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:  # past int64 is out of range for any vertex count; -1 is too
+        return np.array([x if 0 <= x <= MAX_VERTICES else -1 for x in values], dtype=np.int64)
+
+
+def _parse_block(lines: list[str], linenos: np.ndarray,
+                 n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, str | None]:
+    """(u, v, w) of the edge ``lines`` up to their first faulty one, how many lines that is, and its error.
+
+    ``linenos`` holds each line's number. The fields of all the lines are
+    split into one list of strings: a list per line, all alive at once, would
+    be promoted by the cyclic garbage collector and bring on more of its full
+    collections, each of which walks every live object. Each
+    check runs over the lines before the first fault found so far, and moves
+    that limit back to its own first failure. So the limit ends at the first
+    faulty line, and the error is that of the first check the line fails, in
+    the order: field count, integer indices, number weight, finite weight,
+    index range, self-loop. The error is None when every line passes.
+    """
+    tokens = " ".join(lines).split()
+    counts = np.fromiter(map(len, map(str.split, lines)), np.intp, len(lines))
+    starts = np.cumsum(counts) - counts  # index in tokens of each line's first field
+    stop, fault = len(lines), None
+
+    def limit(bad, message: Callable[[int], str]) -> None:  # bad: failing line indices, increasing
+        nonlocal stop, fault
+        if len(bad) and bad[0] < stop:
+            stop, fault = int(bad[0]), message
+
+    def column(k: int, at) -> list[str]:  # field k of the lines ``at``
+        return list(map(tokens.__getitem__, (starts[at] + k).tolist()))
+
+    limit(np.flatnonzero((counts < 2) | (counts > 3)),
+          lambda i: f"expected 'u v' or 'u v w', got {counts[i]} fields")
+    us, bad_u = _convert(int, column(0, np.s_[:stop]))
+    vs, bad_v = _convert(int, column(1, np.s_[:stop]))
+    limit([min(bad_u, bad_v)], lambda i: f"vertex indices must be integers, got {lines[i].strip()!r}")
+    weighted = np.flatnonzero(counts[:stop] == 3)
+    ws, bad_w = _convert(float, column(2, weighted))
+    limit(weighted[bad_w:], lambda i: f"weight {tokens[starts[i] + 2]!r} is not a number")
+    w = np.ones(stop)
+    weighted = weighted[weighted < stop]
+    w[weighted] = ws[:weighted.size]
+    limit(np.flatnonzero(~np.isfinite(w)), lambda i: f"weight must be finite, got {tokens[starts[i] + 2]!r}")
+    u, v = _vertex_indices(us[:stop]), _vertex_indices(vs[:stop])
+    limit(np.flatnonzero((u < 0) | (u >= n) | (v < 0) | (v >= n)),
+          lambda i: f"vertex index out of range [0, {n})")
+    limit(np.flatnonzero(u[:stop] == v[:stop]), lambda i: f"self-loop at vertex {u[i]}")
+    error = None if fault is None else f"line {linenos[stop]}: {fault(stop)}"
+    return u[:stop], v[:stop], w[:stop], stop, error
+
+
 def parse_edge_list(text: str) -> Graph:
     """Parse the plain-text edge-list format.
 
     Lines starting with ``#`` are comments and blank lines are skipped. The
     first significant line must be ``vertices <N>``; every following
     significant line is ``u v`` or ``u v w`` declaring one undirected edge
-    with 0-indexed endpoints and optional real weight (default 1.0). An edge
-    of weight 0 is no edge.
+    with 0-indexed endpoints and optional real weight (default 1.0). A pair
+    may be listed again with an equal weight. An edge of weight 0 is no edge.
+
+    The text is read in blocks of lines. Python's ``int`` and ``float``
+    convert each block's fields, and the checks run on its arrays. A faulty
+    line raises EdgeListError naming the first one in the file and its line
+    number. One stable sort of the pair keys finds the pairs listed twice; a
+    pair listed again with another weight names the most recent earlier line
+    of that pair.
     """
     n: int | None = None
-    seen: dict[tuple[int, int], tuple[float, int]] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
-        if n is None:
-            if tokens[0] != "vertices" or len(tokens) != 2:
-                raise EdgeListError(f"line {lineno}: expected header 'vertices <N>', got {line!r}")
-            try:
-                n = int(tokens[1])
-            except ValueError:
-                raise EdgeListError(f"line {lineno}: vertex count {tokens[1]!r} is not an integer") from None
-            issue = _vertex_count_issue(n)
-            if issue:
-                raise EdgeListError(f"line {lineno}: {issue}")
-            continue
-        if len(tokens) not in (2, 3):
-            raise EdgeListError(f"line {lineno}: expected 'u v' or 'u v w', got {len(tokens)} fields")
-        try:
-            u, v = int(tokens[0]), int(tokens[1])
-        except ValueError:
-            raise EdgeListError(f"line {lineno}: vertex indices must be integers, got {line!r}") from None
-        weight = 1.0
-        if len(tokens) == 3:
-            try:
-                weight = float(tokens[2])
-            except ValueError:
-                raise EdgeListError(f"line {lineno}: weight {tokens[2]!r} is not a number") from None
-            if not np.isfinite(weight):
-                raise EdgeListError(f"line {lineno}: weight must be finite, got {tokens[2]!r}")
-        if not (0 <= u < n and 0 <= v < n):
-            raise EdgeListError(f"line {lineno}: vertex index out of range [0, {n})")
-        if u == v:
-            raise EdgeListError(f"line {lineno}: self-loop at vertex {u}")
-        key = (min(u, v), max(u, v))
-        if key in seen and seen[key][0] != weight:
-            prev_w, prev_line = seen[key]
-            raise EdgeListError(
-                f"line {lineno}: edge {key} already declared with weight {prev_w!r} on line {prev_line}"
-            )
-        seen[key] = (weight, lineno)
+    parts = [(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0), np.empty(0, np.int64))]
+    failure = None
+    first = 1  # line number of the block's first line
+    for block in _line_blocks(text):
+        rows = [i for i, line in enumerate(block) if line.lstrip()[:1] not in ("", "#")]
+        if n is None and rows:
+            n = _header(block[rows[0]], first + rows[0])
+            rows = rows[1:]
+        if rows:
+            linenos = np.array(rows, dtype=np.int64) + first
+            u, v, w, stop, failure = _parse_block([block[i] for i in rows], linenos, n)
+            parts.append((u, v, w, linenos[:stop]))
+            if failure is not None:
+                break
+        first += len(block)
     if n is None:
         raise EdgeListError("missing 'vertices <N>' header")
-    edges = [(a, b, weight) for (a, b), (weight, _) in seen.items() if weight != 0.0]
-    u, v, w = zip(*edges) if edges else ((), (), ())
-    g = Graph.from_edges(n, np.array(u, dtype=np.int64), np.array(v, dtype=np.int64), w)
+    u, v, w, lineno = map(np.concatenate, zip(*parts))
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    order = np.argsort(lo * n + hi, kind="stable")  # each pair's lines stay in file order
+    lo, hi, w, lineno = lo[order], hi[order], w[order], lineno[order]
+    repeat = (lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])
+    clash = np.flatnonzero(repeat & (w[1:] != w[:-1]))
+    if clash.size:
+        k = clash[np.argmin(lineno[clash + 1])]
+        raise EdgeListError(f"line {lineno[k + 1]}: edge ({lo[k]}, {hi[k]}) already declared "
+                            f"with weight {float(w[k])!r} on line {lineno[k]}")
+    if failure is not None:
+        raise EdgeListError(failure)
+    last = np.ones(w.size, dtype=bool)  # one line per pair: all its weights are equal
+    last[:-1] = ~repeat
+    keep = last & (w != 0.0)
+    g = Graph.from_edges(n, lo[keep], hi[keep], w[keep])
     overflowed = _overflowed_vertices(g)
     if overflowed:
         raise EdgeListError(_kappa_overflow(overflowed[0]))

@@ -15,6 +15,7 @@ import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -571,6 +572,21 @@ class TestOverflowingInputs:
         assert (code, err) == (EXIT_OK, "")
 
 
+    # above alpha ~ 6.7e153, (alpha + sqrt(alpha**2 + kappa))**2 is past the float range
+    def test_scan_at_the_largest_alpha(self):
+        code, out, err = self.run_strict("scan", "--alpha", "1e154", "--kappa", "1", "--format", "json")
+        assert (code, err) == (EXIT_OK, "")
+        row = json.loads(out)["rows"][0]
+        assert row["entanglement"] == pytest.approx(2.5e-309, rel=1e-9)
+
+    def test_profile_at_the_largest_alpha(self):
+        code, out, err = self.run_strict("profile", "--gen", "path", "--n", "2", "--alpha", "1e154",
+                                         "--format", "json")
+        assert (code, err) == (EXIT_OK, "")
+        for vertex in json.loads(out)["vertices"]:
+            assert vertex["lambda_max"] == 1.0
+            assert vertex["entanglement"] == pytest.approx(2.5e-309, rel=1e-9)
+
     def test_uncoupled_cell_whose_extent_squares_past_the_float_range_is_unconverged(self):
         # L = 10 / sqrt(1e-308) = 1e155 squares to inf, so the kappa = 0 trace drops its outer nodes
         code, out, err = self.run_strict("validate", "--alpha", "1e-308", "--kappa", "0", "--format", "csv")
@@ -728,20 +744,47 @@ class TestEdgeStorage:
             assert code == EXIT_OK, err
             assert out
 
+    # The child reports the peak RSS of its own program, in KiB. Its ru_maxrss
+    # would not do: Linux carries the RSS this process had when it forked the
+    # child into the ru_maxrss of the program the child execs, so a child of a
+    # 280 MB pytest process reports at least 280 MB. VmHWM counts only the
+    # pages of the program since exec.
+    PEAK_KIB = ("def peak_kib():\n"
+                "    with open('/proc/self/status') as fh:\n"
+                "        return int(next(line for line in fh if line.startswith('VmHWM:')).split()[1])\n")
+
     def test_largest_erdos_renyi_profile_stays_small(self):
-        # the child reports its own peak RSS: RUSAGE_CHILDREN would also count
-        # the pages of this process copied at fork; ru_maxrss is in KiB on Linux
-        script = ("import contextlib, io, resource\n"
-                  "from cvge.cli import main\n"
-                  "with contextlib.redirect_stdout(io.StringIO()):\n"
-                  "    code = main(['profile', '--gen', 'erdos_renyi', '--n', '10000', '--p', '0.0005',\n"
-                  "                 '--seed', '1'])\n"
-                  "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+        script = self.PEAK_KIB + ("import contextlib, io\n"
+                                  "from cvge.cli import main\n"
+                                  "with contextlib.redirect_stdout(io.StringIO()):\n"
+                                  "    code = main(['profile', '--gen', 'erdos_renyi', '--n', '10000',\n"
+                                  "                 '--p', '0.0005', '--seed', '1'])\n"
+                                  "print(code, peak_kib())\n")
         proc = run_python("-c", script)
         assert proc.returncode == 0, proc.stderr
         code, peak_kib = proc.stdout.split()
         assert code == "0"
         assert int(peak_kib) < 150 * 1024
+
+    def test_million_edge_parse_stays_small(self, tmp_path):
+        # the weighted complete graph on 1415 vertices: 1,000,405 edge lines, about 27 MB of text
+        g = graph_mod.generate(graph_mod.GraphGenSpec("complete", 1415))
+        w = np.random.default_rng(7).uniform(0.1, 2.0, g.u.size)
+        path = tmp_path / "big.txt"
+        path.write_text(graph_mod.serialize_edge_list(graph_mod.Graph.from_edges(g.n, g.u, g.v, w)),
+                        encoding="utf-8")
+        del g, w
+        script = self.PEAK_KIB + ("import sys\n"
+                                  "from cvge import graph\n"
+                                  "text = open(sys.argv[1], encoding='utf-8').read()\n"
+                                  "before = peak_kib()\n"
+                                  "parsed = graph.parse_edge_list(text)\n"
+                                  "print(parsed.u.size, peak_kib() - before)\n")
+        proc = run_python("-c", script, str(path))
+        assert proc.returncode == 0, proc.stderr
+        edges, grown_kib = proc.stdout.split()
+        assert edges == "1000405"
+        assert int(grown_kib) < 250 * 1024
 
 
 class TestExitCodes:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from cvge.closed_form import (
     KernelSpec,
+    VertexRecord,
     entanglement,
     entanglement_kappa_over_alpha,
     lambda_max,
@@ -20,9 +21,10 @@ from cvge.closed_form import (
     spectrum,
     spectrum_ratio,
 )
-from cvge.graph import Graph, GraphGenSpec, GraphState, generate
+from cvge.graph import Graph, GraphGenSpec, GraphState, degree, generate, kappa
 
 ALPHAS = (0.5, 1.0, 2.0, 4.0)
+ALPHA_MAX = 1.34e154  # about the largest alpha whose square is finite
 KAPPAS = (0.0, 1.0, 2.0, 3.0, 5.0, 8.0, 9.0)
 
 
@@ -147,6 +149,30 @@ class TestEntanglement:
         assert all(b > a for a, b in zip(values, values[1:]))
         assert values[-1] > 0.999
 
+    @settings(max_examples=300, deadline=None)
+    @given(alpha=st.floats(1e-300, ALPHA_MAX), kappa=st.floats(5e-324, 1e300))
+    def test_bits_are_the_formula_wherever_its_square_is_finite(self, alpha, kappa):
+        spec = KernelSpec(alpha, kappa)
+        try:
+            expected = kappa / (alpha + math.sqrt(alpha**2 + kappa)) ** 2
+        except OverflowError:
+            return
+        assert entanglement(spec).hex() == expected.hex()
+
+    @settings(max_examples=200, deadline=None)
+    # from here up, (alpha + sqrt(alpha**2 + kappa))**2 overflows for every kappa
+    @given(alpha=st.floats(math.sqrt(sys.float_info.max) / 2, ALPHA_MAX), kappa=st.floats(1e-300, 1e300))
+    def test_value_where_the_square_overflows(self, alpha, kappa):
+        spec = KernelSpec(alpha, kappa)
+        ratio = kappa / alpha / alpha  # E = ratio / (1 + sqrt(1 + ratio))**2
+        value = entanglement(spec)
+        assert 0.0 <= value < 1.0
+        assert value == pytest.approx(ratio / (1.0 + math.sqrt(1.0 + ratio)) ** 2, rel=1e-9, abs=1e-300)
+
+    def test_largest_alpha(self):
+        assert entanglement(KernelSpec(1e154, 1.0)) == pytest.approx(2.5e-309, rel=1e-9)
+        assert lambda_max(KernelSpec(1e154, 1.0)) == 1.0
+
 
 class TestSpectrum:
     def test_values_and_ratio(self):
@@ -220,6 +246,20 @@ class TestPurity:
         for kap in (0.5, 1.0, 9.0):
             assert purity(KernelSpec(2.0, kap)) < 1.0
 
+    @pytest.mark.parametrize("alpha", [1e-200, 1e-320, 1.0, 1e150])
+    @pytest.mark.parametrize("kappa", [0.0, -0.0, 0])
+    def test_uncoupled_is_exactly_one(self, alpha, kappa):
+        # below alpha ~ 1.5e-162, alpha**2 underflows and D = 0
+        assert purity(KernelSpec(alpha, kappa)) == 1.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(alpha=st.floats(1e-150, 1e150), kappa=st.floats(5e-324, 1e300))
+    def test_coupled_bits_are_the_formula(self, alpha, kappa):
+        spec = KernelSpec(alpha, kappa)
+        d = spectral_denominator(spec)
+        expected = 2.0 * alpha * math.sqrt(d) / (d + kappa)
+        assert purity(spec).hex() == expected.hex()
+
 
 class TestProfile:
     def test_star_center_and_leaves(self):
@@ -265,6 +305,40 @@ class TestProfile:
         bad = Graph.from_edges(2, [0], [0], [1.0])
         with pytest.raises(ValueError, match="invalid graph: self-loop at vertex 0"):
             profile(GraphState(bad, 1.0))
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), alpha=st.floats(1e-3, 1e3))
+    def test_columns_are_the_scalar_closed_form_at_each_kappa(self, data, alpha):
+        n = data.draw(st.integers(1, 30))
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+        # a few distinct weights, so that vertices share kappa through different neighbours
+        weights = data.draw(st.one_of(st.just([1.0]), st.lists(st.floats(0.1, 10.0), min_size=1, max_size=4)))
+        w = [data.draw(st.sampled_from(weights)) for _ in chosen]
+        g = Graph.from_edges(n, [a for a, _ in chosen], [b for _, b in chosen], w)
+        report = profile(GraphState(g, alpha))
+        kappas = kappa(g).tolist()
+        assert report.kappa == tuple(kappas)
+        assert report.degree == (tuple(degree(g).tolist()) if g.is_binary else None)
+        for v, kv in enumerate(kappas):
+            spec = KernelSpec(alpha, kv)
+            assert report.lambda_max[v].hex() == lambda_max(spec).hex()
+            assert report.entanglement[v].hex() == entanglement(spec).hex()
+        # the same data as one VertexRecord per vertex, each from the scalar calls
+        degrees = degree(g).tolist() if g.is_binary else [None] * n
+        expected = tuple(VertexRecord(vertex=v, degree=d, kappa=kv, lambda_max=lambda_max(KernelSpec(alpha, kv)),
+                                      entanglement=entanglement(KernelSpec(alpha, kv)))
+                         for v, (d, kv) in enumerate(zip(degrees, kappas)))
+        assert tuple(report.records) == expected
+        assert report.records[:] == expected
+        assert len(report.records) == n
+
+    def test_records_index_like_a_tuple(self):
+        report = profile(GraphState(generate(GraphGenSpec("path", 4)), 1.0))
+        assert report.records[-1] == report.records[3] and report.records[-1].vertex == 3
+        assert [rec.vertex for rec in report.records[::2]] == [0, 2]
+        with pytest.raises(IndexError):
+            report.records[4]
 
     def test_provenance_carried(self):
         report = profile(GraphState(generate(GraphGenSpec("path", 2)), 1.0),

@@ -1,9 +1,12 @@
 """Graph construction, edge-list round trips, generators, and coupling strength."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cvge import graph as graph_mod
 from cvge.graph import (
@@ -132,6 +135,115 @@ class TestParseEdgeList:
     def test_vertex_count_over_cap(self):
         with pytest.raises(EdgeListError, match="line 2.*<= 10000"):
             parse_edge_list(f"# big\nvertices {MAX_VERTICES + 1}\n")
+
+
+def parse_error(text):
+    with pytest.raises(EdgeListError) as info:
+        parse_edge_list(text)
+    return str(info.value)
+
+
+class TestParseFaultOrder:
+    """The first faulty line in the file is reported, whichever check finds it."""
+
+    @pytest.mark.parametrize("text,message", [
+        ("vertices 3\n1 1\n0 x\n", "line 2: self-loop at vertex 1"),
+        ("vertices 3\n0 1 1\n1 0 2\n0 1 2 3\n", "line 3: edge (0, 1) already declared with weight 1.0 on line 2"),
+        ("vertices 3\n0 x\n0 1 1\n1 0 2\n", "line 2: vertex indices must be integers, got '0 x'"),
+        # the same pairs of faults in the other order
+        ("vertices 3\n0 x\n1 1\n", "line 2: vertex indices must be integers, got '0 x'"),
+        ("vertices 3\n0 1 2 3\n0 1 1\n1 0 2\n", "line 2: expected 'u v' or 'u v w', got 4 fields"),
+        ("vertices 3\n0 1 1\n1 0 2\n0 x\n", "line 3: edge (0, 1) already declared with weight 1.0 on line 2"),
+    ], ids=["loop-then-int", "conflict-then-fields", "int-then-conflict",
+            "int-then-loop", "fields-then-conflict", "conflict-then-int"])
+    def test_two_faults_report_the_earlier(self, text, message):
+        assert parse_error(text) == message
+
+    @pytest.mark.parametrize("line,message", [
+        ("0 1 2 3", "expected 'u v' or 'u v w', got 4 fields"),  # before the bad index and weight
+        ("0 x nan", "vertex indices must be integers, got '0 x nan'"),  # before the weight
+        ("5 5 heavy", "weight 'heavy' is not a number"),  # before the range and the self-loop
+        ("5 5 inf", "weight must be finite, got 'inf'"),
+        ("5 5", "vertex index out of range [0, 3)"),  # before the self-loop
+    ])
+    def test_one_line_reports_its_first_failing_check(self, line, message):
+        assert parse_error(f"vertices 3\n{line}\n") == f"line 2: {message}"
+
+    def test_conflict_names_the_most_recent_earlier_line_of_the_pair(self):
+        text = "vertices 3\n0 1 0\n1 2\n1 0 -0.0\n# comment\n0 1 0.0\n1 2 1.0\n1 0 2\n"
+        assert parse_error(text) == "line 8: edge (0, 1) already declared with weight 0.0 on line 6"
+        assert parse_error("vertices 3\n0 1 0\n1 0 -0.0\n0 1 1\n") == \
+            "line 4: edge (0, 1) already declared with weight -0.0 on line 3"
+
+    def test_earliest_of_several_conflicts(self):
+        text = "vertices 4\n2 3 1\n0 1 1\n1 0 2\n3 2 2\n"
+        assert parse_error(text) == "line 4: edge (0, 1) already declared with weight 1.0 on line 3"
+
+    def test_index_past_int64_is_out_of_range(self):
+        assert parse_error(f"vertices 3\n0 1\n0 {2**70}\n") == "line 3: vertex index out of range [0, 3)"
+
+
+class TestParseBlocks:
+    """Line numbers and duplicate pairs carry across the blocks the text is read in."""
+
+    @staticmethod
+    def path_text(n=MAX_VERTICES):
+        lines = ["# a path", "vertices %d" % n] + [f"{i} {i + 1}" for i in range(n - 1)]
+        text = "\n".join(lines) + "\n"
+        assert len(text) > graph_mod.PARSE_BLOCK + 20_000  # the last 2,000 lines lie in a later block
+        return text, len(lines)
+
+    def test_fault_in_a_later_block(self):
+        text, count = self.path_text()
+        assert parse_error(text + "7 7\n") == f"line {count + 1}: self-loop at vertex 7"
+        lines = text.splitlines()
+        lines[count - 5] = "3 x"
+        assert parse_error("\n".join(lines)) == f"line {count - 4}: vertex indices must be integers, got '3 x'"
+
+    def test_conflict_across_blocks(self):
+        text, count = self.path_text()
+        text = text.replace("vertices 10000\n", "vertices 10000\n# 0 1 again\n\n1 0 1.0\n")
+        assert parse_error(text + "0 1 2.5\n") == \
+            f"line {count + 4}: edge (0, 1) already declared with weight 1.0 on line 6"
+        assert parse_edge_list(text).w.size == MAX_VERTICES - 1
+
+    @pytest.mark.parametrize("block", [1, 4, 9, 64])
+    def test_small_blocks_number_every_line(self, block, monkeypatch):
+        monkeypatch.setattr(graph_mod, "PARSE_BLOCK", block)
+        # \r, \f and \x85 end lines too, as str.splitlines counts them
+        text = "# c\r\n\r\nvertices 4\r\n0 1 0.5\r\n\r\n1 2\r2 3 0.25\f# c\x85\n1 0 0.5\n0 2 2 2\n"
+        assert parse_error(text) == "line 11: expected 'u v' or 'u v w', got 4 fields"
+        g = parse_edge_list(text.replace("0 2 2 2\n", ""))
+        assert list(g.edges()) == [(0, 1, 0.5), (1, 2, 1.0), (2, 3, 0.25)]
+        assert parse_error(text.replace("1 0 0.5", "1 0 0.75")) == \
+            "line 10: edge (0, 1) already declared with weight 0.5 on line 4"
+
+
+@st.composite
+def weighted_graphs(draw):
+    n = draw(st.integers(1, 25))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs))) if pairs else []
+    weights = st.floats(-1e150, 1e150, allow_nan=False, allow_infinity=False).filter(bool)
+    w = [draw(st.one_of(st.just(1.0), weights)) for _ in chosen]
+    return Graph.from_edges(n, [a for a, _ in chosen], [b for _, b in chosen], w)
+
+
+class TestParseRoundTrip:
+    @settings(max_examples=150, deadline=None)
+    @given(graph=weighted_graphs(), data=st.data())
+    def test_serialize_then_parse_is_bit_exact(self, graph, data):
+        lines = serialize_edge_list(graph, comment="random\ngraph").splitlines()
+        for _ in range(data.draw(st.integers(0, 6))):
+            at = data.draw(st.integers(0, len(lines)))
+            lines.insert(at, data.draw(st.sampled_from(["", "   ", "# note", "  # 0 1 x y", "#"])))
+        text = data.draw(st.sampled_from(["\n", "\r\n"])).join(lines)
+        block = data.draw(st.sampled_from([1, 16, graph_mod.PARSE_BLOCK]))
+        with mock.patch.object(graph_mod, "PARSE_BLOCK", block):
+            again = parse_edge_list(text)
+        assert again.n == graph.n
+        for name in ("u", "v", "w"):
+            assert getattr(again, name).tobytes() == getattr(graph, name).tobytes()
 
 
 class TestFromEdges:
