@@ -12,7 +12,6 @@ from .closed_form import (
     Spectrum,
     VertexRecord,
     entanglement,
-    entanglement_kappa_over_alpha,
     lambda_max,
     lambda_max_kappa_over_alpha,
     lambda_n,
@@ -59,7 +58,6 @@ __all__ = [
     "Spectrum",
     "VertexRecord",
     "entanglement",
-    "entanglement_kappa_over_alpha",
     "lambda_max",
     "lambda_max_kappa_over_alpha",
     "lambda_n",

@@ -27,6 +27,7 @@ import json
 import math
 import operator
 import sys
+from collections.abc import Callable, Iterable
 from itertools import chain, repeat
 
 import numpy as np
@@ -581,7 +582,98 @@ def cmd_gen(args: argparse.Namespace) -> int:
 # parser and config file
 # ---------------------------------------------------------------------------
 
-def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+def _graph_source(p: argparse.ArgumentParser) -> None:
+    src = p.add_mutually_exclusive_group()
+    src.add_argument("--graph", metavar="PATH", help="edge-list file to analyze")
+    src.add_argument("--gen", choices=graph_mod.GENERATOR_KINDS, metavar="KIND",
+                     help=f"generate the graph: one of {', '.join(graph_mod.GENERATOR_KINDS)}")
+    p.add_argument("--n", type=int, help="vertex count for --gen")
+    p.add_argument("--p", type=float, help="edge probability (erdos_renyi only)")
+    p.add_argument("--seed", type=int, help="PRNG seed (erdos_renyi only)")
+
+
+def _numeric_options(p: argparse.ArgumentParser, grid_help: str, default_grid: int, max_grid: int) -> None:
+    p.add_argument("--grid-size", type=int, default=default_grid,
+                   help=f"{grid_help} (default {default_grid}, at most {max_grid})")
+    p.add_argument("--extent-mult", type=float, default=num.DEFAULT_EXTENT_FACTOR,
+                   help="interval half-width in units of 1/sqrt(alpha) (default 10, from 8 to 1000)")
+
+
+def _profile_options(p: argparse.ArgumentParser) -> None:
+    _graph_source(p)
+    p.add_argument("--alpha", default="1", help="oscillator width parameter (default 1)")
+    p.add_argument("--numeric", action="store_true",
+                   help="add quadrature lambda_max, deviation, grid_size and converged columns")
+    _numeric_options(p, "fewest quadrature nodes of the coarse rung", 256, GRID_CAPS["profile"])
+
+
+def _spectrum_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--kappa", help="coupling strength")
+    p.add_argument("--alpha", default="1", help="oscillator width parameter (default 1)")
+    p.add_argument("--count", type=int, default=10, help="number of eigenvalues (default 10)")
+
+
+def _validate_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--alpha", default="1", help="comma-separated alpha values (default 1)")
+    p.add_argument("--kappa", help="comma-separated kappa values")
+    p.add_argument("--kappa-range", metavar="LO..HI[..STEP]", help="inclusive kappa range")
+    p.add_argument("--tol", type=float, default=1e-8,
+                   help="PASS threshold on |closed - numeric| (default 1e-8)")
+    _numeric_options(p, "fewest quadrature nodes of the coarse rung", 256, GRID_CAPS["validate"])
+
+
+def _oracle_options(p: argparse.ArgumentParser) -> None:
+    _graph_source(p)
+    p.add_argument("--alpha", default="1", help="oscillator width parameter (default 1)")
+    p.add_argument("--tol", type=float, default=1e-6,
+                   help="PASS threshold on the worst deviation (default 1e-6)")
+    _numeric_options(p, "Gauss-Legendre nodes per axis", 64, GRID_CAPS["oracle"])
+
+
+def _scan_options(p: argparse.ArgumentParser) -> None:
+    _graph_source(p)
+    p.add_argument("--alpha", default="1", help="oscillator width parameter (default 1)")
+    p.add_argument("--kappa", help="comma-separated kappa values")
+    p.add_argument("--kappa-range", metavar="LO..HI[..STEP]", help="inclusive kappa range")
+    p.add_argument("--samples", type=int, default=1,
+                   help="ensemble mode: number of sampled graphs, seeds seed..seed+samples-1")
+
+
+def _gen_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--gen", choices=graph_mod.GENERATOR_KINDS, metavar="KIND", required=True,
+                   help=f"one of {', '.join(graph_mod.GENERATOR_KINDS)}")
+    p.add_argument("--n", type=int, help="vertex count")
+    p.add_argument("--p", type=float, help="edge probability (erdos_renyi only)")
+    p.add_argument("--seed", type=int, help="PRNG seed (erdos_renyi only)")
+
+
+@dataclasses.dataclass(frozen=True)
+class Command:
+    """One subcommand: its help line, the options only it takes, and its handler."""
+
+    help: str
+    add_options: Callable[[argparse.ArgumentParser], None]
+    handler: Callable[[argparse.Namespace], int]
+    default_format: str = "text"
+
+
+COMMANDS = {
+    "profile": Command("per-vertex degree/kappa, lambda_max, and entanglement",
+                       _profile_options, cmd_profile),
+    "spectrum": Command("leading eigenvalues of the reduced state for one (alpha, kappa)",
+                        _spectrum_options, cmd_spectrum),
+    "validate": Command("closed form vs quadrature across an (alpha, kappa) grid",
+                        _validate_options, cmd_validate),
+    "oracle": Command("closed form vs full-state reduction vs alternating overlap (n <= 3)",
+                      _oracle_options, cmd_oracle),
+    "scan": Command("entanglement curve over a kappa grid or a graph ensemble",
+                    _scan_options, cmd_scan, default_format="csv"),
+    "gen": Command("write a generated graph in the edge-list format", _gen_options, cmd_gen),
+}
+
+
+def _build_parser(names: Iterable[str]) -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser with a subparser for each of ``names`` (keys of :data:`COMMANDS`)."""
     parser = argparse.ArgumentParser(
         prog="cvge",
         description="Geometric entanglement of single oscillators in Gaussian graph states: "
@@ -589,75 +681,16 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
     registry: dict[str, argparse.ArgumentParser] = {}
-
-    def command(name: str, help_text: str, *, default_format: str = "text") -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--format", choices=FORMATS, default=default_format,
-                       help=f"output format (default {default_format})")
+    for name in names:
+        command = COMMANDS[name]
+        p = sub.add_parser(name, help=command.help)
+        p.add_argument("--format", choices=FORMATS, default=command.default_format,
+                       help=f"output format (default {command.default_format})")
         p.add_argument("--out", metavar="PATH", help="write output to PATH instead of stdout")
         p.add_argument("--config", metavar="PATH",
                        help="key = value file providing defaults; command-line flags win")
+        command.add_options(p)
         registry[name] = p
-        return p
-
-    def graph_source(p: argparse.ArgumentParser) -> None:
-        src = p.add_mutually_exclusive_group()
-        src.add_argument("--graph", metavar="PATH", help="edge-list file to analyze")
-        src.add_argument("--gen", choices=graph_mod.GENERATOR_KINDS, metavar="KIND",
-                         help=f"generate the graph: one of {', '.join(graph_mod.GENERATOR_KINDS)}")
-        p.add_argument("--n", type=int, help="vertex count for --gen")
-        p.add_argument("--p", type=float, help="edge probability (erdos_renyi only)")
-        p.add_argument("--seed", type=int, help="PRNG seed (erdos_renyi only)")
-
-    def numeric_options(p: argparse.ArgumentParser, grid_help: str, default_grid: int, max_grid: int) -> None:
-        p.add_argument("--grid-size", type=int, default=default_grid,
-                       help=f"{grid_help} (default {default_grid}, at most {max_grid})")
-        p.add_argument("--extent-mult", type=float, default=num.DEFAULT_EXTENT_FACTOR,
-                       help="interval half-width in units of 1/sqrt(alpha) (default 10, from 8 to 1000)")
-
-    p = command("profile", "per-vertex degree/kappa, lambda_max, and entanglement")
-    graph_source(p)
-    p.add_argument("--alpha", default="1", help="oscillator width parameter (default 1)")
-    p.add_argument("--numeric", action="store_true",
-                   help="add quadrature lambda_max, deviation, grid_size and converged columns")
-    numeric_options(p, "fewest quadrature nodes of the coarse rung", 256, GRID_CAPS["profile"])
-
-    p = command("spectrum", "leading eigenvalues of the reduced state for one (alpha, kappa)")
-    p.add_argument("--kappa", help="coupling strength")
-    p.add_argument("--alpha", default="1", help="oscillator width parameter (default 1)")
-    p.add_argument("--count", type=int, default=10, help="number of eigenvalues (default 10)")
-
-    p = command("validate", "closed form vs quadrature across an (alpha, kappa) grid")
-    p.add_argument("--alpha", default="1", help="comma-separated alpha values (default 1)")
-    p.add_argument("--kappa", help="comma-separated kappa values")
-    p.add_argument("--kappa-range", metavar="LO..HI[..STEP]", help="inclusive kappa range")
-    p.add_argument("--tol", type=float, default=1e-8,
-                   help="PASS threshold on |closed - numeric| (default 1e-8)")
-    numeric_options(p, "fewest quadrature nodes of the coarse rung", 256, GRID_CAPS["validate"])
-
-    p = command("oracle", "closed form vs full-state reduction vs alternating overlap (n <= 3)")
-    graph_source(p)
-    p.add_argument("--alpha", default="1", help="oscillator width parameter (default 1)")
-    p.add_argument("--tol", type=float, default=1e-6,
-                   help="PASS threshold on the worst deviation (default 1e-6)")
-    numeric_options(p, "Gauss-Legendre nodes per axis", 64, GRID_CAPS["oracle"])
-
-    p = command("scan", "entanglement curve over a kappa grid or a graph ensemble",
-                default_format="csv")
-    graph_source(p)
-    p.add_argument("--alpha", default="1", help="oscillator width parameter (default 1)")
-    p.add_argument("--kappa", help="comma-separated kappa values")
-    p.add_argument("--kappa-range", metavar="LO..HI[..STEP]", help="inclusive kappa range")
-    p.add_argument("--samples", type=int, default=1,
-                   help="ensemble mode: number of sampled graphs, seeds seed..seed+samples-1")
-
-    p = command("gen", "write a generated graph in the edge-list format")
-    p.add_argument("--gen", choices=graph_mod.GENERATOR_KINDS, metavar="KIND", required=True,
-                   help=f"one of {', '.join(graph_mod.GENERATOR_KINDS)}")
-    p.add_argument("--n", type=int, help="vertex count")
-    p.add_argument("--p", type=float, help="edge probability (erdos_renyi only)")
-    p.add_argument("--seed", type=int, help="PRNG seed (erdos_renyi only)")
-
     return parser, registry
 
 
@@ -709,19 +742,13 @@ def _config_defaults(args: argparse.Namespace) -> dict[str, object]:
     return defaults
 
 
-_HANDLERS = {
-    "profile": cmd_profile,
-    "spectrum": cmd_spectrum,
-    "validate": cmd_validate,
-    "oracle": cmd_oracle,
-    "scan": cmd_scan,
-    "gen": cmd_gen,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     raw_argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser, registry = _build_parser()
+    # a call that names its command builds only that command's parser; any
+    # other argv (none, --help, an unknown command) gets the full tree, whose
+    # usage, help and errors list every command
+    names = raw_argv[:1] if raw_argv and raw_argv[0] in COMMANDS else COMMANDS
+    parser, registry = _build_parser(names)
     try:
         args = parser.parse_args(raw_argv)
         if getattr(args, "config", None):
@@ -730,7 +757,7 @@ def main(argv: list[str] | None = None) -> int:
             args = parser.parse_args(raw_argv)
         if args.command in GRID_CAPS:
             _check_numeric_flags(args)
-        return _HANDLERS[args.command](args)
+        return COMMANDS[args.command].handler(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     except CliError as exc:

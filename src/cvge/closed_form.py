@@ -135,6 +135,14 @@ class VertexRecords(Sequence):
                             r.lambda_max[vertices], r.entanglement[vertices])
 
 
+def _root(spec: KernelSpec) -> float:
+    """sqrt(alpha^2 + kappa), through math.hypot where the sum overflows; bit-identical elsewhere."""
+    square = spec.alpha**2 + spec.kappa
+    if square == math.inf:
+        return math.hypot(spec.alpha, math.sqrt(spec.kappa))
+    return math.sqrt(square)
+
+
 def spectral_denominator(spec: KernelSpec) -> float:
     """D = kappa + 2 alpha^2 + 2 alpha sqrt(alpha^2 + kappa). Equals (alpha + sqrt(alpha^2+kappa))^2."""
     root = math.sqrt(spec.alpha**2 + spec.kappa)
@@ -142,10 +150,18 @@ def spectral_denominator(spec: KernelSpec) -> float:
 
 
 def spectrum_ratio(spec: KernelSpec) -> float:
-    """Geometric ratio q = kappa / D between consecutive eigenvalues; q in [0, 1)."""
+    """Geometric ratio q = kappa / D between consecutive eigenvalues; q in [0, 1).
+
+    Where D overflows (always above alpha ~ 6.7e153), kappa is divided by
+    alpha + sqrt(alpha^2 + kappa) twice instead.
+    """
     if spec.kappa == 0.0:
         return 0.0
-    return spec.kappa / spectral_denominator(spec)
+    d = spectral_denominator(spec)
+    if d == math.inf:
+        total = spec.alpha + _root(spec)
+        return spec.kappa / total / total
+    return spec.kappa / d
 
 
 def lambda_max(spec: KernelSpec) -> float:
@@ -156,7 +172,7 @@ def lambda_max(spec: KernelSpec) -> float:
     """
     if spec.kappa == 0.0:
         return 1.0
-    return 2.0 * spec.alpha / (spec.alpha + math.sqrt(spec.alpha**2 + spec.kappa))
+    return 2.0 * spec.alpha / (spec.alpha + _root(spec))
 
 
 def lambda_n(spec: KernelSpec, n: int) -> float:
@@ -196,17 +212,11 @@ def entanglement(spec: KernelSpec) -> float:
     """
     if spec.kappa == 0.0:
         return float(spec.kappa)
-    total = spec.alpha + math.sqrt(spec.alpha**2 + spec.kappa)
+    total = spec.alpha + _root(spec)
     try:
         return spec.kappa / total**2
     except OverflowError:
         return spec.kappa / total / total
-
-
-def entanglement_kappa_over_alpha(spec: KernelSpec) -> float:
-    """1 - lambda_max_kappa_over_alpha, in the same cancellation-free arrangement."""
-    r = spec.kappa / spec.alpha
-    return r / (1.0 + math.sqrt(1.0 + r)) ** 2
 
 
 def spectrum(spec: KernelSpec, count: int) -> Spectrum:
@@ -230,12 +240,17 @@ def purity(spec: KernelSpec) -> float:
     """Sum of squared eigenvalues in closed form: 2 alpha sqrt(D) / (D + kappa).
 
     kappa = 0 is exactly 1 (a pure reduced state): below alpha ~ 1.5e-162,
-    D underflows to 0 and the formula would divide 0 by 0. Used as a
-    cross-check against double quadrature of the squared kernel.
+    D underflows to 0 and the formula would divide 0 by 0. Where D + kappa
+    overflows, it is 2 alpha / (t + kappa / t) with t = sqrt(D) = alpha +
+    sqrt(alpha^2 + kappa). Used as a cross-check against double quadrature of
+    the squared kernel.
     """
     if spec.kappa == 0.0:
         return 1.0
     d = spectral_denominator(spec)
+    if d + spec.kappa == math.inf:
+        total = spec.alpha + _root(spec)
+        return 2.0 * spec.alpha / (total + spec.kappa / total)
     return 2.0 * spec.alpha * math.sqrt(d) / (d + spec.kappa)
 
 

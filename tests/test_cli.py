@@ -1,5 +1,6 @@
 """End-to-end CLI behaviour: outputs, formats, exit codes, determinism."""
 
+import argparse
 import csv
 import hashlib
 import io
@@ -587,6 +588,18 @@ class TestOverflowingInputs:
             assert vertex["lambda_max"] == 1.0
             assert vertex["entanglement"] == pytest.approx(2.5e-309, rel=1e-9)
 
+    # there alpha**2 + kappa, and D = (alpha + sqrt(alpha**2 + kappa))**2, are past the float range too
+    def test_scan_where_the_root_overflows(self):
+        code, out, err = self.run_strict("scan", "--alpha", "1e154", "--kappa", "1e308", "--format", "json")
+        assert (code, err) == (EXIT_OK, "")
+        assert json.loads(out)["rows"][0]["entanglement"] == pytest.approx(3.0 - 2.0 * math.sqrt(2.0), rel=1e-12)
+
+    def test_spectrum_where_d_overflows(self):
+        code, out, err = self.run_strict("spectrum", "--alpha", "1e154", "--kappa", "1e300", "--count", "2",
+                                         "--format", "json")
+        assert (code, err) == (EXIT_OK, "")
+        assert json.loads(out)["ratio"] == pytest.approx(2.5e-9, rel=1e-8)
+
     def test_uncoupled_cell_whose_extent_squares_past_the_float_range_is_unconverged(self):
         # L = 10 / sqrt(1e-308) = 1e155 squares to inf, so the kappa = 0 trace drops its outer nodes
         code, out, err = self.run_strict("validate", "--alpha", "1e-308", "--kappa", "0", "--format", "csv")
@@ -796,6 +809,57 @@ class TestExitCodes:
 
     def test_usage_error_from_argparse(self):
         assert run_cli("profile", "--format", "xml")[0] == EXIT_USAGE
+
+
+
+class TestParserBuild:
+    """A call that names its command builds only that command's parser; every other argv gets all six."""
+
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    def test_command_help_is_the_full_trees(self, command):
+        _, registry = cli._build_parser(cli.COMMANDS)
+        assert run_cli(command, "--help") == (0, registry[command].format_help(), "")
+
+    def test_top_level_help_lists_every_command(self):
+        code, out, err = run_cli("--help")
+        assert (code, err) == (0, "")
+        assert out == cli._build_parser(cli.COMMANDS)[0].format_help()
+        assert all(re.search(rf"^    {name} ", out, re.MULTILINE) for name in cli.COMMANDS)
+
+    def test_no_command_is_usage(self):
+        code, out, err = run_cli()
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "the following arguments are required: command" in err
+
+    def test_unknown_command_names_every_command(self):
+        code, out, err = run_cli("frobnicate")
+        assert (code, out) == (EXIT_USAGE, "")
+        # the quoting of the choices differs across Python versions; the names do not
+        choices = err[err.index("(choose from"):]
+        assert all(re.search(rf"\b{name}\b", choices) for name in cli.COMMANDS)
+
+    def test_named_command_builds_one_subparser(self, monkeypatch):
+        built = []
+        add_parser = argparse._SubParsersAction.add_parser
+
+        def counting(self, name, **kwargs):
+            built.append(name)
+            return add_parser(self, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+        assert run_cli("validate", "--kappa", "1")[0] == EXIT_OK
+        assert built == ["validate"]
+        built.clear()
+        assert run_cli("frobnicate")[0] == EXIT_USAGE
+        assert built == list(cli.COMMANDS)
+
+    @pytest.mark.parametrize("line", ["numeric = yes", "samples = 3", "count = 4"])
+    def test_config_key_of_another_command_is_unknown(self, tmp_path, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n", encoding="utf-8")
+        code, out, err = run_cli("validate", "--kappa", "1", "--config", str(cfg))
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("error: unknown config key") and "'validate'" in err
 
 
 class TestVectorizedGraphPath:

@@ -11,7 +11,6 @@ from cvge.closed_form import (
     KernelSpec,
     VertexRecord,
     entanglement,
-    entanglement_kappa_over_alpha,
     lambda_max,
     lambda_max_kappa_over_alpha,
     lambda_n,
@@ -259,6 +258,36 @@ class TestPurity:
         d = spectral_denominator(spec)
         expected = 2.0 * alpha * math.sqrt(d) / (d + kappa)
         assert purity(spec).hex() == expected.hex()
+
+
+
+class TestTopOfFloatRange:
+    """At alpha = 1e154, alpha**2 + kappa or D overflows; every closed form still depends on kappa/alpha**2 only."""
+
+    @pytest.mark.parametrize("ratio", [1e-8, 1.0, 1.5])
+    @pytest.mark.parametrize("form", [lambda_max, entanglement, spectrum_ratio, purity],
+                             ids=lambda f: f.__name__)
+    def test_equals_the_unit_alpha_value(self, form, ratio):
+        assert form(KernelSpec(1e154, ratio * 1e308)) == pytest.approx(form(KernelSpec(1.0, ratio)), rel=1e-12)
+
+    def test_spectrum_below_the_first_eigenvalue(self):
+        spect = spectrum(KernelSpec(1e154, 1e300), 3)
+        assert spect.ratio == pytest.approx(2.5e-9, rel=1e-8)
+        assert spect.values[1] == pytest.approx(2.5e-9, rel=1e-8)
+
+    @pytest.mark.parametrize("alpha,kappa", [(1e150, 0.9e308), (1.3e154, 1.0)], ids=["d-finite", "d-overflows"])
+    def test_purity_where_d_plus_kappa_overflows(self, alpha, kappa):
+        assert purity(KernelSpec(alpha, kappa)) == pytest.approx(purity(KernelSpec(1.0, kappa / alpha**2)), rel=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(alpha=st.floats(1e-150, ALPHA_MAX), kappa=st.floats(5e-324, 1.7e308))
+    def test_bits_are_the_formulas_wherever_d_is_finite(self, alpha, kappa):
+        spec = KernelSpec(alpha, kappa)
+        d = kappa + 2.0 * alpha**2 + 2.0 * alpha * math.sqrt(alpha**2 + kappa)
+        if not math.isfinite(d):
+            return
+        assert lambda_max(spec).hex() == (2.0 * alpha / (alpha + math.sqrt(alpha**2 + kappa))).hex()
+        assert spectrum_ratio(spec).hex() == (kappa / d).hex()
 
 
 class TestProfile:

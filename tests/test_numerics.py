@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from cvge import numerics
 from cvge.closed_form import (
     KernelSpec,
-    entanglement_kappa_over_alpha,
     lambda_max,
+    lambda_max_kappa_over_alpha,
     lambda_n,
     purity,
     spectrum_ratio,
@@ -201,7 +201,7 @@ class TestNumericEntanglement:
         spec = KernelSpec(4.0, 9.0)
         result = numeric_entanglement(spec)
         assert result.entanglement == pytest.approx(1.0 / 9.0, abs=1e-8)
-        assert abs(result.entanglement - entanglement_kappa_over_alpha(spec)) > 1e-2
+        assert abs(result.entanglement - (1.0 - lambda_max_kappa_over_alpha(spec))) > 1e-2
 
     def test_uncoupled_short_circuit(self):
         result = numeric_entanglement(KernelSpec(1.0, 0.0))
