@@ -483,9 +483,9 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         spec = cf.KernelSpec(alpha, graph_mod.kappa(g, v))
         lam_closed = cf.lambda_max(spec)
         try:
-            # both oracles read this one matrix, released below before the next vertex builds its own
-            amp = num.one_vs_rest(state, v, grid)
-            reduced = num.top_eigenvalues(num.reduce_full_state(state, v, grid, amp), 1)
+            # both oracles read these parity blocks, released below before the next vertex builds its own
+            blocks = num.one_vs_rest(state, v, grid)
+            reduced = num.top_eigenvalues(num.reduce_full_state(state, v, grid, blocks), 1)
         except ValueError as exc:
             raise CliError(str(exc)) from exc
         dev_reduced = abs(reduced.lambda_max_numeric - lam_closed)
@@ -494,12 +494,12 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         lam_alt: float | None = None
         dev_alt: float | None = None
         if g.n >= 2:
-            alternating = num.alternating_maximization(state, v, grid, amp=amp)
+            alternating = num.alternating_maximization(state, v, grid, blocks=blocks)
             lam_alt = alternating.lambda_max_numeric
             dev_alt = abs(lam_alt - lam_closed)
             worst = max(worst, dev_alt)
             all_converged = all_converged and alternating.converged
-        del amp
+        del blocks
         rows.append({
             "vertex": v,
             "kappa": spec.kappa,

@@ -13,7 +13,8 @@ so building a graph costs O(n + E) and every later lookup is O(1).
 ``kappa(g, v)`` and ``degree(g, v)`` index those same vectors, so the scalar
 and vector forms agree bit for bit. Generation, parsing, validation and
 serialization work on the edge arrays and never build an n x n matrix;
-:attr:`Graph.coupling` builds one on demand for the small oracles.
+:attr:`Graph.coupling` builds one on demand; no command reads it, and tests
+build their reference matrices from it.
 
 :func:`parse_edge_list` keeps no Python object per edge either. It reads the
 text in blocks of lines, converts each block's fields to int64 and float

@@ -16,10 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cvge import numerics
-from cvge.cli import EXIT_OK, main
+from cvge.cli import EXIT_FAIL, EXIT_OK, main
 from cvge.closed_form import KernelSpec, lambda_max
 from cvge.graph import Graph, GraphGenSpec, GraphState, generate, kappa, serialize_edge_list
 from cvge.numerics import (
+    ORACLE_MAX_GRID,
     one_vs_rest,
     alternating_maximization,
     build_grid,
@@ -150,39 +151,83 @@ class TestAlternatingMaximization:
             alternating_maximization(state, 0, GRID)
 
 
-def reference_one_vs_rest(state, v, grid):
-    """The wavefunction as one exp over the full meshgrid, weighted, with axis v moved first.
+def reference_tensor(state, grid):
+    """The weighted wavefunction sqrt(w) psi on the full tensor grid, as one exp.
 
     psi(x) = (alpha/pi)^(N/4) exp(-alpha/2 sum_j x_j^2 + i sum_{j<k} a_jk x_j x_k)
 
     evaluated in extended precision where the platform has it: the phase
     reaches a few hundred radians, so a double-precision sum alone is off by
-    about 1e-13 relative.
+    about 1e-13 relative. Each axis is an open grid, so only the sums
+    broadcast to the m^N points.
     """
     n = state.graph.n
-    axes = np.meshgrid(*([grid.nodes.astype(np.longdouble)] * n), indexing="ij")
+    axes = np.ix_(*([grid.nodes.astype(np.longdouble)] * n))
     quadratic = sum(x * x for x in axes)
     phase = sum(state.graph.coupling[j, k] * axes[j] * axes[k]
                 for j in range(n) for k in range(j + 1, n))
     psi = (state.alpha / np.pi) ** (n / 4.0) * np.exp(-0.5 * state.alpha * quadratic + 1j * phase)
     weights = reduce(np.multiply.outer, [grid.weights] * n)
-    return np.moveaxis(np.sqrt(weights) * psi, v, 0).reshape(grid.size, -1).astype(complex)
+    return (np.sqrt(weights) * psi).astype(complex)
+
+
+def reference_one_vs_rest(state, v, grid, tensor=None):
+    """The unfolded one-vs-rest matrix A (m x m^(N-1)) of ``reference_tensor``, with axis v moved first."""
+    tensor = reference_tensor(state, grid) if tensor is None else tensor
+    return np.ascontiguousarray(np.moveaxis(tensor, v, 0)).reshape(grid.size, -1)
+
+
+def reference_alternating(amp, tol=1e-12):
+    """The alternating iteration on the unfolded matrix from the uniform start; returns its lambda history."""
+    phi2 = np.full(amp.shape[1], 1.0 / math.sqrt(amp.shape[1]), dtype=complex)
+    history = []
+    while len(history) < 2 or abs(history[-1] - history[-2]) >= tol:
+        g = amp @ phi2.conj()
+        h = amp.T @ (g / np.linalg.norm(g)).conj()
+        history.append(float(np.linalg.norm(h)) ** 2)
+        phi2 = h / np.linalg.norm(h)
+    return history
+
+
+def parity_basis(size, sign):
+    """Orthonormal even (sign +1) or odd (sign -1) vectors under index reversal, as columns.
+
+    Column i < size // 2 is (e_i + sign e_(size-1-i)) / sqrt(2); for odd
+    size the even basis ends with the middle unit vector.
+    """
+    half = size // 2
+    basis = np.zeros((size, half + (size % 2 if sign > 0 else 0)))
+    basis[np.arange(half), np.arange(half)] = 1.0 / math.sqrt(2.0)
+    basis[size - 1 - np.arange(half), np.arange(half)] = sign / math.sqrt(2.0)
+    if basis.shape[1] > half:
+        basis[half, half] = 1.0
+    return basis
 
 
 class TestOneVsRest:
-    """The edge-factor build of the weighted one-vs-rest matrix both oracles start from."""
+    """The edge-factor build of the parity blocks both oracles start from."""
 
     @pytest.mark.parametrize("graph", [generate(GraphGenSpec("path", 3)),
                                        generate(GraphGenSpec("cycle", 3)), WEIGHTED_TRIANGLE],
                              ids=["path-3", "cycle-3", "weighted-triangle"])
     @pytest.mark.parametrize("alpha", [0.8, 2.0])
     def test_matches_single_exp_reference(self, graph, alpha):
+        # the blocks are A in the orthonormal parity bases: P_e^T A Q_e and P_o^T A Q_o
         state = GraphState(graph, alpha)
-        grid = build_grid(10.0 / math.sqrt(alpha), 32)
-        for v in range(graph.n):
-            amp = one_vs_rest(state, v, grid)
-            assert amp.shape == (32, 32 * 32)
-            np.testing.assert_allclose(amp, reference_one_vs_rest(state, v, grid), rtol=1e-13, atol=0.0)
+        for size in (32, 33):
+            grid = build_grid(10.0 / math.sqrt(alpha), size)
+            tensor = reference_tensor(state, grid)
+            for v in range(graph.n):
+                blocks = one_vs_rest(state, v, grid)
+                amp = reference_one_vs_rest(state, v, grid, tensor)
+                even = parity_basis(size, 1).T @ amp @ parity_basis(amp.shape[1], 1)
+                odd = parity_basis(size, -1).T @ amp @ parity_basis(amp.shape[1], -1)
+                assert blocks.even.shape == even.shape == ((size + 1) // 2, (size * size + 1) // 2)
+                scale = 1e-13 * np.max(np.abs(amp))  # the odd block's sums cancel
+                np.testing.assert_allclose(blocks.even, even, rtol=1e-13, atol=scale)
+                np.testing.assert_allclose(blocks.odd[: size // 2], odd, rtol=1e-13, atol=scale)
+                assert blocks.odd.shape == ((size + 1) // 2, size * size // 2)
+                assert not np.any(blocks.odd[size // 2:])
 
     def test_first_alternating_step_never_vanishes(self):
         # the uniform start gives g = integral psi d(rest), a Gaussian in x_v; the
@@ -196,9 +241,10 @@ class TestOneVsRest:
                 for size in (64, 128):
                     grid = build_grid(10.0 / math.sqrt(alpha), size)
                     for v in range(graph.n):
-                        amp = one_vs_rest(GraphState(graph, alpha), v, grid)
-                        start = np.full(amp.shape[1], 1.0 / math.sqrt(amp.shape[1]))
-                        smallest = min(smallest, float(np.linalg.norm(amp @ start)))
+                        even = one_vs_rest(GraphState(graph, alpha), v, grid).even
+                        # the uniform vector of the m^(N-1) points, in the even basis
+                        start = np.full(even.shape[1], math.sqrt(2.0 / size ** (graph.n - 1)))
+                        smallest = min(smallest, float(np.linalg.norm(even @ start)))
         assert smallest > 1e-2
 
 
@@ -302,15 +348,17 @@ class TestSharedOneVsRest:
     def test_prebuilt_matrix_gives_the_same_results(self):
         state = GraphState(WEIGHTED_TRIANGLE, 1.0)
         for v in range(3):
-            amp = one_vs_rest(state, v, GRID)
-            assert np.array_equal(reduce_full_state(state, v, GRID, amp).matrix,
+            blocks = one_vs_rest(state, v, GRID)
+            assert np.array_equal(reduce_full_state(state, v, GRID, blocks).matrix,
                                   reduce_full_state(state, v, GRID).matrix)
-            assert alternating_maximization(state, v, GRID, amp=amp) == alternating_maximization(state, v, GRID)
+            assert (alternating_maximization(state, v, GRID, blocks=blocks)
+                    == alternating_maximization(state, v, GRID))
 
     def test_one_matrix_is_live_at_a_time(self):
-        # one 3-vertex, 128-node matrix is 32 MiB and the peak with it is about
-        # 34 MiB; a matrix kept alive while the next vertex builds its own
-        # would put the peak above 64 MiB
+        # a 3-vertex, 128-node vertex builds the top 64 rows of its matrix
+        # (16 MiB) and folds them into an 8 MiB even block, the odd block in
+        # place; the peak with them is about 25 MiB, and blocks kept alive
+        # while the next vertex builds its own put it at about 72 MiB
         argv = ["oracle", "--gen", "cycle", "--n", "3", "--grid-size", "128"]
         tracemalloc.start()
         try:
@@ -319,4 +367,87 @@ class TestSharedOneVsRest:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 48 * 2**20
+        assert peak < 32 * 2**20
+
+
+FOLD_SIZES = [2, 3, 7, 63, 64, 65, 127, 128]
+
+
+class TestParityFold:
+    """The folded oracles against the unfolded matrix they replace, and the symmetry the fold rests on."""
+
+    @pytest.mark.parametrize("size", range(2, ORACLE_MAX_GRID + 1))
+    def test_gauss_legendre_rule_is_exactly_symmetric(self, size):
+        grid = build_grid(10.0, size)
+        assert np.array_equal(grid.nodes, -grid.nodes[::-1])
+        assert np.array_equal(grid.weights, grid.weights[::-1])
+
+    @pytest.mark.parametrize("graph", [generate(GraphGenSpec("path", 3)),
+                                       generate(GraphGenSpec("cycle", 3)), WEIGHTED_TRIANGLE],
+                             ids=["path-3", "cycle-3", "weighted-triangle"])
+    @pytest.mark.parametrize("size", [32, 33])
+    def test_reference_tensor_is_exactly_even(self, graph, size):
+        state = GraphState(graph, 1.3)
+        grid = build_grid(10.0 / math.sqrt(1.3), size)
+        tensor = reference_tensor(state, grid)
+        for v in range(graph.n):
+            amp = reference_one_vs_rest(state, v, grid, tensor)
+            assert np.array_equal(amp[::-1, ::-1], amp)
+
+    @pytest.mark.parametrize("size", FOLD_SIZES)
+    @pytest.mark.parametrize("graph", [graph for _, graph in ORACLE_SOURCES], ids=ORACLE_SOURCE_IDS)
+    def test_matches_unfolded_oracles(self, graph, size):
+        alpha = 1.3
+        state = GraphState(graph, alpha)
+        grid = build_grid(10.0 / math.sqrt(alpha), size)
+        tensor = reference_tensor(state, grid)
+        for v in range(graph.n):
+            amp = reference_one_vs_rest(state, v, grid, tensor)
+            pairs = amp.view(float)
+            rho = reduce_full_state(state, v, grid).matrix
+            assert np.max(np.abs(rho - pairs @ pairs.T)) < 1e-13, v
+            if graph.n >= 2:
+                history = alternating_maximization(state, v, grid).history
+                unfolded = reference_alternating(amp)
+                # the same iteration, sweep by sweep; three or seven nodes leave
+                # lambda far above 1, and there the bound is relative
+                assert len(history) == len(unfolded), v
+                assert np.max(np.abs(np.subtract(history, unfolded))) < 1e-14 * max(1.0, unfolded[-1]), v
+
+    def test_grid_must_be_symmetric(self):
+        state = GraphState(generate(GraphGenSpec("path", 2)), 1.0)
+        grid = build_grid(10.0, 32)
+        shifted = numerics.QuadratureGrid(grid.nodes + 1e-3, grid.weights, grid.extent)
+        for oracle in (one_vs_rest, reduce_full_state, alternating_maximization):
+            with pytest.raises(ValueError, match="symmetric about 0"):
+                oracle(state, 0, shifted)
+
+    @pytest.mark.parametrize("source,graph", ORACLE_SOURCES, ids=ORACLE_SOURCE_IDS)
+    def test_odd_grid_passes(self, source, graph, tmp_path):
+        code, payload = oracle_json(source, graph, tmp_path, "--grid-size", "65")
+        assert code == EXIT_OK and payload["pass"]
+
+    @pytest.mark.parametrize("source,graph", ORACLE_SOURCES, ids=ORACLE_SOURCE_IDS)
+    def test_three_node_grid_keeps_the_unfolded_verdict(self, source, graph, tmp_path):
+        # three Gauss-Legendre nodes on [-10, 10] cannot resolve the Gaussian, so the
+        # unfolded oracle fails too; the folded one reports the same lambdas and exit 1
+        code, payload = oracle_json(source, graph, tmp_path, "--grid-size", "3")
+        assert code == EXIT_FAIL and not payload["pass"]
+        state = GraphState(graph, 1.0)
+        grid = build_grid(10.0, 3)
+        tensor = reference_tensor(state, grid)
+        for row in payload["rows"]:
+            amp = reference_one_vs_rest(state, row["vertex"], grid, tensor)
+            pairs = amp.view(float)
+            assert row["lambda_reduced"] == pytest.approx(np.linalg.eigvalsh(pairs @ pairs.T)[-1], rel=1e-13)
+            if graph.n >= 2:
+                assert row["lambda_alternating"] == pytest.approx(reference_alternating(amp)[-1], rel=1e-13)
+
+    def test_oracles_never_read_the_dense_coupling_view(self, tmp_path, monkeypatch):
+        def forbidden(self):
+            raise AssertionError("Graph.coupling read")
+
+        graph = WEIGHTED_TRIANGLE
+        monkeypatch.setattr(Graph, "coupling", property(forbidden))
+        code, payload = oracle_json((), graph, tmp_path, "--alpha", "1.3", "--grid-size", "65")
+        assert code == EXIT_OK and len(payload["rows"]) == 3
