@@ -44,6 +44,12 @@ FORMATS = ("json", "csv", "text")
 MAX_ROWS = 100_000  # most values --count or --kappa-range may ask for
 # most --grid-size nodes of each command that takes --grid-size and --extent-mult
 GRID_CAPS = {"profile": num.MAX_GRID_SIZE, "validate": num.MAX_GRID_SIZE, "oracle": num.ORACLE_MAX_GRID}
+# a reduced density matrix has trace 1, and an oracle grid whose quadrature trace
+# misses 1 by more than this cannot hold the state. At alpha in [0.5, 2] every graph
+# of at most 3 vertices stays within 2e-14 on 64 to 128 nodes, while 32 nodes miss
+# by up to 2.1e-4 and 3 nodes by up to 130. Independent of --tol, which judges the
+# degree law, not the grid.
+ORACLE_TRACE_TOL = 1e-8
 
 
 class CliError(Exception):
@@ -485,9 +491,14 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         try:
             # both oracles read these parity blocks, released below before the next vertex builds its own
             blocks = num.one_vs_rest(state, v, grid)
-            reduced = num.top_eigenvalues(num.reduce_full_state(state, v, grid, blocks), 1)
+            rho = num.reduce_full_state(state, v, grid, blocks)
         except ValueError as exc:
             raise CliError(str(exc)) from exc
+        trace = float(np.trace(rho.matrix))
+        if not abs(trace - 1.0) <= ORACLE_TRACE_TOL:
+            raise CliError(f"--grid-size {grid.size} is too coarse for this state: the reduced density matrix "
+                           f"of vertex {v} has quadrature trace {trace:.6g}, not 1")
+        reduced = num.top_eigenvalues(rho, 1)
         dev_reduced = abs(reduced.lambda_max_numeric - lam_closed)
         worst = max(worst, dev_reduced)
         all_converged = all_converged and reduced.converged

@@ -30,7 +30,9 @@ The solver :func:`numeric_entanglement` runs the matrix-free route on two
 trapezoid grids, which converge exponentially on these Gaussian integrands
 once the step resolves both Gaussian widths of the kernel: a coarse rung at
 half the narrower width, and a fine rung at half that step, whose agreement
-certifies the top eigenvalue.
+certifies the top eigenvalue. Both rungs span the narrowest extent that the
+coarse rung's own Ritz vectors certify: they must have decayed below
+:data:`TAIL_TOL` of their peak at its ends.
 
 Besides the Nystrom route this module carries two brute-force cross-checks
 that never touch the closed forms:
@@ -60,9 +62,11 @@ thread, medians on a shared 2-core machine). A caller that runs both
 oracles on one vertex builds the blocks once and passes them to each;
 called without them, each builds its own.
 
-The truncation extent must satisfy L >= 8 / sqrt(alpha): the integrand mass
-beyond that is below exp(-32) of the total, so truncation error stays far
-under every tolerance used here.
+A dense discretization, and so every oracle, needs the truncation extent
+L >= 8 / sqrt(alpha): the integrand mass beyond that is below exp(-32) of
+the total, so truncation error stays far under every tolerance used here.
+The matrix-free route has no such floor, because :func:`numeric_entanglement`
+checks the computed eigenvectors' tails instead.
 """
 
 from __future__ import annotations
@@ -85,6 +89,13 @@ MAX_GRID_SIZE = 4096  # the CLI's bound on --grid-size, the floor on the coarse 
 LANCZOS_MAX_STEPS = 300
 LAMBDA_TOL = 1e-10  # the two rungs of numeric_entanglement must agree this closely to converge
 RITZ_TOL = 1e-15  # a Lanczos solve is certified once every wanted Ritz residual is below this
+# a rung of numeric_entanglement spans enough of [-L, L] once every wanted Ritz
+# vector at +-L is below this fraction of its peak. Cutting an eigenfunction off
+# where its amplitude is eps moves lambda by about eps^2, here 1e-20, far below
+# LAMBDA_TOL. A tighter bound would test roundoff: certified Ritz vectors carry
+# tails of 1e-17 to 4e-14 at extents where the true tail is below 1e-30.
+TAIL_TOL = 1e-10
+RITZ_CHECK_GAP = 4  # most Lanczos steps between two Ritz-residual checks
 POWER_ITERATION_CAP = 50_000
 ORACLE_MAX_VERTICES = 3
 ORACLE_MAX_GRID = 128
@@ -160,6 +171,9 @@ class NumericResult:
     for :func:`lanczos_eigenvalues`, the largest wanted Ritz residual; for a
     direct :func:`top_eigenvalues` solve, 0.0.
 
+    ``extent`` is the half-width L of the grid the values were solved on:
+    for :func:`numeric_entanglement`, the one both rungs were certified on.
+
     ``history`` carries the per-sweep lambda estimates of
     :func:`alternating_maximization` (empty for every other solver).
     """
@@ -169,6 +183,7 @@ class NumericResult:
     residual: float
     grid_size: int
     converged: bool
+    extent: float
     history: tuple[float, ...] = ()
 
     @property
@@ -180,11 +195,13 @@ class NumericResult:
 class GridPolicy:
     """Discretization policy of :func:`numeric_entanglement`.
 
-    Both rungs span [-L, L] with L = ``extent_factor / sqrt(alpha)``.
-    ``initial_size`` is the fewest nodes of the coarse rung, and ``max_size``
-    the most of the fine rung: the default 40960 fits kappa / alpha^2 = 1e6
-    at the default extent, and bounds the Lanczos basis at
-    ``LANCZOS_MAX_STEPS * max_size * 8`` bytes, about 98 MB.
+    ``extent_factor / sqrt(alpha)`` is the widest extent L0 a rung may
+    span; the solver takes the narrowest [-L, L] within it that its Ritz
+    vectors certify. Its floor of 8 binds the dense route only, which needs
+    L >= 8 / sqrt(alpha). ``initial_size`` is the fewest nodes of the coarse
+    rung, and ``max_size`` the most of the fine rung at L0: the default
+    40960 fits kappa / alpha^2 = 1e6 at the default extent, and bounds the
+    Lanczos basis at ``LANCZOS_MAX_STEPS * max_size * 8`` bytes, about 98 MB.
     """
 
     initial_size: int = 256
@@ -197,8 +214,9 @@ class GridPolicy:
             raise ValueError(f"initial_size must be >= 2, got {self.initial_size}")
         if self.max_size < self.initial_size:
             raise ValueError("max_size must be >= initial_size")
-        if self.top_k < 1:
-            raise ValueError(f"top_k must be >= 1, got {self.top_k}")
+        # the first rung may have just initial_size nodes, and Lanczos finds at most that many eigenvalues
+        if not 1 <= self.top_k <= self.initial_size:
+            raise ValueError(f"top_k must be in [1, initial_size = {self.initial_size}], got {self.top_k}")
         if not math.isfinite(self.extent_factor):
             raise ValueError(f"extent_factor must be finite, got {self.extent_factor!r}")
         if self.extent_factor < MIN_EXTENT_FACTOR:
@@ -264,8 +282,10 @@ def discretize(spec: KernelSpec, grid: QuadratureGrid, matrix_free: bool = False
     With ``matrix_free`` the grid must be equally spaced, x_i = x_0 + i h:
     then g(x_i - x_j) depends on |i - j| alone, one column g(k h) holds it,
     and the result is a :class:`ToeplitzMatrix` that is never formed densely.
+    Only the dense matrix needs L >= 8 / sqrt(alpha); the matrix-free one
+    serves :func:`numeric_entanglement`, which checks the tails of its Ritz
+    vectors instead.
     """
-    _check_extent(spec, grid)
     x = grid.nodes
     if matrix_free:
         step = (x[-1] - x[0]) / (grid.size - 1)
@@ -275,6 +295,7 @@ def discretize(spec: KernelSpec, grid: QuadratureGrid, matrix_free: bool = False
         column = kernel_difference(spec, step * np.arange(grid.size))
         circulant = np.fft.rfft(np.concatenate([column, [0.0], column[:0:-1]]))
         return DiscretizedKernel(ToeplitzMatrix(envelope, circulant), grid, spec)
+    _check_extent(spec, grid)
     kmat = kernel_value(spec, x[:, None], x[None, :])
     sw = np.sqrt(grid.weights)
     b = np.outer(sw, sw) * kmat
@@ -299,7 +320,7 @@ def top_eigenvalues(dk: DiscretizedKernel, k: int) -> NumericResult:
     if not 1 <= k <= size:
         raise ValueError(f"k must be in [1, {size}], got {k}")
     values = np.linalg.eigvalsh(dk.matrix)[::-1][:k].tolist()
-    return NumericResult(values[0], tuple(values), 0.0, size, True)
+    return NumericResult(values[0], tuple(values), 0.0, size, True, dk.grid.extent)
 
 
 def lanczos_eigenvalues(dk: DiscretizedKernel, k: int) -> NumericResult:
@@ -310,6 +331,27 @@ def lanczos_eigenvalues(dk: DiscretizedKernel, k: int) -> NumericResult:
     ``converged`` (certified) once every wanted Ritz residual |beta_j s_jn|
     is below :data:`RITZ_TOL` within :data:`LANCZOS_MAX_STEPS` steps;
     ``residual`` is the largest of them.
+
+    The residuals take a dense eigensolve of the tridiagonal matrix, so they
+    are checked only every few steps, at most :data:`RITZ_CHECK_GAP` apart:
+    sooner when their decay so far predicts the crossing of RITZ_TOL. Once a
+    check passes, the steps it skipped are checked in order, so the solve
+    ends at the first step that passes, with the values and residual of a
+    check at every step, wherever the residual does not dip below RITZ_TOL
+    and back between two failed checks. On every rung of
+    :func:`numeric_entanglement` it did not; it can on a grid whose step
+    does not resolve the kernel's width, where B is nearly diagonal and its
+    top eigenvalues nearly equal, and the solve then ends at a later step
+    with a smaller residual.
+    """
+    return _lanczos(dk, k)[0]
+
+
+def _lanczos(dk: DiscretizedKernel, k: int) -> tuple[NumericResult, float]:
+    """:func:`lanczos_eigenvalues` and the tail of its wanted Ritz vectors.
+
+    The tail is the largest, over the wanted Ritz vectors, of the function
+    sample phi(x) = u / sqrt(w) at either end node over its peak |phi|.
     """
     size = dk.grid.size
     steps = min(LANCZOS_MAX_STEPS, size)
@@ -320,29 +362,53 @@ def lanczos_eigenvalues(dk: DiscretizedKernel, k: int) -> NumericResult:
     # np.zeros would clear all steps^2 entries on every call, which raised the
     # validate-sweep peak RSS by 3 MB
     tridiagonal = np.empty((steps, steps))
+    betas = np.empty(steps)
     q = dk.matrix.envelope * (1.0 + dk.grid.nodes / dk.grid.extent)
     q /= np.linalg.norm(q)
-    residual = math.inf
-    beta = 0.0
+
+    def ritz_pairs(j: int) -> tuple[np.ndarray, np.ndarray, float]:
+        """Ritz values and vectors after step j, and the largest wanted residual."""
+        ritz, vectors = np.linalg.eigh(tridiagonal[: j + 1, : j + 1])
+        residual = float(np.max(np.abs(betas[j] * vectors[-1, -k:]))) if j + 1 >= k else math.inf
+        return ritz, vectors, residual
+
+    # the last check that failed ran at step ``checked`` and found ``previous``;
+    # no residual exists before step k - 1, and ``due`` is the next check
+    checked, previous, due = k - 2, math.inf, k - 1
     for j in range(steps):
         basis[j] = q
         w = dk.matrix @ q
         tridiagonal[j, :j] = tridiagonal[:j, j] = 0.0
         tridiagonal[j, j] = q @ w
         if j:
-            tridiagonal[j, j - 1] = tridiagonal[j - 1, j] = beta
+            tridiagonal[j, j - 1] = tridiagonal[j - 1, j] = betas[j - 1]
         for _ in range(2):  # a second pass restores orthogonality lost to roundoff
             w -= basis[: j + 1].T @ (basis[: j + 1] @ w)
-        beta = np.linalg.norm(w)
-        ritz, vectors = np.linalg.eigh(tridiagonal[: j + 1, : j + 1])
-        if j + 1 >= k:
-            residual = float(np.max(np.abs(beta * vectors[-1, -k:])))
+        betas[j] = beta = np.linalg.norm(w)
         # a zero offdiagonal means the Krylov space is invariant: no further direction exists
-        if residual < RITZ_TOL or beta == 0.0:
-            break
+        last = beta == 0.0 or j == steps - 1
+        if j == due or last:
+            ritz, vectors, residual = ritz_pairs(j)
+            if residual < RITZ_TOL or last:
+                break
+            gap = RITZ_CHECK_GAP
+            if 0.0 < residual < previous < math.inf:
+                # the step where the decay since the last check crosses RITZ_TOL,
+                # rounded down, since the decay speeds up as the Ritz pairs converge
+                rate = math.log(previous / residual) / (j - checked)
+                gap = min(gap, max(1, math.floor(math.log(residual / RITZ_TOL) / rate)))
+            checked, previous, due = j, residual, j + gap
         q = w / beta
+    for i in range(checked + 1, j):
+        earlier = ritz_pairs(i)
+        if earlier[2] < RITZ_TOL:
+            ritz, vectors, residual = earlier
+            j = i
+            break
+    samples = np.abs(basis[: j + 1].T @ vectors[:, -k:]) / np.sqrt(dk.grid.weights)[:, None]
+    tail = float(np.max(np.maximum(samples[0], samples[-1]) / np.max(samples, axis=0)))
     values = ritz[::-1][:k].tolist()
-    return NumericResult(values[0], tuple(values), residual, size, residual < RITZ_TOL)
+    return NumericResult(values[0], tuple(values), residual, size, residual < RITZ_TOL, dk.grid.extent), tail
 
 
 def _smooth_size(count: int) -> int:
@@ -358,9 +424,8 @@ def _smooth_size(count: int) -> int:
         size += 1
 
 
-def _coarse_size(spec: KernelSpec, extent: float, policy: GridPolicy) -> int | None:
+def _coarse_size(step: float, extent: float, policy: GridPolicy) -> int | None:
     """Node count m0 of the coarse rung, or None when the fine rung 2 m0 would exceed ``policy.max_size``."""
-    step = min(1.0 / math.sqrt(spec.alpha), 2.0 * math.sqrt(spec.alpha / spec.kappa)) / 2.0
     # tested before dividing by the step or rounding: at extreme (alpha, kappa)
     # the step underflows to 0, or 2 extent / step overflows
     if not 2.0 * extent <= (policy.max_size / 2 - 1) * step:
@@ -378,37 +443,59 @@ def numeric_entanglement(spec: KernelSpec, policy: GridPolicy = GridPolicy()) ->
     raw (alpha, kappa). Its node count m0 covers [-L, L] at that step, is at
     least ``policy.initial_size``, and is 5-smooth; the fine rung has 2 m0
     nodes on the same L, so its step is about h0 / 2. Each rung is the
-    matrix-free kernel solved by :func:`lanczos_eigenvalues`. ``converged``
-    means both rungs were certified and agreed within :data:`LAMBDA_TOL`;
-    ``residual`` is their difference. When the fine rung would exceed
-    ``policy.max_size``, one rung runs at ``policy.initial_size`` and the
-    result is not converged, with ``residual`` inf.
+    matrix-free kernel solved by :func:`lanczos_eigenvalues`.
+
+    L starts at the extent the floor covers at h0, (initial_size - 1) h0 / 2,
+    or at L0 = ``policy.extent_factor / sqrt(alpha)`` if that is smaller, and
+    doubles, never past L0, until the coarse rung is certified and its wanted
+    Ritz vectors have decayed below :data:`TAIL_TOL` of their peak at +-L.
+    L is taken from h0, the floor and the computed vectors alone; a cell the
+    floor covers at L0 runs just the two rungs on L0. ``converged`` means
+    both rungs on the last L were certified, passed that tail test, and
+    agreed within :data:`LAMBDA_TOL`; ``residual`` is their difference and
+    ``extent`` that L. When the fine rung would exceed ``policy.max_size``
+    at L0, one rung runs at ``policy.initial_size`` on L0 and the result is
+    not converged, with ``residual`` inf.
 
     kappa = 0 short-circuits: the kernel is exactly rank-1, so its only
-    nonzero eigenvalue equals the quadrature trace sum_i w_i K(x_i, x_i) and
-    no eigensolve is needed. When L^2 overflows (alpha below about 1e-306 at
-    the default extent), the outer nodes square to inf and drop out of that
-    trace, so the result is not converged, with ``residual`` inf.
+    nonzero eigenvalue equals the quadrature trace sum_i w_i K(x_i, x_i) on
+    L0 and no eigensolve is needed. When L0^2 overflows (alpha below about
+    1e-306 at the default extent), the outer nodes square to inf and drop out
+    of that trace, so the result is not converged, with ``residual`` inf.
     """
-    extent = policy.extent_factor / math.sqrt(spec.alpha)
+    widest = policy.extent_factor / math.sqrt(spec.alpha)
     if spec.kappa == 0.0:
-        grid = trapezoid_grid(extent, policy.initial_size)
+        grid = trapezoid_grid(widest, policy.initial_size)
         with np.errstate(over="ignore"):
             lam = float(grid.weights @ kernel_value(spec, grid.nodes, grid.nodes))
         values = (lam,) + (0.0,) * (policy.top_k - 1)
-        certified = math.isfinite(extent * extent)
-        return NumericResult(lam, values, 0.0 if certified else math.inf, policy.initial_size, certified)
+        certified = math.isfinite(widest * widest)
+        return NumericResult(lam, values, 0.0 if certified else math.inf, policy.initial_size, certified, widest)
 
-    def rung(size: int) -> NumericResult:
-        dk = discretize(spec, trapezoid_grid(extent, size), matrix_free=True)
-        return lanczos_eigenvalues(dk, policy.top_k)
+    def rung(extent: float, size: int) -> tuple[NumericResult, bool]:
+        """The rung's result, and whether it was certified with its Ritz vectors' tails below TAIL_TOL."""
+        result, tail = _lanczos(discretize(spec, trapezoid_grid(extent, size), matrix_free=True), policy.top_k)
+        return result, result.converged and tail < TAIL_TOL
 
-    coarse = _coarse_size(spec, extent, policy)
+    step = min(1.0 / math.sqrt(spec.alpha), 2.0 * math.sqrt(spec.alpha / spec.kappa)) / 2.0
+    coarse = _coarse_size(step, widest, policy)
     if coarse is None:
-        return replace(rung(policy.initial_size), residual=math.inf, converged=False)
-    first, second = rung(coarse), rung(2 * coarse)
+        return replace(rung(widest, policy.initial_size)[0], residual=math.inf, converged=False)
+    # L is kept as a count of h0 intervals across [-L, L], so that the node count
+    # of each doubling is exact rather than recovered from L / h0 in floating point
+    intervals = policy.initial_size - 1
+    while True:
+        if intervals * step < 2.0 * widest:
+            extent, size = intervals * step / 2.0, _smooth_size(intervals + 1)
+        else:
+            extent, size = widest, coarse
+        first, certified = rung(extent, size)
+        if certified or extent == widest:
+            break
+        intervals *= 2
+    second, fine_certified = rung(extent, 2 * size)
     change = abs(second.lambda_max_numeric - first.lambda_max_numeric)
-    converged = change < LAMBDA_TOL and first.converged and second.converged
+    converged = change < LAMBDA_TOL and certified and fine_certified
     return replace(second, residual=change, converged=converged)
 
 
@@ -630,6 +717,7 @@ def alternating_maximization(
         residual=float(residual),
         grid_size=grid.size,
         converged=converged,
+        extent=grid.extent,
         history=tuple(history),
     )
 

@@ -508,6 +508,8 @@ class TestValueBounds:
          "--extent-mult must be finite and >= 8, got 5"),
         (("oracle", "--gen", "path", "--n", "2", "--extent-mult", "5"),
          "--extent-mult must be finite and >= 8, got 5"),
+        # 32 nodes hold the reduced state's trace only to 2.1e-4
+        (("oracle", "--gen", "cycle", "--n", "3", "--grid-size", "32"), "--grid-size 32 is too coarse"),
         *[((command, *source, "--extent-mult", mult), f"--extent-mult must be <= 1000, got {mult}")
           for command, source in (("profile", ("--gen", "path", "--n", "2")), ("validate", ("--kappa", "1")),
                                   ("oracle", ("--gen", "path", "--n", "2")))
@@ -520,7 +522,7 @@ class TestValueBounds:
         (("scan", "--gen", "path", "--n", "2", "--alpha", "1e300"), "alpha must be below 1.341e+154"),
     ], ids=["validate-tol-nan", "validate-tol-negative", "validate-tol-zero", "validate-tol-inf",
             "oracle-tol-nan", "oracle-tol-negative", "validate-extent", "profile-extent",
-            "profile-extent-without-numeric", "oracle-extent",
+            "profile-extent-without-numeric", "oracle-extent", "oracle-grid-too-coarse",
             "profile-extent-1e200", "profile-extent-1e308", "validate-extent-1e200",
             "validate-extent-1e308", "oracle-extent-1e200", "oracle-extent-1e308",
             "validate-alpha-squared-overflows", "spectrum-alpha-squared-overflows",

@@ -3,6 +3,7 @@ their eigensolvers, and the two-rung trapezoid entanglement solver; closed
 forms serve as the cross-check."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -127,6 +128,8 @@ class TestDiscretize:
             discretize(KernelSpec(1.0, 1.0), build_grid(5.0, 64))
         # alpha = 4 only needs extent >= 4, so the same grid is fine there
         discretize(KernelSpec(4.0, 1.0), build_grid(5.0, 64))
+        # the matrix-free route checks its Ritz vectors' tails instead
+        discretize(KernelSpec(1.0, 1.0), trapezoid_grid(5.0, 64), matrix_free=True)
 
 
 class TestTopEigenvalues:
@@ -223,11 +226,13 @@ class TestNumericEntanglement:
         result = numeric_entanglement(KernelSpec(1.0, 1.0), policy)
         assert not result.converged
 
-    def test_large_coupling_ratio_converges_at_1280_nodes(self):
-        # h0 = 1 / sqrt(1000): 634 nodes cover [-10, 10], 640 is the next 5-smooth count
+    def test_large_coupling_ratio_converges_at_512_nodes(self):
+        # h0 = 1 / sqrt(1000): the 256-node floor covers [-4.03, 4.03], where the
+        # ground state has long decayed, so the rungs stay at 256 and 512 nodes
         result = numeric_entanglement(KernelSpec(1.0, 1000.0))
         assert result.converged
-        assert result.grid_size == 1280
+        assert result.grid_size == 512
+        assert result.extent == pytest.approx(255.0 / math.sqrt(1000.0) / 2.0, rel=1e-15)
         assert abs(result.lambda_max_numeric - lambda_max(KernelSpec(1.0, 1000.0))) < 1e-10
 
     @pytest.mark.parametrize("factor", [math.inf, math.nan])
@@ -247,6 +252,8 @@ class TestNumericEntanglement:
             GridPolicy(initial_size=64, max_size=32)
         with pytest.raises(ValueError, match="top_k"):
             GridPolicy(top_k=0)
+        with pytest.raises(ValueError, match="top_k"):
+            GridPolicy(initial_size=2, top_k=4)
 
 
 class TestMatrixFreeRung:
@@ -343,6 +350,95 @@ ALPHA = st.floats(-3.0, 3.0).map(lambda e: 10.0**e)
 RATIO = st.just(0.0) | st.floats(-6.0, 6.0).map(lambda e: 10.0**e)
 
 
+def per_step_lanczos(dk, k):
+    """Reference: the Lanczos solve with a Ritz-residual check after every step.
+
+    Returns (values, residual, converged); it stops at the first step whose
+    largest wanted residual is below RITZ_TOL, or whose offdiagonal is 0.
+    """
+    size = dk.grid.size
+    steps = min(numerics.LANCZOS_MAX_STEPS, size)
+    basis = np.zeros((steps, size))
+    tridiagonal = np.zeros((steps, steps))
+    q = dk.matrix.envelope * (1.0 + dk.grid.nodes / dk.grid.extent)
+    q /= np.linalg.norm(q)
+    residual, beta = math.inf, 0.0
+    for j in range(steps):
+        basis[j] = q
+        w = dk.matrix @ q
+        tridiagonal[j, j] = q @ w
+        if j:
+            tridiagonal[j, j - 1] = tridiagonal[j - 1, j] = beta
+        for _ in range(2):
+            w -= basis[: j + 1].T @ (basis[: j + 1] @ w)
+        beta = np.linalg.norm(w)
+        ritz, vectors = np.linalg.eigh(tridiagonal[: j + 1, : j + 1])
+        if j + 1 >= k:
+            residual = float(np.max(np.abs(beta * vectors[-1, -k:])))
+        if residual < RITZ_TOL or beta == 0.0:
+            break
+        q = w / beta
+    return tuple(ritz[::-1][:k].tolist()), residual, residual < RITZ_TOL
+
+
+def recorded_rungs(monkeypatch, spec, policy=GridPolicy()):
+    """The discretized kernels numeric_entanglement solves for ``spec``, in order."""
+    rungs = []
+    original = numerics.discretize
+
+    def record(*args, **kwargs):
+        rungs.append(original(*args, **kwargs))
+        return rungs[-1]
+
+    monkeypatch.setattr(numerics, "discretize", record)
+    result = numeric_entanglement(spec, policy)
+    monkeypatch.setattr(numerics, "discretize", original)
+    return result, rungs
+
+
+class TestCertifiedExtent:
+    @settings(max_examples=25, deadline=None)
+    @given(alpha=ALPHA, ratio=st.floats(-6.0, 4.0).map(lambda e: 10.0**e), top_k=st.sampled_from([1, 4]),
+           cap=st.integers(4, numerics.LANCZOS_MAX_STEPS))
+    def test_residual_checks_every_few_steps_stop_where_every_step_would(self, alpha, ratio, top_k, cap):
+        # every rung the solver runs, with the step cap lowered so that some rungs end uncertified
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(numerics, "LANCZOS_MAX_STEPS", cap)
+            _, rungs = recorded_rungs(patch, KernelSpec(alpha, ratio * alpha**2), GridPolicy(top_k=top_k))
+            assert rungs
+            for dk in rungs:
+                lazy = lanczos_eigenvalues(dk, top_k)
+                assert (lazy.top_eigenvalues, lazy.residual, lazy.converged) == per_step_lanczos(dk, top_k)
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    @pytest.mark.parametrize("kap", [k for k in KAPPAS if k] + ["36", "100", "160"])
+    def test_cells_the_floor_covers_run_the_two_rungs_on_the_widest_extent(self, monkeypatch, alpha, kap):
+        # string kappas are coupling ratios kappa / alpha^2; kappa = 0 solves no rung
+        spec = KernelSpec(alpha, float(kap) * alpha**2 if isinstance(kap, str) else kap)
+        result, rungs = recorded_rungs(monkeypatch, spec)
+        widest = 10.0 / math.sqrt(alpha)
+        assert [(dk.grid.size, dk.grid.extent) for dk in rungs] == [(256, widest), (512, widest)]
+        assert result.converged and result.extent == widest
+
+    def test_uncoupled_cell_runs_no_rung(self, monkeypatch):
+        result, rungs = recorded_rungs(monkeypatch, KernelSpec(2.0, 0.0))
+        assert rungs == [] and result.extent == 10.0 / math.sqrt(2.0)
+
+    def test_extent_doubles_until_the_ritz_vector_has_decayed(self, monkeypatch):
+        # h0 = 1e-3: the floor covers +-0.1275, where exp(-500 x^2) is still 3e-4
+        result, rungs = recorded_rungs(monkeypatch, KernelSpec(1.0, 1e6))
+        assert [(dk.grid.size, dk.grid.extent) for dk in rungs] == [(256, 0.1275), (512, 0.255), (1024, 0.255)]
+        assert result.converged and result.extent == 0.255
+
+    def test_eigenfunctions_reaching_past_the_widest_extent_are_not_converged(self):
+        # the higher Hermite functions are wider than the ground state: at L0 = 8
+        # the sixteenth is still 1.3e-9 of its peak at the ends, at L0 = 10 4e-19
+        spec = KernelSpec(1.0, 1.0)
+        narrow = numeric_entanglement(spec, GridPolicy(extent_factor=8.0, top_k=16))
+        assert not narrow.converged and narrow.extent == 8.0
+        assert numeric_entanglement(spec, GridPolicy(top_k=16)).converged
+
+
 class TestSupportedRange:
     @settings(max_examples=25, deadline=None)
     @given(alpha=ALPHA, ratio=RATIO)
@@ -363,14 +459,18 @@ class TestSupportedRange:
         assert result.grid_size == 16
 
     @pytest.mark.parametrize("alpha", [1e-3, 1.0, 1e3])
-    @pytest.mark.parametrize("ratio, nodes", [(1e4, 4050), (1e6, 40500)])
+    @pytest.mark.parametrize("ratio, nodes", [(1e4, 512), (1e6, 1024)])
     def test_large_ratio_converges_at_the_kernel_step(self, alpha, ratio, nodes):
-        # h0 = 1 / (sqrt(alpha) sqrt(ratio)) puts 20 sqrt(ratio) + 1 nodes on
-        # [-L, L]; 2025 and 20250 are the next 5-smooth counts
+        # h0 = 1 / (sqrt(alpha) sqrt(ratio)) would put 20 sqrt(ratio) + 1 nodes
+        # on [-L0, L0] (2025 and 20250 coarse); the 256-node floor covers
+        # 127.5 h0 on each side, which certifies at 1e4, and 1e6 needs that doubled
         spec = KernelSpec(alpha, ratio * alpha**2)
+        start = time.perf_counter()
         result = numeric_entanglement(spec)
+        assert time.perf_counter() - start < 1.0
         assert result.converged
         assert result.grid_size == nodes
+        assert result.extent < 10.0 / math.sqrt(alpha)
         assert abs(result.lambda_max_numeric - lambda_max(spec)) <= 1e-15
 
 

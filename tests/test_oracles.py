@@ -7,7 +7,7 @@ import io
 import json
 import math
 import tracemalloc
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from functools import reduce
 
 import numpy as np
@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cvge import numerics
-from cvge.cli import EXIT_FAIL, EXIT_OK, main
+from cvge.cli import EXIT_OK, EXIT_USAGE, main
 from cvge.closed_form import KernelSpec, lambda_max
 from cvge.graph import Graph, GraphGenSpec, GraphState, generate, kappa, serialize_edge_list
 from cvge.numerics import (
@@ -301,15 +301,21 @@ ORACLE_SOURCE_IDS = ["path-1", "path-2", "path-3", "cycle-3", "star-3", "complet
                      "weighted-triangle"]
 
 
-def oracle_json(source, graph, tmp_path, *extra):
+def oracle_run(source, graph, tmp_path, *extra):
+    """Exit code, stdout and stderr of one JSON oracle run; ``graph`` is written to a file when ``source`` is empty."""
     if not source:
         path = tmp_path / "graph.txt"
         path.write_text(serialize_edge_list(graph), encoding="utf-8")
         source = ("--graph", str(path))
-    buf = io.StringIO()
-    with redirect_stdout(buf):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
         code = main(["oracle", *source, "--format", "json", *extra])
-    return code, json.loads(buf.getvalue())
+    return code, out.getvalue(), err.getvalue()
+
+
+def oracle_json(source, graph, tmp_path, *extra):
+    code, out, _ = oracle_run(source, graph, tmp_path, *extra)
+    return code, json.loads(out)
 
 
 class TestSharedOneVsRest:
@@ -429,19 +435,23 @@ class TestParityFold:
 
     @pytest.mark.parametrize("source,graph", ORACLE_SOURCES, ids=ORACLE_SOURCE_IDS)
     def test_three_node_grid_keeps_the_unfolded_verdict(self, source, graph, tmp_path):
-        # three Gauss-Legendre nodes on [-10, 10] cannot resolve the Gaussian, so the
-        # unfolded oracle fails too; the folded one reports the same lambdas and exit 1
-        code, payload = oracle_json(source, graph, tmp_path, "--grid-size", "3")
-        assert code == EXIT_FAIL and not payload["pass"]
+        # three Gauss-Legendre nodes on [-10, 10] cannot resolve the Gaussian: the
+        # folded oracles report the unfolded ones' lambdas, far from any density
+        # matrix's, and the command refuses the grid instead of failing the degree law
+        code, out, err = oracle_run(source, graph, tmp_path, "--grid-size", "3")
+        assert code == EXIT_USAGE and out == ""
+        assert err.count("\n") == 1 and "--grid-size 3 is too coarse" in err
         state = GraphState(graph, 1.0)
         grid = build_grid(10.0, 3)
         tensor = reference_tensor(state, grid)
-        for row in payload["rows"]:
-            amp = reference_one_vs_rest(state, row["vertex"], grid, tensor)
+        for v in range(graph.n):
+            amp = reference_one_vs_rest(state, v, grid, tensor)
             pairs = amp.view(float)
-            assert row["lambda_reduced"] == pytest.approx(np.linalg.eigvalsh(pairs @ pairs.T)[-1], rel=1e-13)
+            reduced = top_eigenvalues(reduce_full_state(state, v, grid), 1).lambda_max_numeric
+            assert reduced == pytest.approx(np.linalg.eigvalsh(pairs @ pairs.T)[-1], rel=1e-13)
             if graph.n >= 2:
-                assert row["lambda_alternating"] == pytest.approx(reference_alternating(amp)[-1], rel=1e-13)
+                alternating = alternating_maximization(state, v, grid).lambda_max_numeric
+                assert alternating == pytest.approx(reference_alternating(amp)[-1], rel=1e-13)
 
     def test_oracles_never_read_the_dense_coupling_view(self, tmp_path, monkeypatch):
         def forbidden(self):
