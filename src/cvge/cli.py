@@ -220,8 +220,12 @@ def _pluck(rows: list, path: tuple[str, ...]) -> list:
 def _encode(values: list, encode) -> list[str]:
     """``encode`` of each value, called once per distinct (type, value).
 
-    A zero is never memoised, so it is encoded each time: 0.0 == -0.0, yet
-    they print apart.
+    The columns of an Erdos-Renyi profile repeat: its n vertices share a few
+    dozen degrees, and so a few dozen kappa, lambda and E values. So the memo
+    wins over whole profile-graphs passes (about 120 against 145 ms per pass
+    with a plain map, seed 1, on a shared 2-core machine), though a column of
+    all distinct values pays for its dict. A zero is never memoised, so it
+    is encoded each time: 0.0 == -0.0, yet they print apart.
     """
     memo: dict[tuple[type, object], str] = {}
     out = []

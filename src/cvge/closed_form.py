@@ -60,10 +60,6 @@ class Spectrum:
     values: tuple[float, ...]
     ratio: float
 
-    @property
-    def count(self) -> int:
-        return len(self.values)
-
     def cumulative(self) -> tuple[float, ...]:
         """Running partial sums of the eigenvalues."""
         out: list[float] = []
@@ -145,8 +141,7 @@ def _root(spec: KernelSpec) -> float:
 
 def spectral_denominator(spec: KernelSpec) -> float:
     """D = kappa + 2 alpha^2 + 2 alpha sqrt(alpha^2 + kappa). Equals (alpha + sqrt(alpha^2+kappa))^2."""
-    root = math.sqrt(spec.alpha**2 + spec.kappa)
-    return spec.kappa + 2.0 * spec.alpha**2 + 2.0 * spec.alpha * root
+    return spec.kappa + 2.0 * spec.alpha**2 + 2.0 * spec.alpha * _root(spec)
 
 
 def spectrum_ratio(spec: KernelSpec) -> float:

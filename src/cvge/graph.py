@@ -12,9 +12,8 @@ so building a graph costs O(n + E) and every later lookup is O(1).
 ``kappa(g)`` and ``degree(g)`` return the read-only vectors over all vertices;
 ``kappa(g, v)`` and ``degree(g, v)`` index those same vectors, so the scalar
 and vector forms agree bit for bit. Generation, parsing, validation and
-serialization work on the edge arrays and never build an n x n matrix;
-:attr:`Graph.coupling` builds one on demand; no command reads it, and tests
-build their reference matrices from it.
+serialization work on the edge arrays and never build an n x n matrix; only
+``Graph(n, matrix)`` reads one, to build a graph from it.
 
 :func:`parse_edge_list` keeps no Python object per edge either. It reads the
 text in blocks of lines, converts each block's fields to int64 and float
@@ -119,15 +118,6 @@ class Graph:
         for name, value in (("n", n), ("u", u), ("v", v), ("w", w), ("is_binary", bool(np.all(w == 1.0))),
                             ("_kappas", kappas), ("_degrees", degrees)):
             object.__setattr__(self, name, value)
-
-    @property
-    def coupling(self) -> np.ndarray:
-        """Dense read-only n x n coupling matrix, built anew on each access: O(n**2) memory."""
-        mat = np.zeros((self.n, self.n))
-        mat[self.u, self.v] = self.w
-        mat[self.v, self.u] = self.w
-        mat.setflags(write=False)
-        return mat
 
     def edges(self) -> Iterator[tuple[int, int, float]]:
         """Iterate over (u, v, weight) of each edge, u < v, in sorted order."""

@@ -19,12 +19,13 @@ Two representations of B exist:
   :func:`purity_numeric`) use this route, normally on the Gauss-Legendre rule
   of :func:`build_grid`.
 * ``discretize(..., matrix_free=True)`` never forms B. The kernel factors as
-  K(x, x') = d(x) g(x - x') d(x'), so on an equally spaced grid such as
-  :func:`trapezoid_grid` B is a :class:`ToeplitzMatrix`
-  diag(d_i sqrt(w_i)) . Toeplitz(g(k h)) . diag(d_i sqrt(w_i)): two length-m
-  vectors, and an O(m log m) product through a circulant FFT.
-  :func:`lanczos_eigenvalues` takes the top of its spectrum by Lanczos with
-  full reorthogonalisation and certifies it by the Ritz residuals.
+  K(x, x') = d(x) g(x - x') d(x'), so on the equally spaced grid of
+  :func:`trapezoid_grid`, which carries its step h, B is a
+  :class:`ToeplitzMatrix` diag(d_i sqrt(w_i)) . Toeplitz(g(k h)) .
+  diag(d_i sqrt(w_i)): two length-m vectors, and an O(m log m) product
+  through a circulant FFT. :func:`lanczos_eigenvalues` takes the top of its
+  spectrum by Lanczos with full reorthogonalisation, certifies it by the
+  Ritz residuals, and returns how far the Ritz vectors reach at +-L.
 
 The solver :func:`numeric_entanglement` runs the matrix-free route on two
 trapezoid grids, which converge exponentially on these Gaussian integrands
@@ -104,11 +105,16 @@ SQRT2 = math.sqrt(2.0)
 
 @dataclass(frozen=True, eq=False)
 class QuadratureGrid:
-    """Quadrature nodes and weights on [-extent, extent]."""
+    """Quadrature nodes and weights on [-extent, extent].
+
+    ``step`` is the node spacing h of a grid built equally spaced,
+    x_i = x_0 + i h, by :func:`trapezoid_grid`; it is None on every other grid.
+    """
 
     nodes: np.ndarray
     weights: np.ndarray
     extent: float
+    step: float | None = None
 
     def __post_init__(self) -> None:
         nodes = np.array(self.nodes, dtype=float, copy=True)
@@ -279,20 +285,20 @@ def discretize(spec: KernelSpec, grid: QuadratureGrid, matrix_free: bool = False
     The dense matrix is assembled from its upper triangle so B_ij == B_ji
     holds exactly, keeping the eigenproblem symmetric.
 
-    With ``matrix_free`` the grid must be equally spaced, x_i = x_0 + i h:
-    then g(x_i - x_j) depends on |i - j| alone, one column g(k h) holds it,
-    and the result is a :class:`ToeplitzMatrix` that is never formed densely.
+    With ``matrix_free`` the grid must carry its ``step`` h, as
+    :func:`trapezoid_grid` builds it, x_i = x_0 + i h: then g(x_i - x_j)
+    depends on |i - j| alone, one column g(k h) holds it, and the result is a
+    :class:`ToeplitzMatrix` that is never formed densely.
     Only the dense matrix needs L >= 8 / sqrt(alpha); the matrix-free one
     serves :func:`numeric_entanglement`, which checks the tails of its Ritz
     vectors instead.
     """
     x = grid.nodes
     if matrix_free:
-        step = (x[-1] - x[0]) / (grid.size - 1)
-        if not np.allclose(np.diff(x), step, rtol=1e-9, atol=0.0):
+        if grid.step is None:
             raise ValueError("a matrix-free discretization needs equally spaced nodes")
         envelope = np.sqrt(grid.weights) * kernel_envelope(spec, x)
-        column = kernel_difference(spec, step * np.arange(grid.size))
+        column = kernel_difference(spec, grid.step * np.arange(grid.size))
         circulant = np.fft.rfft(np.concatenate([column, [0.0], column[:0:-1]]))
         return DiscretizedKernel(ToeplitzMatrix(envelope, circulant), grid, spec)
     _check_extent(spec, grid)
@@ -304,10 +310,11 @@ def discretize(spec: KernelSpec, grid: QuadratureGrid, matrix_free: bool = False
 
 
 def trapezoid_grid(extent: float, size: int) -> QuadratureGrid:
-    """Equally spaced trapezoid rule with ``size`` nodes on [-extent, extent]."""
+    """Equally spaced trapezoid rule with ``size`` nodes on [-extent, extent], marked with its ``step``."""
+    nodes = np.linspace(-extent, extent, size)
     weights = np.full(size, 2.0 * extent / (size - 1))
     weights[[0, -1]] /= 2.0
-    return QuadratureGrid(np.linspace(-extent, extent, size), weights, extent)
+    return QuadratureGrid(nodes, weights, extent, float((nodes[-1] - nodes[0]) / (size - 1)))
 
 
 def top_eigenvalues(dk: DiscretizedKernel, k: int) -> NumericResult:
@@ -323,14 +330,17 @@ def top_eigenvalues(dk: DiscretizedKernel, k: int) -> NumericResult:
     return NumericResult(values[0], tuple(values), 0.0, size, True, dk.grid.extent)
 
 
-def lanczos_eigenvalues(dk: DiscretizedKernel, k: int) -> NumericResult:
-    """Largest ``k`` eigenvalues of a matrix-free ``dk``, decreasing, by Lanczos with full reorthogonalisation.
+def lanczos_eigenvalues(dk: DiscretizedKernel, k: int) -> tuple[NumericResult, float]:
+    """Largest ``k`` eigenvalues of a matrix-free ``dk``, decreasing, and the tail of their Ritz vectors.
 
-    The start vector envelope * (1 + x / L) has both an even and an odd part,
-    so the odd eigenfunctions are in its Krylov space too. The result is
-    ``converged`` (certified) once every wanted Ritz residual |beta_j s_jn|
-    is below :data:`RITZ_TOL` within :data:`LANCZOS_MAX_STEPS` steps;
-    ``residual`` is the largest of them.
+    Lanczos with full reorthogonalisation. The start vector
+    envelope * (1 + x / L) has both an even and an odd part, so the odd
+    eigenfunctions are in its Krylov space too. The result is ``converged``
+    (certified) once every wanted Ritz residual |beta_j s_jn| is below
+    :data:`RITZ_TOL` within :data:`LANCZOS_MAX_STEPS` steps; ``residual`` is
+    the largest of them. The tail is the largest, over the wanted Ritz
+    vectors, of the function sample phi(x) = u / sqrt(w) at either end node
+    over its peak |phi|.
 
     The residuals take a dense eigensolve of the tridiagonal matrix, so they
     are checked only every few steps, at most :data:`RITZ_CHECK_GAP` apart:
@@ -343,15 +353,6 @@ def lanczos_eigenvalues(dk: DiscretizedKernel, k: int) -> NumericResult:
     does not resolve the kernel's width, where B is nearly diagonal and its
     top eigenvalues nearly equal, and the solve then ends at a later step
     with a smaller residual.
-    """
-    return _lanczos(dk, k)[0]
-
-
-def _lanczos(dk: DiscretizedKernel, k: int) -> tuple[NumericResult, float]:
-    """:func:`lanczos_eigenvalues` and the tail of its wanted Ritz vectors.
-
-    The tail is the largest, over the wanted Ritz vectors, of the function
-    sample phi(x) = u / sqrt(w) at either end node over its peak |phi|.
     """
     size = dk.grid.size
     steps = min(LANCZOS_MAX_STEPS, size)
@@ -474,7 +475,8 @@ def numeric_entanglement(spec: KernelSpec, policy: GridPolicy = GridPolicy()) ->
 
     def rung(extent: float, size: int) -> tuple[NumericResult, bool]:
         """The rung's result, and whether it was certified with its Ritz vectors' tails below TAIL_TOL."""
-        result, tail = _lanczos(discretize(spec, trapezoid_grid(extent, size), matrix_free=True), policy.top_k)
+        dk = discretize(spec, trapezoid_grid(extent, size), matrix_free=True)
+        result, tail = lanczos_eigenvalues(dk, policy.top_k)
         return result, result.converged and tail < TAIL_TOL
 
     step = min(1.0 / math.sqrt(spec.alpha), 2.0 * math.sqrt(spec.alpha / spec.kappa)) / 2.0
@@ -656,7 +658,6 @@ def alternating_maximization(
     v: int,
     grid: QuadratureGrid,
     tol: float = 1e-12,
-    cap: int = POWER_ITERATION_CAP,
     blocks: ParityBlocks | None = None,
 ) -> NumericResult:
     """Best product-state overlap across the (oscillator v) vs (rest) split.
@@ -671,7 +672,8 @@ def alternating_maximization(
     operator, so the lambda iterates (returned in ``history``) increase
     monotonically to the squared largest Schmidt coefficient, i.e. the same
     lambda_max the kernel eigenproblem yields. Convergence is declared when
-    lambda moves by less than ``tol`` between sweeps. ``blocks`` are those of
+    lambda moves by less than ``tol`` between sweeps, within
+    :data:`POWER_ITERATION_CAP` sweeps. ``blocks`` are those of
     :func:`one_vs_rest` when the caller has built them; without them they
     are built here.
 
@@ -698,7 +700,7 @@ def alternating_maximization(
     lam = 0.0
     previous: float | None = None
     converged = False
-    for _ in range(cap):
+    for _ in range(POWER_ITERATION_CAP):
         g = even @ phi2.conj()
         phi1 = g / np.linalg.norm(g)
         h = even.T @ phi1.conj()

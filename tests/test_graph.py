@@ -24,14 +24,26 @@ from cvge.graph import (
 )
 
 
+def dense(g):
+    """The n x n coupling matrix of ``g``, built from its edge arrays."""
+    mat = np.zeros((g.n, g.n))
+    mat[g.u, g.v] = mat[g.v, g.u] = g.w
+    return mat
+
+
+def same_edges(a, b):
+    return a.n == b.n and all(np.array_equal(x, y) for x, y in ((a.u, b.u), (a.v, b.v), (a.w, b.w)))
+
+
 class TestGraphType:
     def test_matrix_is_copied_and_readonly(self):
-        mat = np.zeros((2, 2))
+        mat = np.array([[0.0, 2.0], [2.0, 0.0]])
         g = Graph(2, mat)
-        mat[0, 1] = 5.0
-        assert g.coupling[0, 1] == 0.0
-        with pytest.raises(ValueError):
-            g.coupling[0, 1] = 1.0
+        mat[0, 1] = mat[1, 0] = 5.0
+        assert (g.u.tolist(), g.v.tolist(), g.w.tolist()) == ([0], [1], [2.0])
+        for arr in (g.u, g.v, g.w):
+            with pytest.raises(ValueError):
+                arr[0] = 0
 
     def test_rejects_bad_shape(self):
         with pytest.raises(ValueError, match="shape"):
@@ -58,8 +70,7 @@ class TestParseEdgeList:
     def test_single_edge(self):
         g = parse_edge_list("vertices 2\n0 1")
         assert g.n == 2
-        assert g.coupling[0, 1] == 1.0
-        assert g.coupling[1, 0] == 1.0
+        assert list(g.edges()) == [(0, 1, 1.0)]
 
     def test_star(self):
         g = parse_edge_list("vertices 4\n0 1\n0 2\n0 3")
@@ -73,9 +84,7 @@ class TestParseEdgeList:
     def test_comments_blanks_and_weights(self):
         text = "# a test graph\n\nvertices 3\n0 1 0.5\n# middle comment\n1 2\n"
         g = parse_edge_list(text)
-        assert g.coupling[0, 1] == 0.5
-        assert g.coupling[1, 2] == 1.0
-        assert g.coupling[0, 2] == 0.0
+        assert list(g.edges()) == [(0, 1, 0.5), (1, 2, 1.0)]
 
     def test_missing_header(self):
         with pytest.raises(EdgeListError, match="missing 'vertices"):
@@ -111,7 +120,7 @@ class TestParseEdgeList:
 
     def test_consistent_duplicate_is_accepted(self):
         g = parse_edge_list("vertices 2\n0 1\n1 0\n")
-        assert g.coupling[0, 1] == 1.0
+        assert list(g.edges()) == [(0, 1, 1.0)]
 
     @pytest.mark.parametrize("zero", ["0", "-0.0", "0.0"])
     def test_zero_weight_is_no_edge(self, zero):
@@ -265,7 +274,7 @@ class TestFromEdges:
     def test_matches_the_matrix_constructor(self):
         g = _weighted_graph()
         again = Graph.from_edges(g.n, g.v[::-1], g.u[::-1], g.w[::-1])
-        assert np.array_equal(again.coupling, g.coupling)
+        assert same_edges(again, g)
         assert np.array_equal(kappa(again), kappa(g))
 
     @pytest.mark.parametrize("u,v,w,message", [
@@ -300,7 +309,7 @@ class TestFromEdges:
 
     def test_no_edges(self):
         g = Graph.from_edges(3, [], [], [])
-        assert g.coupling.shape == (3, 3) and not g.coupling.any()
+        assert g.n == 3 and list(g.edges()) == []
         assert g.is_binary and validate(g) == []
         # a weighted bincount over no edges is integer; kappa stays float, as JSON prints it
         assert kappa(g).dtype == np.float64 and kappa(g).tolist() == [0.0, 0.0, 0.0]
@@ -317,19 +326,17 @@ class TestSerializeRoundTrip:
     def test_round_trip_generated(self, spec):
         g = generate(spec)
         again = parse_edge_list(serialize_edge_list(g))
-        assert again.n == g.n
-        assert np.array_equal(again.coupling, g.coupling)
+        assert same_edges(again, g)
 
     def test_round_trip_weighted(self):
         g = Graph(3, [[0.0, 0.5, 0.0], [0.5, 0.0, 2.25], [0.0, 2.25, 0.0]])
-        again = parse_edge_list(serialize_edge_list(g))
-        assert np.array_equal(again.coupling, g.coupling)
+        assert same_edges(parse_edge_list(serialize_edge_list(g)), g)
 
     def test_comment_is_emitted_and_ignored(self):
         g = generate(GraphGenSpec("star", 3))
         text = serialize_edge_list(g, comment="kind=star n=3")
         assert text.startswith("# kind=star n=3\n")
-        assert np.array_equal(parse_edge_list(text).coupling, g.coupling)
+        assert same_edges(parse_edge_list(text), g)
 
 
 class TestGenerate:
@@ -386,12 +393,12 @@ class TestGenerate:
 
     def test_erdos_renyi_reproducible(self):
         spec = GraphGenSpec("erdos_renyi", 30, p=0.4, seed=123)
-        assert np.array_equal(generate(spec).coupling, generate(spec).coupling)
+        assert same_edges(generate(spec), generate(spec))
 
     def test_erdos_renyi_seed_changes_graph(self):
         a = generate(GraphGenSpec("erdos_renyi", 30, p=0.4, seed=1))
         b = generate(GraphGenSpec("erdos_renyi", 30, p=0.4, seed=2))
-        assert not np.array_equal(a.coupling, b.coupling)
+        assert not same_edges(a, b)
 
     @pytest.mark.parametrize("spec", [
         GraphGenSpec("path", 1),
@@ -401,7 +408,7 @@ class TestGenerate:
     def test_single_vertex_graphs_are_empty(self, spec):
         g = generate(spec)
         assert g.n == 1
-        assert not g.coupling.any()
+        assert list(g.edges()) == []
 
     def test_invalid_spec_combinations(self):
         with pytest.raises(ValueError, match="p is only meaningful"):
@@ -516,7 +523,7 @@ class TestAllVertexForms:
     def test_weighted_kappa_matches_exact_sum_of_squares(self):
         g = _weighted_graph(n=60, seed=9)
         for v, kv in enumerate(kappa(g).tolist()):
-            exact = math.fsum(w * w for w in g.coupling[v].tolist())
+            exact = math.fsum(w * w for w in dense(g)[v].tolist())
             assert kv == pytest.approx(exact, rel=1e-14, abs=0)
 
     @pytest.mark.parametrize("g", [generate(GraphGenSpec("star", 5)), _weighted_graph()],

@@ -22,6 +22,7 @@ from cvge.closed_form import (
 from cvge.numerics import (
     RITZ_TOL,
     GridPolicy,
+    QuadratureGrid,
     build_grid,
     discretize,
     eigenfunction_residual,
@@ -148,7 +149,7 @@ class TestTopEigenvalues:
             spec = KernelSpec(alpha, kap)
             grid = trapezoid_grid(10.0 / math.sqrt(alpha), 256)
             dense = top_eigenvalues(discretize(spec, grid), 6)
-            matrix_free = lanczos_eigenvalues(discretize(spec, grid, matrix_free=True), 6)
+            matrix_free, _ = lanczos_eigenvalues(discretize(spec, grid, matrix_free=True), 6)
             assert matrix_free.converged
             assert matrix_free.top_eigenvalues == pytest.approx(dense.top_eigenvalues, abs=1e-13)
 
@@ -281,8 +282,11 @@ class TestMatrixFreeRung:
             assert matrix_free @ v == pytest.approx(discretize(spec, grid).matrix @ v, abs=1e-14)
 
     def test_matrix_free_needs_equally_spaced_nodes(self):
-        with pytest.raises(ValueError, match="equally spaced"):
-            discretize(KernelSpec(1.0, 1.0), build_grid(10.0, 64), matrix_free=True)
+        # only trapezoid_grid marks a grid equally spaced: equal nodes built by hand carry no step
+        grid = trapezoid_grid(10.0, 64)
+        for unmarked in (build_grid(10.0, 64), QuadratureGrid(grid.nodes, grid.weights, grid.extent)):
+            with pytest.raises(ValueError, match="equally spaced"):
+                discretize(KernelSpec(1.0, 1.0), unmarked, matrix_free=True)
 
     def test_ladder_builds_no_dense_matrix(self, monkeypatch):
         dense_discretize = numerics.discretize
@@ -315,11 +319,11 @@ class TestMatrixFreeRung:
 
     def test_capped_lanczos_is_uncertified(self, monkeypatch):
         dk = discretize(KernelSpec(1.0, 1.0), trapezoid_grid(10.0, 256), matrix_free=True)
-        full = lanczos_eigenvalues(dk, 1)
+        full, _ = lanczos_eigenvalues(dk, 1)
         assert full.converged
         assert full.residual < RITZ_TOL
         monkeypatch.setattr(numerics, "LANCZOS_MAX_STEPS", 6)
-        capped = lanczos_eigenvalues(dk, 1)
+        capped, _ = lanczos_eigenvalues(dk, 1)
         assert not capped.converged
         assert capped.residual >= RITZ_TOL
 
@@ -407,7 +411,7 @@ class TestCertifiedExtent:
             _, rungs = recorded_rungs(patch, KernelSpec(alpha, ratio * alpha**2), GridPolicy(top_k=top_k))
             assert rungs
             for dk in rungs:
-                lazy = lanczos_eigenvalues(dk, top_k)
+                lazy, _ = lanczos_eigenvalues(dk, top_k)
                 assert (lazy.top_eigenvalues, lazy.residual, lazy.converged) == per_step_lanczos(dk, top_k)
 
     @pytest.mark.parametrize("alpha", ALPHAS)
