@@ -520,6 +520,12 @@ class TestValueBounds:
         (("profile", "--gen", "path", "--n", "2", "--alpha", "1e300"), "alpha must be below 1.341e+154"),
         (("scan", "--kappa", "1", "--alpha", "1e300"), "alpha must be below 1.341e+154"),
         (("scan", "--gen", "path", "--n", "2", "--alpha", "1e300"), "alpha must be below 1.341e+154"),
+        # raised by the library and printed as it is
+        (("profile", "--gen", "cycle", "--n", "2"), "cycle requires n >= 3, got 2"),
+        (("profile", "--gen", "erdos_renyi", "--n", "5"), "erdos_renyi requires edge probability p"),
+        (("gen", "--gen", "cycle", "--n", "2"), "cycle requires n >= 3, got 2"),
+        (("spectrum", "--kappa", "-1"), "kappa must be nonnegative and finite, got -1.0"),
+        (("validate", "--alpha", "0,1", "--kappa", "1"), "--alpha must be positive and finite, got 0.0"),
     ], ids=["validate-tol-nan", "validate-tol-negative", "validate-tol-zero", "validate-tol-inf",
             "oracle-tol-nan", "oracle-tol-negative", "validate-extent", "profile-extent",
             "profile-extent-without-numeric", "oracle-extent", "oracle-grid-too-coarse",
@@ -527,7 +533,8 @@ class TestValueBounds:
             "validate-extent-1e308", "oracle-extent-1e200", "oracle-extent-1e308",
             "validate-alpha-squared-overflows", "spectrum-alpha-squared-overflows",
             "profile-alpha-squared-overflows", "scan-grid-alpha-squared-overflows",
-            "scan-ensemble-alpha-squared-overflows"])
+            "scan-ensemble-alpha-squared-overflows", "profile-cycle-too-small", "profile-erdos-renyi-without-p",
+            "gen-cycle-too-small", "spectrum-negative-kappa", "validate-alpha-zero"])
     def test_out_of_range_value_is_usage_error(self, argv, message):
         code, out, err = run_cli(*argv)
         assert code == EXIT_USAGE

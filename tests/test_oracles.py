@@ -15,8 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cvge import closed_form as cf
 from cvge import numerics
-from cvge.cli import EXIT_OK, EXIT_USAGE, main
+from cvge.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
 from cvge.closed_form import KernelSpec, lambda_max
 from cvge.graph import Graph, GraphGenSpec, GraphState, generate, kappa, serialize_edge_list
 from cvge.numerics import (
@@ -456,3 +457,38 @@ class TestParityFold:
         graph = WEIGHTED_TRIANGLE
         code, payload = oracle_json((), graph, tmp_path, "--alpha", "1.3", "--grid-size", "65")
         assert code == EXIT_OK and len(payload["rows"]) == 3
+
+
+class TestPhaseResolution:
+    """A grid too coarse for the edge phases exp(i a x x') is a usage error naming --grid-size, never a FAIL."""
+
+    # the trace check passes both at 64 nodes: the phases cancel on the diagonal of rho
+    @pytest.mark.parametrize("graph,alpha", [
+        (Graph(2, [[0.0, 2.0], [2.0, 0.0]]), "0.5"),  # deviates by 5.2e-4 on 64 nodes
+        (Graph(3, [[0.0, 3.0, 0.0], [3.0, 0.0, 3.0], [0.0, 3.0, 0.0]]), "1"),  # 5.5e-4 at the middle vertex
+    ], ids=["edge-weight-2-alpha-half", "path-weights-3-3"])
+    def test_coarse_grid_is_usage_error_and_128_nodes_pass(self, graph, alpha, tmp_path):
+        code, out, err = oracle_run((), graph, tmp_path, "--alpha", alpha)
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1 and "--grid-size 64" in err
+        code, payload = oracle_json((), graph, tmp_path, "--alpha", alpha, "--grid-size", "128")
+        assert code == EXIT_OK and payload["pass"]
+
+    def test_a_deviation_the_grid_resolves_stays_a_fail(self, monkeypatch):
+        # 48 and 64 nodes agree on the single edge to 3.4e-7, far inside a 1e-3 error in the closed form
+        monkeypatch.setattr(cf, "lambda_max", lambda spec: lambda_max(spec) + 1e-3)
+        with redirect_stdout(io.StringIO()):
+            assert main(["oracle", "--gen", "path", "--n", "2"]) == EXIT_FAIL
+
+    def test_a_pass_solves_each_vertex_once(self, monkeypatch):
+        solved = []
+        original = numerics.reduce_full_state
+
+        def spy(state, v, grid, blocks=None):
+            solved.append(grid.size)
+            return original(state, v, grid, blocks)
+
+        monkeypatch.setattr(numerics, "reduce_full_state", spy)
+        with redirect_stdout(io.StringIO()):
+            assert main(["oracle", "--gen", "cycle", "--n", "3"]) == EXIT_OK
+        assert solved == [64, 64, 64]
