@@ -124,8 +124,12 @@ def _gen_spec(args: argparse.Namespace) -> graph_mod.GraphGenSpec:
     return graph_mod.GraphGenSpec(kind=args.gen, n=args.n, p=args.p, seed=args.seed)
 
 
-def _load_graph(args: argparse.Namespace) -> tuple[graph_mod.Graph, str, int | None]:
-    """Resolve the graph source; returns (graph, provenance string, seed or None)."""
+def _load_graph(args: argparse.Namespace,
+                check_n: Callable[[int], None] | None = None) -> tuple[graph_mod.Graph, str, int | None]:
+    """Resolve the graph source; returns (graph, provenance string, seed or None).
+
+    ``check_n`` sees a generated graph's vertex count before the graph is built.
+    """
     if args.graph is not None:
         try:
             with open(args.graph, encoding="utf-8") as fh:
@@ -138,6 +142,8 @@ def _load_graph(args: argparse.Namespace) -> tuple[graph_mod.Graph, str, int | N
             raise ValueError(f"{args.graph}: {exc}") from exc
     if args.gen is not None:
         spec = _gen_spec(args)
+        if check_n is not None:
+            check_n(spec.n)
         extra = f",p={spec.p:g},seed={spec.seed}" if spec.kind == "erdos_renyi" else ""
         source = f"gen:{spec.kind}(n={spec.n}{extra})"
         return graph_mod.generate(spec), source, spec.seed
@@ -478,7 +484,7 @@ def _check_oracle_resolution(state: graph_mod.GraphState, grid: num.QuadratureGr
 def cmd_oracle(args: argparse.Namespace) -> int:
     alpha = _single_alpha(args)
     tol = _tolerance(args)
-    g, source, seed = _load_graph(args)
+    g, source, seed = _load_graph(args, num.check_oracle_vertices)
     state = graph_mod.GraphState(g, alpha)
     grid = num.build_grid(args.extent_mult / math.sqrt(alpha), args.grid_size)
     # the tensor's phases are a x x' on nodes out to the extent: past the float
@@ -498,7 +504,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         trace = float(np.trace(rho.matrix))
         if not abs(trace - 1.0) <= ORACLE_TRACE_TOL:
             raise ValueError(f"--grid-size {grid.size} is too coarse for this state: the reduced density matrix "
-                             f"of vertex {v} has quadrature trace {trace:.6g}, not 1")
+                             f"of vertex {v} has quadrature trace {trace!r}, which misses 1 by "
+                             f"{abs(trace - 1.0):.2g}")
         reduced = num.top_eigenvalues(rho, 1)
         dev_reduced = abs(reduced.lambda_max_numeric - lam_closed)
         worst = max(worst, dev_reduced)

@@ -50,15 +50,19 @@ built on the tensor grid from the graph state's definition (one envelope
 per oscillator and one phase factor per edge, read from the edge arrays)
 and never from the reduced kernel, kappa or the closed forms. Every factor
 is a vector or an m x m matrix, so no exp runs over the m^N points. The
-wavefunction is even under x -> -x and the Gauss-Legendre rule is
-symmetric, so A[::-1, ::-1] == A: only its top ceil(m/2) rows are built,
-and they fold into an even and an odd :class:`ParityBlocks` block, each a
-quarter of A. :func:`reduce_full_state` assembles rho from one real
-product per block, and :func:`alternating_maximization` sweeps the even
-block alone. At 3 vertices and 128 nodes the top rows hold 1,048,576
-complex points (16 MiB); building and folding them takes about 8 ms, and
-then the reduction about 8 ms and the alternating iteration about 6.5 ms,
-against 20, 22 and 25 ms on the unfolded 32 MiB matrix (one core, one BLAS
+vertex's own axis keeps all m nodes; each other axis keeps only the r nodes
+of :func:`live_nodes`, which drop under 2^-70 (:data:`LIVE_MASS_TOL`) of
+its envelope mass, so A is m x r^(N-1) and no eigenvalue of rho moves by
+more than about 2e-21. The wavefunction is even under x -> -x and the
+Gauss-Legendre rule and the live mask are symmetric, so A[::-1, ::-1] == A:
+only its top ceil(m/2) rows are built, and they fold into an even and an
+odd :class:`ParityBlocks` block, each a quarter of A.
+:func:`reduce_full_state` assembles rho from one real product per block,
+and :func:`alternating_maximization` sweeps the even block alone. At 3
+vertices and 128 nodes (66 live) the top rows hold 278,784 complex points
+(4.3 MiB); building and folding them takes about 2 ms, and then the
+reduction about 1.4 ms and the alternating iteration about 1.2 ms, against
+6, 6 and 5.4 ms on all 128 nodes of each rest axis (one core, one BLAS
 thread, medians on a shared 2-core machine). A caller that runs both
 oracles on one vertex builds the blocks once and passes them to each;
 called without them, each builds its own.
@@ -100,6 +104,12 @@ RITZ_CHECK_GAP = 4  # most Lanczos steps between two Ritz-residual checks
 POWER_ITERATION_CAP = 50_000
 ORACLE_MAX_VERTICES = 3
 ORACLE_MAX_GRID = 128
+# a rest axis of the oracle tensor keeps node j only where its quadrature mass
+# p_j = w_j d(x_j)^2 is at least this fraction of the mean mass sum(p) / m. The
+# nodes it drops hold under 2^-70 of the axis's mass, and every phase has modulus
+# 1, so each entry of rho moves by at most E_i E_i' (N - 1) 2^-70 and, by Weyl's
+# inequality, every eigenvalue by about 2e-21: below the roundoff of a double near 1
+LIVE_MASS_TOL = 2.0**-70
 SQRT2 = math.sqrt(2.0)
 
 
@@ -522,8 +532,9 @@ def eigenfunction_residual(spec: KernelSpec, beta: float, grid: QuadratureGrid) 
 class ParityBlocks:
     """The one-vs-rest matrix A of :func:`one_vs_rest` folded by its x -> -x symmetry.
 
-    A is m x M with M = m^(N-1), and A[::-1, ::-1] == A. In orthonormal
-    bases of the even and the odd vectors on each side, A is block diagonal:
+    A is m x M with M = r^(N-1), r being the live nodes of each rest axis
+    (:func:`live_nodes`), and A[::-1, ::-1] == A. In orthonormal bases of the
+    even and the odd vectors on each side, A is block diagonal:
 
     * ``even`` (ceil(m/2) x ceil(M/2)): entry (i, c) is A_ic + A_i,M-1-c for
       i < m // 2 and c < M // 2; for odd m the middle row and for odd M the
@@ -538,26 +549,45 @@ class ParityBlocks:
     odd: np.ndarray
 
 
+def live_nodes(alpha: float, grid: QuadratureGrid) -> np.ndarray:
+    """Mask of the nodes a rest axis of the oracle tensor keeps.
+
+    Node j is live where its quadrature mass p_j = w_j exp(-alpha x_j^2), the
+    envelope w d(x)^2 up to a constant, is at least :data:`LIVE_MASS_TOL`
+    times the mean sum(p) / m, so the dropped nodes hold under 2^-70 of the
+    axis's mass and the heaviest node is always live. The mask reads only
+    alpha and the grid, never kappa or a closed form; on a grid symmetric
+    about 0 it is symmetric bit for bit, so the x -> -x fold stays exact.
+    On the default +-10 / sqrt(alpha) Gauss-Legendre grid it keeps 66 of 128
+    nodes and 32 of 64, at every alpha.
+    """
+    mass = grid.weights * np.exp(-alpha * np.square(grid.nodes))
+    return mass >= LIVE_MASS_TOL * np.sum(mass) / grid.size
+
+
 def one_vs_rest(state: GraphState, v: int, grid: QuadratureGrid) -> ParityBlocks:
     """Parity blocks of the weighted one-vs-rest matrix A = sqrt(w_v) psi(x_v, rest) sqrt(w_rest).
 
-    A (m x m^(N-1)) is built from the graph state's definition,
+    A (m x r^(N-1)) is built from the graph state's definition,
 
         psi(x) = prod_j d(x_j) prod_{j<k, a_jk != 0} exp(i a_jk x_j x_k),
         d(x) = (alpha/pi)^(1/4) exp(-alpha x^2 / 2),
 
     with sqrt(w) folded into d and oscillator ``v`` on axis 0, the others
     following in vertex order, each edge weight read from the graph's edge
-    arrays. Axis k joins through one broadcast product with d(x_k), folded
-    into the phase of its first edge to an earlier axis; each further such
-    edge multiplies in place. No exp runs over more than m^2 points.
+    arrays. Axis 0 holds all m nodes, so rho stays m x m; each rest axis
+    holds only the r nodes of :func:`live_nodes`, whose dropped mass moves
+    no eigenvalue of rho by more than about 2e-21. Axis k joins through one
+    broadcast product with d(x_k), folded into the phase of its first edge
+    to an earlier axis; each further such edge multiplies in place. No exp
+    runs over more than m^2 points.
 
     psi(-x) = psi(x) bit for bit (each phase reads a x_j x_k), and the grid
-    is symmetric about 0, so A[::-1, ::-1] == A: only the top ceil(m/2)
-    rows are built, and they fold into :class:`ParityBlocks`, the odd block
-    in place. At 3 vertices and 128 nodes the top rows are 16 MiB and the
-    even block 8 MiB, built in about 8 ms, against 20 ms for the 32 MiB of
-    the whole matrix.
+    and the live mask are symmetric about 0, so A[::-1, ::-1] == A: only the
+    top ceil(m/2) rows are built, and they fold into :class:`ParityBlocks`,
+    the odd block in place. At 3 vertices and 128 nodes (66 live) the top
+    rows are 4.3 MiB and the even block 2.1 MiB, against 16 and 8 MiB on
+    all 128 nodes of each rest axis.
 
     Both oracles start from these blocks; a caller that runs both on one
     vertex builds them once and passes them to each.
@@ -567,19 +597,22 @@ def one_vs_rest(state: GraphState, v: int, grid: QuadratureGrid) -> ParityBlocks
     x = grid.nodes
     m = grid.size
     top = (m + 1) // 2
+    live = live_nodes(state.alpha, grid)
+    rest = x[live]
     axis = np.empty(g.n, dtype=int)
     axis[[v] + [j for j in range(g.n) if j != v]] = np.arange(g.n)
     earlier, later = np.minimum(axis[g.u], axis[g.v]), np.maximum(axis[g.u], axis[g.v])
-    nodes = [x[:top]] + [x] * (g.n - 1)  # axis 0 holds only the top rows
+    nodes = [x[:top]] + [rest] * (g.n - 1)  # axis 0 holds only the top rows
     envelope = np.sqrt(grid.weights) * (state.alpha / np.pi) ** 0.25 * np.exp(-0.5 * state.alpha * x * x)
+    rest_envelope = envelope[live]
     amp = envelope[:top].astype(complex)
     for k in range(1, g.n):
         phases = []
         for j, a in sorted(zip(earlier[later == k].tolist(), g.w[later == k].tolist())):
             shape = [1] * (k + 1)
-            shape[j], shape[k] = nodes[j].size, m
-            phases.append(np.exp(1j * a * np.outer(nodes[j], x)).reshape(shape))
-        amp = amp[..., None] * (phases[0] * envelope if phases else envelope)
+            shape[j], shape[k] = nodes[j].size, rest.size
+            phases.append(np.exp(1j * a * np.outer(nodes[j], rest)).reshape(shape))
+        amp = amp[..., None] * (phases[0] * rest_envelope if phases else rest_envelope)
         for phase in phases[1:]:
             amp *= phase
     amp = amp.reshape(top, -1)
@@ -595,13 +628,18 @@ def one_vs_rest(state: GraphState, v: int, grid: QuadratureGrid) -> ParityBlocks
     return ParityBlocks(even, amp[:, :half])
 
 
-def _check_oracle_limits(state: GraphState, v: int, grid: QuadratureGrid) -> None:
-    n = state.graph.n
+def check_oracle_vertices(n: int) -> None:
+    """Refuse a graph of more than :data:`ORACLE_MAX_VERTICES` vertices, before anything builds it."""
     if n > ORACLE_MAX_VERTICES:
         raise ValueError(
             f"full-state reduction is a brute-force check limited to {ORACLE_MAX_VERTICES} "
             f"vertices (tensor grids grow exponentially), got n={n}"
         )
+
+
+def _check_oracle_limits(state: GraphState, v: int, grid: QuadratureGrid) -> None:
+    n = state.graph.n
+    check_oracle_vertices(n)
     if not 0 <= v < n:
         raise ValueError(f"vertex {v} out of range [0, {n})")
     if grid.size > ORACLE_MAX_GRID:
@@ -621,6 +659,11 @@ def reduce_full_state(
     compared entrywise against ``discretize(KernelSpec(alpha, kappa_v), grid)``.
     ``blocks`` are those of :func:`one_vs_rest` when the caller has built
     them; without them they are built here.
+
+    A holds the r live nodes of :func:`live_nodes` on each rest axis, so
+    rho is m x m but its sums run over r^(N-1) points, not m^(N-1): each
+    entry misses at most E_i E_i' (N - 1) 2^-70 of the full-grid sum, E being
+    the envelope sqrt(w) d(x), and each eigenvalue about 2e-21.
 
     rho = Re(A A^H) is block diagonal in the parity bases: rho_e = Re(F F^H)
     and rho_o = Re(G G^H) of the even and odd blocks F and G, each a real
@@ -677,7 +720,8 @@ def alternating_maximization(
     :func:`one_vs_rest` when the caller has built them; without them they
     are built here.
 
-    The uniform start phi_2 is even under x -> -x, and A maps even vectors to
+    The start phi_2 is uniform on the M = r^(N-1) live rest points of
+    :func:`one_vs_rest`. It is even under x -> -x, and A maps even vectors to
     even vectors, so every iterate stays even: the sweeps run on the even
     block alone, in its orthonormal basis, where the start is uniform but for
     the middle column of an odd M, which carries 1 / sqrt(2).

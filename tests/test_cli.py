@@ -784,6 +784,26 @@ class TestEdgeStorage:
         assert code == "0"
         assert int(peak_kib) < 150 * 1024
 
+    def test_oracle_refuses_many_vertices_before_building_them(self):
+        # the complete graph on 3000 vertices has 4.5 million edges, and building it
+        # to learn that the oracle takes at most 3 vertices peaked at 288 MB
+        script = self.PEAK_KIB + ("import contextlib, io\n"
+                                  "from cvge.cli import main\n"
+                                  "before = peak_kib()\n"
+                                  "err = io.StringIO()\n"
+                                  "with contextlib.redirect_stderr(err):\n"
+                                  "    code = main(['oracle', '--gen', 'complete', '--n', '3000'])\n"
+                                  "print(code, peak_kib() - before)\n"
+                                  "print(err.getvalue(), end='')\n")
+        proc = run_python("-c", script)
+        assert proc.returncode == 0, proc.stderr
+        first, message = proc.stdout.split("\n", 1)
+        code, grown_kib = first.split()
+        assert code == str(EXIT_USAGE)
+        assert message == ("error: full-state reduction is a brute-force check limited to 3 vertices "
+                           "(tensor grids grow exponentially), got n=3000\n")
+        assert int(grown_kib) < 8 * 1024
+
     def test_million_edge_parse_stays_small(self, tmp_path):
         # the weighted complete graph on 1415 vertices: 1,000,405 edge lines, about 27 MB of text
         g = graph_mod.generate(graph_mod.GraphGenSpec("complete", 1415))

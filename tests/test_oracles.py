@@ -177,6 +177,14 @@ def reference_one_vs_rest(state, v, grid, tensor=None):
     return np.ascontiguousarray(np.moveaxis(tensor, v, 0)).reshape(grid.size, -1)
 
 
+def reference_live_one_vs_rest(state, v, grid, tensor=None):
+    """``reference_one_vs_rest`` on the live nodes of each rest axis (m x r^(N-1)), as ``one_vs_rest`` builds A."""
+    tensor = reference_tensor(state, grid) if tensor is None else tensor
+    live = np.flatnonzero(numerics.live_nodes(state.alpha, grid))
+    moved = np.moveaxis(tensor, v, 0)
+    return np.ascontiguousarray(moved[np.ix_(np.arange(grid.size), *[live] * (tensor.ndim - 1))]).reshape(grid.size, -1)
+
+
 def reference_alternating(amp, tol=1e-12):
     """The alternating iteration on the unfolded matrix from the uniform start; returns its lambda history."""
     phi2 = np.full(amp.shape[1], 1.0 / math.sqrt(amp.shape[1]), dtype=complex)
@@ -212,26 +220,28 @@ class TestOneVsRest:
                              ids=["path-3", "cycle-3", "weighted-triangle"])
     @pytest.mark.parametrize("alpha", [0.8, 2.0])
     def test_matches_single_exp_reference(self, graph, alpha):
-        # the blocks are A in the orthonormal parity bases: P_e^T A Q_e and P_o^T A Q_o
+        # the blocks are A, on the live rest nodes, in the orthonormal parity
+        # bases: P_e^T A Q_e and P_o^T A Q_o
         state = GraphState(graph, alpha)
         for size in (32, 33):
             grid = build_grid(10.0 / math.sqrt(alpha), size)
             tensor = reference_tensor(state, grid)
+            rest = int(np.sum(numerics.live_nodes(alpha, grid))) ** (graph.n - 1)
             for v in range(graph.n):
                 blocks = one_vs_rest(state, v, grid)
-                amp = reference_one_vs_rest(state, v, grid, tensor)
+                amp = reference_live_one_vs_rest(state, v, grid, tensor)
                 even = parity_basis(size, 1).T @ amp @ parity_basis(amp.shape[1], 1)
                 odd = parity_basis(size, -1).T @ amp @ parity_basis(amp.shape[1], -1)
-                assert blocks.even.shape == even.shape == ((size + 1) // 2, (size * size + 1) // 2)
+                assert blocks.even.shape == even.shape == ((size + 1) // 2, (rest + 1) // 2)
                 scale = 1e-13 * np.max(np.abs(amp))  # the odd block's sums cancel
                 np.testing.assert_allclose(blocks.even, even, rtol=1e-13, atol=scale)
                 np.testing.assert_allclose(blocks.odd[: size // 2], odd, rtol=1e-13, atol=scale)
-                assert blocks.odd.shape == ((size + 1) // 2, size * size // 2)
+                assert blocks.odd.shape == ((size + 1) // 2, rest // 2)
                 assert not np.any(blocks.odd[size // 2:])
 
     def test_first_alternating_step_never_vanishes(self):
         # the uniform start gives g = integral psi d(rest), a Gaussian in x_v; the
-        # smallest norm over these cases is 0.0397, so no start is ever annihilated
+        # smallest norm over these cases is 0.0770, so no start is ever annihilated
         graphs = [generate(GraphGenSpec(kind, n)) for kind, n in
                   (("path", 2), ("path", 3), ("cycle", 3), ("complete", 3), ("star", 3))]
         graphs += [Graph(2, np.zeros((2, 2))), WEIGHTED_TRIANGLE]
@@ -241,9 +251,10 @@ class TestOneVsRest:
                 for size in (64, 128):
                     grid = build_grid(10.0 / math.sqrt(alpha), size)
                     for v in range(graph.n):
-                        even = one_vs_rest(GraphState(graph, alpha), v, grid).even
-                        # the uniform vector of the m^(N-1) points, in the even basis
-                        start = np.full(even.shape[1], math.sqrt(2.0 / size ** (graph.n - 1)))
+                        blocks = one_vs_rest(GraphState(graph, alpha), v, grid)
+                        even = blocks.even
+                        # the uniform vector of the r^(N-1) live rest points, in the even basis
+                        start = np.full(even.shape[1], math.sqrt(2.0 / (even.shape[1] + blocks.odd.shape[1])))
                         smallest = min(smallest, float(np.linalg.norm(even @ start)))
         assert smallest > 1e-2
 
@@ -408,7 +419,7 @@ class TestParityFold:
         grid = build_grid(10.0 / math.sqrt(alpha), size)
         tensor = reference_tensor(state, grid)
         for v in range(graph.n):
-            amp = reference_one_vs_rest(state, v, grid, tensor)
+            amp = reference_live_one_vs_rest(state, v, grid, tensor)
             pairs = amp.view(float)
             rho = reduce_full_state(state, v, grid).matrix
             assert np.max(np.abs(rho - pairs @ pairs.T)) < 1e-13, v
@@ -459,6 +470,50 @@ class TestParityFold:
         assert code == EXIT_OK and len(payload["rows"]) == 3
 
 
+class TestLiveNodes:
+    """The rest axes of the oracle tensor keep only the nodes that hold their mass."""
+
+    @pytest.mark.parametrize("size", range(2, ORACLE_MAX_GRID + 1))
+    def test_mask_is_symmetric_and_drops_at_most_its_share(self, size):
+        for alpha in (0.5, 1.0, 2.0):
+            for mult in (8.0, 10.0, 1000.0):
+                grid = build_grid(mult / math.sqrt(alpha), size)
+                live = numerics.live_nodes(alpha, grid)
+                mass = grid.weights * np.sqrt(alpha / np.pi) * np.exp(-alpha * grid.nodes**2)
+                assert np.array_equal(live, live[::-1]), (alpha, mult)
+                assert live[np.argmax(mass)], (alpha, mult)
+                assert np.sum(mass[~live]) <= numerics.LIVE_MASS_TOL * np.sum(mass), (alpha, mult)
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.83, 1.0, 1.9, 4.0])
+    def test_default_grid_keeps_about_half(self, alpha):
+        for size, kept in ((64, 32), (128, 66)):
+            assert np.sum(numerics.live_nodes(alpha, build_grid(10.0 / math.sqrt(alpha), size))) == kept
+
+    @pytest.mark.parametrize("size", FOLD_SIZES)
+    @pytest.mark.parametrize("graph", [graph for _, graph in ORACLE_SOURCES], ids=ORACLE_SOURCE_IDS)
+    def test_matches_the_full_grid(self, graph, size):
+        # the pruned oracles against every node of every axis; three or seven
+        # nodes leave lambda far above 1, and there the bound is relative
+        alpha = 1.3
+        state = GraphState(graph, alpha)
+        grid = build_grid(10.0 / math.sqrt(alpha), size)
+        tensor = reference_tensor(state, grid)
+        for v in range(graph.n):
+            amp = reference_one_vs_rest(state, v, grid, tensor)
+            pairs = amp.view(float)
+            full = pairs @ pairs.T
+            rho = reduce_full_state(state, v, grid)
+            assert np.max(np.abs(rho.matrix - full)) < 1e-13, v
+            expected = np.linalg.eigvalsh(full)[-1]
+            bound = 2e-15 * max(1.0, expected)
+            assert abs(top_eigenvalues(rho, 1).lambda_max_numeric - expected) < bound, v
+            if graph.n >= 2:
+                history = alternating_maximization(state, v, grid).history
+                unfolded = reference_alternating(amp)
+                assert len(history) == len(unfolded), v
+                assert abs(history[-1] - unfolded[-1]) < 2e-15 * max(1.0, unfolded[-1]), v
+
+
 class TestPhaseResolution:
     """A grid too coarse for the edge phases exp(i a x x') is a usage error naming --grid-size, never a FAIL."""
 
@@ -473,6 +528,15 @@ class TestPhaseResolution:
         assert err.startswith("error:") and err.count("\n") == 1 and "--grid-size 64" in err
         code, payload = oracle_json((), graph, tmp_path, "--alpha", alpha, "--grid-size", "128")
         assert code == EXIT_OK and payload["pass"]
+
+    def test_trace_message_shows_the_miss(self, tmp_path):
+        # a 30 / sqrt(alpha) extent leaves 128 nodes a trace of 0.99999992777...,
+        # which ".6g" used to round to 1 in a message saying it was not 1
+        code, out, err = oracle_run(("--gen", "cycle", "--n", "3"), None, tmp_path,
+                                    "--grid-size", "128", "--extent-mult", "30")
+        assert code == EXIT_USAGE and out == ""
+        assert err == ("error: --grid-size 128 is too coarse for this state: the reduced density matrix of "
+                       "vertex 0 has quadrature trace 0.9999999277725578, which misses 1 by 7.2e-08\n")
 
     def test_a_deviation_the_grid_resolves_stays_a_fail(self, monkeypatch):
         # 48 and 64 nodes agree on the single edge to 3.4e-7, far inside a 1e-3 error in the closed form
