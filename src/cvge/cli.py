@@ -49,8 +49,8 @@ MAX_ROWS = 100_000  # most values --count or --kappa-range may ask for
 GRID_CAPS = {"profile": num.MAX_GRID_SIZE, "validate": num.MAX_GRID_SIZE, "oracle": num.ORACLE_MAX_GRID}
 # a reduced density matrix has trace 1, and an oracle grid whose quadrature trace
 # misses 1 by more than this cannot hold the state. At alpha in [0.5, 2] every graph
-# of at most 3 vertices stays within 2e-14 on 64 to 128 nodes, while 32 nodes miss
-# by up to 2.1e-4 and 3 nodes by up to 130. Independent of --tol, which judges the
+# of at most 3 vertices stays within 4e-14 on 64 to 128 nodes, while 32 nodes miss
+# by up to 2.1e-4 and 3 nodes by up to 125. Independent of --tol, which judges the
 # degree law, not the grid.
 ORACLE_TRACE_TOL = 1e-8
 
@@ -128,7 +128,8 @@ def _load_graph(args: argparse.Namespace,
                 check_n: Callable[[int], None] | None = None) -> tuple[graph_mod.Graph, str, int | None]:
     """Resolve the graph source; returns (graph, provenance string, seed or None).
 
-    ``check_n`` sees a generated graph's vertex count before the graph is built.
+    ``check_n`` sees the vertex count before the graph is built: a generated
+    graph's from its spec, a file's from its ``vertices <N>`` header.
     """
     if args.graph is not None:
         try:
@@ -137,7 +138,7 @@ def _load_graph(args: argparse.Namespace,
         except OSError as exc:
             raise ValueError(f"cannot read graph file: {exc}") from exc
         try:
-            return graph_mod.parse_edge_list(text), args.graph, None
+            return graph_mod.parse_edge_list(text, check_n), args.graph, None
         except graph_mod.EdgeListError as exc:
             raise ValueError(f"{args.graph}: {exc}") from exc
     if args.gen is not None:

@@ -395,7 +395,7 @@ def _parse_block(lines: list[str], linenos: np.ndarray,
     return u[:stop], v[:stop], w[:stop], stop, error
 
 
-def parse_edge_list(text: str) -> Graph:
+def parse_edge_list(text: str, check_n: Callable[[int], None] | None = None) -> Graph:
     """Parse the plain-text edge-list format.
 
     Lines starting with ``#`` are comments and blank lines are skipped. The
@@ -410,6 +410,9 @@ def parse_edge_list(text: str) -> Graph:
     number. One stable sort of the pair keys finds the pairs listed twice; a
     pair listed again with another weight names the most recent earlier line
     of that pair.
+
+    ``check_n`` sees the header's vertex count before any edge line is
+    converted; whatever it raises propagates unchanged.
     """
     n: int | None = None
     parts = [(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0), np.empty(0, np.int64))]
@@ -419,6 +422,8 @@ def parse_edge_list(text: str) -> Graph:
         rows = [i for i, line in enumerate(block) if line.lstrip()[:1] not in ("", "#")]
         if n is None and rows:
             n = _header(block[rows[0]], first + rows[0])
+            if check_n is not None:
+                check_n(n)
             rows = rows[1:]
         if rows:
             linenos = np.array(rows, dtype=np.int64) + first

@@ -49,23 +49,26 @@ Both start from the weighted one-vs-rest matrix A of :func:`one_vs_rest`,
 built on the tensor grid from the graph state's definition (one envelope
 per oscillator and one phase factor per edge, read from the edge arrays)
 and never from the reduced kernel, kappa or the closed forms. Every factor
-is a vector or an m x m matrix, so no exp runs over the m^N points. The
-vertex's own axis keeps all m nodes; each other axis keeps only the r nodes
-of :func:`live_nodes`, which drop under 2^-70 (:data:`LIVE_MASS_TOL`) of
-its envelope mass, so A is m x r^(N-1) and no eigenvalue of rho moves by
-more than about 2e-21. The wavefunction is even under x -> -x and the
-Gauss-Legendre rule and the live mask are symmetric, so A[::-1, ::-1] == A:
-only its top ceil(m/2) rows are built, and they fold into an even and an
-odd :class:`ParityBlocks` block, each a quarter of A.
+is a vector or an r x r matrix, so no exp runs over the r^N points. Every
+axis, the vertex's own included, keeps only the r nodes of
+:func:`live_nodes`, which drop under 2^-70 (:data:`LIVE_MASS_TOL`) of its
+envelope mass, so A is r x r^(N-1) and rho is r x r on the live sub-grid.
+The pruned rest axes move no eigenvalue of rho by more than about 2e-21,
+and the rows and columns of rho dropped with the vertex's own axis move
+lambda_max by second order only, about as much. The wavefunction is even
+under x -> -x and the Gauss-Legendre rule and the live mask are symmetric,
+so A[::-1, ::-1] == A: only its top ceil(r/2) rows are built, and they fold
+into an even and an odd :class:`ParityBlocks` block, each a quarter of A.
 :func:`reduce_full_state` assembles rho from one real product per block,
 and :func:`alternating_maximization` sweeps the even block alone. At 3
-vertices and 128 nodes (66 live) the top rows hold 278,784 complex points
-(4.3 MiB); building and folding them takes about 2 ms, and then the
-reduction about 1.4 ms and the alternating iteration about 1.2 ms, against
-6, 6 and 5.4 ms on all 128 nodes of each rest axis (one core, one BLAS
-thread, medians on a shared 2-core machine). A caller that runs both
-oracles on one vertex builds the blocks once and passes them to each;
-called without them, each builds its own.
+vertices and 128 nodes (66 live) the top rows hold 143,748 complex points
+(2.2 MiB). Per vertex, building and folding them takes about 1.1 ms, the
+reduction 0.6 ms, the dense eigensolve of rho 0.17 ms and the alternating
+iteration 0.45 ms, against 2.0, 1.3, 0.45 and 1.1 ms with all 128 nodes on
+the vertex's own axis (one core, one BLAS thread, medians of 600 vertex
+solves interleaved in one process on a shared 2-core machine). A caller
+that runs both oracles on one vertex builds the blocks once and passes
+them to each; called without them, each builds its own.
 
 A dense discretization, and so every oracle, needs the truncation extent
 L >= 8 / sqrt(alpha): the integrand mass beyond that is below exp(-32) of
@@ -104,11 +107,14 @@ RITZ_CHECK_GAP = 4  # most Lanczos steps between two Ritz-residual checks
 POWER_ITERATION_CAP = 50_000
 ORACLE_MAX_VERTICES = 3
 ORACLE_MAX_GRID = 128
-# a rest axis of the oracle tensor keeps node j only where its quadrature mass
+# every axis of the oracle tensor keeps node j only where its quadrature mass
 # p_j = w_j d(x_j)^2 is at least this fraction of the mean mass sum(p) / m. The
 # nodes it drops hold under 2^-70 of the axis's mass, and every phase has modulus
-# 1, so each entry of rho moves by at most E_i E_i' (N - 1) 2^-70 and, by Weyl's
-# inequality, every eigenvalue by about 2e-21: below the roundoff of a double near 1
+# 1, so on the rest axes each entry of rho moves by at most E_i E_i' (N - 1) 2^-70
+# and, by Weyl's inequality, every eigenvalue by about 2e-21. On the vertex's own
+# axis they are rows and columns of rho, and dropping them moves lambda_max by
+# second order, by at most about 2^-70 / lambda_max (see reduce_full_state): both
+# below the roundoff of a double near 1
 LIVE_MASS_TOL = 2.0**-70
 SQRT2 = math.sqrt(2.0)
 
@@ -532,15 +538,15 @@ def eigenfunction_residual(spec: KernelSpec, beta: float, grid: QuadratureGrid) 
 class ParityBlocks:
     """The one-vs-rest matrix A of :func:`one_vs_rest` folded by its x -> -x symmetry.
 
-    A is m x M with M = r^(N-1), r being the live nodes of each rest axis
+    A is r x M with M = r^(N-1), r being the live nodes of every axis
     (:func:`live_nodes`), and A[::-1, ::-1] == A. In orthonormal bases of the
     even and the odd vectors on each side, A is block diagonal:
 
-    * ``even`` (ceil(m/2) x ceil(M/2)): entry (i, c) is A_ic + A_i,M-1-c for
-      i < m // 2 and c < M // 2; for odd m the middle row and for odd M the
+    * ``even`` (ceil(r/2) x ceil(M/2)): entry (i, c) is A_ic + A_i,M-1-c for
+      i < r // 2 and c < M // 2; for odd r the middle row and for odd M the
       middle column carry sqrt(2) A instead, and their corner A alone;
-    * ``odd`` (ceil(m/2) x M // 2): entry (i, c) is A_ic - A_i,M-1-c. Its
-      middle row, for odd m, is exactly zero.
+    * ``odd`` (ceil(r/2) x M // 2): entry (i, c) is A_ic - A_i,M-1-c. Its
+      middle row, for odd r, is exactly zero.
 
     ``odd`` is a view of the buffer the top rows of A were built in.
     """
@@ -550,7 +556,7 @@ class ParityBlocks:
 
 
 def live_nodes(alpha: float, grid: QuadratureGrid) -> np.ndarray:
-    """Mask of the nodes a rest axis of the oracle tensor keeps.
+    """Mask of the nodes each axis of the oracle tensor keeps, the vertex's own included.
 
     Node j is live where its quadrature mass p_j = w_j exp(-alpha x_j^2), the
     envelope w d(x)^2 up to a constant, is at least :data:`LIVE_MASS_TOL`
@@ -568,51 +574,50 @@ def live_nodes(alpha: float, grid: QuadratureGrid) -> np.ndarray:
 def one_vs_rest(state: GraphState, v: int, grid: QuadratureGrid) -> ParityBlocks:
     """Parity blocks of the weighted one-vs-rest matrix A = sqrt(w_v) psi(x_v, rest) sqrt(w_rest).
 
-    A (m x r^(N-1)) is built from the graph state's definition,
+    A (r x r^(N-1)) is built from the graph state's definition,
 
         psi(x) = prod_j d(x_j) prod_{j<k, a_jk != 0} exp(i a_jk x_j x_k),
         d(x) = (alpha/pi)^(1/4) exp(-alpha x^2 / 2),
 
     with sqrt(w) folded into d and oscillator ``v`` on axis 0, the others
     following in vertex order, each edge weight read from the graph's edge
-    arrays. Axis 0 holds all m nodes, so rho stays m x m; each rest axis
-    holds only the r nodes of :func:`live_nodes`, whose dropped mass moves
-    no eigenvalue of rho by more than about 2e-21. Axis k joins through one
+    arrays. Every axis, axis 0 included, holds only the r nodes of
+    :func:`live_nodes`, so one node set and one envelope serve them all and
+    rho is r x r. The mass the rest axes drop moves no eigenvalue of rho by
+    more than about 2e-21, and the rows axis 0 drops move lambda_max by
+    about as much (see :func:`reduce_full_state`). Axis k joins through one
     broadcast product with d(x_k), folded into the phase of its first edge
     to an earlier axis; each further such edge multiplies in place. No exp
-    runs over more than m^2 points.
+    runs over more than r^2 points.
 
     psi(-x) = psi(x) bit for bit (each phase reads a x_j x_k), and the grid
     and the live mask are symmetric about 0, so A[::-1, ::-1] == A: only the
-    top ceil(m/2) rows are built, and they fold into :class:`ParityBlocks`,
+    top ceil(r/2) rows are built, and they fold into :class:`ParityBlocks`,
     the odd block in place. At 3 vertices and 128 nodes (66 live) the top
-    rows are 4.3 MiB and the even block 2.1 MiB, against 16 and 8 MiB on
-    all 128 nodes of each rest axis.
+    rows are 2.2 MiB and the even block 1.1 MiB, against 4.3 and 2.1 MiB
+    with all 128 nodes on axis 0.
 
     Both oracles start from these blocks; a caller that runs both on one
     vertex builds them once and passes them to each.
     """
     _check_oracle_limits(state, v, grid)
     g = state.graph
-    x = grid.nodes
-    m = grid.size
-    top = (m + 1) // 2
     live = live_nodes(state.alpha, grid)
-    rest = x[live]
+    x = grid.nodes[live]
+    top = (x.size + 1) // 2
     axis = np.empty(g.n, dtype=int)
     axis[[v] + [j for j in range(g.n) if j != v]] = np.arange(g.n)
     earlier, later = np.minimum(axis[g.u], axis[g.v]), np.maximum(axis[g.u], axis[g.v])
-    nodes = [x[:top]] + [rest] * (g.n - 1)  # axis 0 holds only the top rows
-    envelope = np.sqrt(grid.weights) * (state.alpha / np.pi) ** 0.25 * np.exp(-0.5 * state.alpha * x * x)
-    rest_envelope = envelope[live]
+    nodes = [x[:top]] + [x] * (g.n - 1)  # axis 0 holds only the top rows
+    envelope = np.sqrt(grid.weights[live]) * (state.alpha / np.pi) ** 0.25 * np.exp(-0.5 * state.alpha * x * x)
     amp = envelope[:top].astype(complex)
     for k in range(1, g.n):
         phases = []
         for j, a in sorted(zip(earlier[later == k].tolist(), g.w[later == k].tolist())):
             shape = [1] * (k + 1)
-            shape[j], shape[k] = nodes[j].size, rest.size
-            phases.append(np.exp(1j * a * np.outer(nodes[j], rest)).reshape(shape))
-        amp = amp[..., None] * (phases[0] * rest_envelope if phases else rest_envelope)
+            shape[j], shape[k] = nodes[j].size, x.size
+            phases.append(np.exp(1j * a * np.outer(nodes[j], x)).reshape(shape))
+        amp = amp[..., None] * (phases[0] * envelope if phases else envelope)
         for phase in phases[1:]:
             amp *= phase
     amp = amp.reshape(top, -1)
@@ -622,7 +627,7 @@ def one_vs_rest(state: GraphState, v: int, grid: QuadratureGrid) -> ParityBlocks
     np.add(amp[:, :half], mirror, out=even[:, :half])
     if amp.shape[1] % 2:
         even[:, half] = SQRT2 * amp[:, half]
-    if m % 2:
+    if x.size % 2:
         even[-1] /= SQRT2
     amp[:, :half] -= mirror
     return ParityBlocks(even, amp[:, :half])
@@ -656,44 +661,54 @@ def reduce_full_state(
 
     Integrates psi(x_v, rest) conj(psi(x_v', rest)) directly from the full
     wavefunction, never using the closed-form kernel, so the result can be
-    compared entrywise against ``discretize(KernelSpec(alpha, kappa_v), grid)``.
-    ``blocks`` are those of :func:`one_vs_rest` when the caller has built
-    them; without them they are built here.
+    compared entrywise against ``discretize(KernelSpec(alpha, kappa_v), grid)``
+    on the live nodes. ``blocks`` are those of :func:`one_vs_rest` when the
+    caller has built them; without them they are built here.
 
-    A holds the r live nodes of :func:`live_nodes` on each rest axis, so
-    rho is m x m but its sums run over r^(N-1) points, not m^(N-1): each
-    entry misses at most E_i E_i' (N - 1) 2^-70 of the full-grid sum, E being
-    the envelope sqrt(w) d(x), and each eigenvalue about 2e-21.
+    A holds the r live nodes of :func:`live_nodes` on every axis, so rho is
+    the r x r kernel on the live sub-grid, ``QuadratureGrid(grid.nodes[live],
+    grid.weights[live], grid.extent)``, and its sums run over r^(N-1)
+    points, not m^(N-1). Each entry misses at most E_i E_i' (N - 1) 2^-70 of
+    the full-grid sum, E being the envelope sqrt(w) d(x), and so each
+    eigenvalue about 2e-21. The rows and columns of the full m x m rho that
+    axis v drops are a principal block of it: by Cauchy interlacing lambda_max
+    can only fall, and the Rayleigh quotient of the top eigenvector u
+    restricted to the live rows bounds the fall by lambda_max delta /
+    (1 - delta), where delta = |u_dropped|^2 <= 2^-70 / lambda_max^2 (on a
+    trace-1 rho each u_i is at most E_i / lambda_max). That is second order
+    in the dropped amplitude: about 2^-70 / lambda_max, under 2e-21 wherever
+    lambda_max >= 1/2.
 
     rho = Re(A A^H) is block diagonal in the parity bases: rho_e = Re(F F^H)
     and rho_o = Re(G G^H) of the even and odd blocks F and G, each a real
     product at a quarter of the flops of the unfolded one. Back on the grid,
-    with h = ceil(m/2), the top-left h x h block of rho is T = (rho_e +
+    with h = ceil(r/2), the top-left h x h block of rho is T = (rho_e +
     rho_o) / 2 and its mirror S = (rho_e - rho_o) / 2 (the middle row and
-    column of rho_e, for odd m, carrying sqrt(2)); the other three blocks
+    column of rho_e, for odd r, carrying sqrt(2)); the other three blocks
     are flips of T and S, as rho[::-1, ::-1] == rho.
     """
     _check_oracle_limits(state, v, grid)
     if blocks is None:
         blocks = one_vs_rest(state, v, grid)
-    m = grid.size
-    top = (m + 1) // 2
+    live = live_nodes(state.alpha, grid)
+    r = int(np.count_nonzero(live))
+    top = (r + 1) // 2
     # interleaved (Re, Im) columns: R R^T = Re(F F^H) at half the flops of the
     # complex product; numpy computes a product with its own transpose as one
     # symmetric rank-k update, so rho_e, rho_o and the result are exactly symmetric
     even, odd = blocks.even.view(float), blocks.odd.view(float)
     rho_even, rho_odd = even @ even.T, odd @ odd.T
-    if m % 2:
+    if r % 2:
         rho_even[-1] *= SQRT2
         rho_even[:, -1] *= SQRT2
     same, mirrored = (rho_even + rho_odd) / 2.0, (rho_even - rho_odd) / 2.0
-    rho = np.empty((m, m))
+    rho = np.empty((r, r))
     rho[:top, :top] = same
-    rho[:top, m - top:] = mirrored[:, ::-1]
-    rho[m - top:, :top] = mirrored[::-1]
-    rho[m - top:, m - top:] = same[::-1, ::-1]
+    rho[:top, r - top:] = mirrored[:, ::-1]
+    rho[r - top:, :top] = mirrored[::-1]
+    rho[r - top:, r - top:] = same[::-1, ::-1]
     equivalent = KernelSpec(state.alpha, vertex_kappa(state.graph, v))
-    return DiscretizedKernel(rho, grid, equivalent)
+    return DiscretizedKernel(rho, QuadratureGrid(grid.nodes[live], grid.weights[live], grid.extent), equivalent)
 
 
 def alternating_maximization(
@@ -723,8 +738,11 @@ def alternating_maximization(
     The start phi_2 is uniform on the M = r^(N-1) live rest points of
     :func:`one_vs_rest`. It is even under x -> -x, and A maps even vectors to
     even vectors, so every iterate stays even: the sweeps run on the even
-    block alone, in its orthonormal basis, where the start is uniform but for
-    the middle column of an odd M, which carries 1 / sqrt(2).
+    block alone, ceil(r/2) x ceil(M/2), in its orthonormal basis, where the
+    start is uniform but for the middle column of an odd M, which carries
+    1 / sqrt(2). phi_1 lives on the r live nodes of the vertex's own axis;
+    the nodes dropped there move lambda by about 2e-21, as in
+    :func:`reduce_full_state`. ``grid_size`` is that of ``grid``, m.
     """
     if state.graph.n < 2:
         raise ValueError("the one-vs-rest split needs at least 2 oscillators")

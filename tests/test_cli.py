@@ -804,6 +804,29 @@ class TestEdgeStorage:
                            "(tensor grids grow exponentially), got n=3000\n")
         assert int(grown_kib) < 8 * 1024
 
+    def test_oracle_refuses_a_many_vertex_file_before_parsing_its_edges(self, tmp_path):
+        # the complete graph on 700 vertices: 244,650 edge lines, whose conversion
+        # grew VmHWM by 42 MiB before the oracle's 3-vertex limit refused the graph
+        path = tmp_path / "complete700.txt"
+        path.write_text(graph_mod.serialize_edge_list(graph_mod.generate(graph_mod.GraphGenSpec("complete", 700))),
+                        encoding="utf-8")
+        script = self.PEAK_KIB + ("import contextlib, io, sys\n"
+                                  "from cvge.cli import main\n"
+                                  "before = peak_kib()\n"
+                                  "err = io.StringIO()\n"
+                                  "with contextlib.redirect_stderr(err):\n"
+                                  "    code = main(['oracle', '--graph', sys.argv[1]])\n"
+                                  "print(code, peak_kib() - before)\n"
+                                  "print(err.getvalue(), end='')\n")
+        proc = run_python("-c", script, str(path))
+        assert proc.returncode == 0, proc.stderr
+        first, message = proc.stdout.split("\n", 1)
+        code, grown_kib = first.split()
+        assert code == str(EXIT_USAGE)
+        assert message == ("error: full-state reduction is a brute-force check limited to 3 vertices "
+                           "(tensor grids grow exponentially), got n=700\n")
+        assert int(grown_kib) < 8 * 1024
+
     def test_million_edge_parse_stays_small(self, tmp_path):
         # the weighted complete graph on 1415 vertices: 1,000,405 edge lines, about 27 MB of text
         g = graph_mod.generate(graph_mod.GraphGenSpec("complete", 1415))

@@ -42,12 +42,26 @@ SMALL_BINARY_GRAPHS = [
 ]
 
 
+def on_live_nodes(matrix, alpha, grid):
+    """The rows and columns of an m x m ``matrix`` at the live nodes of ``grid``, as ``reduce_full_state`` keeps them."""
+    live = numerics.live_nodes(alpha, grid)
+    return matrix[np.ix_(live, live)]
+
+
+def assert_lambda_matches_full_grid(rho, state, v, grid, tensor=None):
+    """The top eigenvalue of the r x r ``rho`` against that of the unpruned m x m Re(A A^H) of ``reference_one_vs_rest``."""
+    pairs = reference_one_vs_rest(state, v, grid, tensor).view(float)
+    expected = np.linalg.eigvalsh(pairs @ pairs.T)[-1]
+    assert abs(top_eigenvalues(rho, 1).lambda_max_numeric - expected) < 2e-15 * max(1.0, expected), v
+
+
 class TestReduceFullState:
     def test_edge_matches_analytic_kernel_entrywise(self):
         state = GraphState(generate(GraphGenSpec("path", 2)), 1.0)
         oracle = reduce_full_state(state, 0, GRID)
         analytic = discretize(KernelSpec(1.0, 1.0), GRID)
-        assert np.max(np.abs(oracle.matrix - analytic.matrix)) < 1e-8
+        assert np.max(np.abs(oracle.matrix - on_live_nodes(analytic.matrix, 1.0, GRID))) < 1e-8
+        assert_lambda_matches_full_grid(oracle, state, 0, GRID)
 
     def test_triangle_every_vertex(self):
         state = GraphState(generate(GraphGenSpec("cycle", 3)), 1.0)
@@ -69,11 +83,12 @@ class TestReduceFullState:
         # not the kappa = 0.5 one: the oracle adjudicates sum(a^2) over sum(a)
         state = GraphState(Graph(2, [[0.0, 0.5], [0.5, 0.0]]), 1.0)
         oracle = reduce_full_state(state, 0, GRID)
-        squared = discretize(KernelSpec(1.0, 0.25), GRID)
-        linear = discretize(KernelSpec(1.0, 0.5), GRID)
-        assert np.max(np.abs(oracle.matrix - squared.matrix)) < 1e-8
-        assert np.max(np.abs(oracle.matrix - linear.matrix)) > 1e-3
+        squared = on_live_nodes(discretize(KernelSpec(1.0, 0.25), GRID).matrix, 1.0, GRID)
+        linear = on_live_nodes(discretize(KernelSpec(1.0, 0.5), GRID).matrix, 1.0, GRID)
+        assert np.max(np.abs(oracle.matrix - squared)) < 1e-8
+        assert np.max(np.abs(oracle.matrix - linear)) > 1e-3
         assert oracle.spec.kappa == 0.25
+        assert_lambda_matches_full_grid(oracle, state, 0, GRID)
 
     @pytest.mark.parametrize("name,graph", SMALL_BINARY_GRAPHS)
     def test_full_state_consistency(self, name, graph):
@@ -178,11 +193,11 @@ def reference_one_vs_rest(state, v, grid, tensor=None):
 
 
 def reference_live_one_vs_rest(state, v, grid, tensor=None):
-    """``reference_one_vs_rest`` on the live nodes of each rest axis (m x r^(N-1)), as ``one_vs_rest`` builds A."""
+    """``reference_one_vs_rest`` on the live nodes of every axis (r x r^(N-1)), as ``one_vs_rest`` builds A."""
     tensor = reference_tensor(state, grid) if tensor is None else tensor
     live = np.flatnonzero(numerics.live_nodes(state.alpha, grid))
     moved = np.moveaxis(tensor, v, 0)
-    return np.ascontiguousarray(moved[np.ix_(np.arange(grid.size), *[live] * (tensor.ndim - 1))]).reshape(grid.size, -1)
+    return np.ascontiguousarray(moved[np.ix_(*[live] * tensor.ndim)]).reshape(live.size, -1)
 
 
 def reference_alternating(amp, tol=1e-12):
@@ -220,24 +235,26 @@ class TestOneVsRest:
                              ids=["path-3", "cycle-3", "weighted-triangle"])
     @pytest.mark.parametrize("alpha", [0.8, 2.0])
     def test_matches_single_exp_reference(self, graph, alpha):
-        # the blocks are A, on the live rest nodes, in the orthonormal parity
-        # bases: P_e^T A Q_e and P_o^T A Q_o
+        # the blocks are A, on the live nodes of every axis, in the orthonormal
+        # parity bases: P_e^T A Q_e and P_o^T A Q_o
         state = GraphState(graph, alpha)
         for size in (32, 33):
             grid = build_grid(10.0 / math.sqrt(alpha), size)
             tensor = reference_tensor(state, grid)
-            rest = int(np.sum(numerics.live_nodes(alpha, grid))) ** (graph.n - 1)
+            live = int(np.sum(numerics.live_nodes(alpha, grid)))
+            rest = live ** (graph.n - 1)
             for v in range(graph.n):
                 blocks = one_vs_rest(state, v, grid)
                 amp = reference_live_one_vs_rest(state, v, grid, tensor)
-                even = parity_basis(size, 1).T @ amp @ parity_basis(amp.shape[1], 1)
-                odd = parity_basis(size, -1).T @ amp @ parity_basis(amp.shape[1], -1)
-                assert blocks.even.shape == even.shape == ((size + 1) // 2, (rest + 1) // 2)
+                even = parity_basis(live, 1).T @ amp @ parity_basis(amp.shape[1], 1)
+                odd = parity_basis(live, -1).T @ amp @ parity_basis(amp.shape[1], -1)
+                assert blocks.even.shape == even.shape == ((live + 1) // 2, (rest + 1) // 2)
                 scale = 1e-13 * np.max(np.abs(amp))  # the odd block's sums cancel
                 np.testing.assert_allclose(blocks.even, even, rtol=1e-13, atol=scale)
-                np.testing.assert_allclose(blocks.odd[: size // 2], odd, rtol=1e-13, atol=scale)
-                assert blocks.odd.shape == ((size + 1) // 2, rest // 2)
-                assert not np.any(blocks.odd[size // 2:])
+                np.testing.assert_allclose(blocks.odd[: live // 2], odd, rtol=1e-13, atol=scale)
+                assert blocks.odd.shape == ((live + 1) // 2, rest // 2)
+                assert not np.any(blocks.odd[live // 2:])
+                assert_lambda_matches_full_grid(reduce_full_state(state, v, grid, blocks), state, v, grid, tensor)
 
     def test_first_alternating_step_never_vanishes(self):
         # the uniform start gives g = integral psi d(rest), a Gaussian in x_v; the
@@ -283,10 +300,13 @@ class TestOracleBuild:
         grid = build_grid(10.0 / math.sqrt(alpha), 64)
         dense = discretize(KernelSpec(alpha, kappa(graph, v)), grid)
         oracle = reduce_full_state(state, v, grid)
-        assert np.max(np.abs(oracle.matrix - dense.matrix)) < 1e-8
+        assert np.max(np.abs(oracle.matrix - on_live_nodes(dense.matrix, alpha, grid))) < 1e-8
+        tensor = reference_tensor(state, grid)
+        assert_lambda_matches_full_grid(oracle, state, v, grid, tensor)
         alternating = alternating_maximization(state, v, grid)
         assert alternating.lambda_max_numeric == pytest.approx(
             top_eigenvalues(dense, 1).lambda_max_numeric, abs=1e-7)
+        assert len(alternating.history) == len(reference_alternating(reference_one_vs_rest(state, v, grid, tensor)))
 
     def test_json_output_byte_identical(self):
         argv = ["oracle", "--gen", "cycle", "--n", "3", "--grid-size", "128", "--format", "json"]
@@ -372,10 +392,11 @@ class TestSharedOneVsRest:
                     == alternating_maximization(state, v, GRID))
 
     def test_one_matrix_is_live_at_a_time(self):
-        # a 3-vertex, 128-node vertex builds the top 64 rows of its matrix
-        # (16 MiB) and folds them into an 8 MiB even block, the odd block in
-        # place; the peak with them is about 25 MiB, and blocks kept alive
-        # while the next vertex builds its own put it at about 72 MiB
+        # a 3-vertex, 128-node vertex builds the top 33 rows of its matrix on
+        # the 66 live nodes (2.2 MiB) and folds them into a 1.1 MiB even block,
+        # the odd block in place; the traced peak is about 4.5 MiB. Blocks kept
+        # alive while the next vertex builds its own put it at about 7.8 MiB,
+        # and all 128 nodes on the vertex's own axis at about 7.7 MiB
         argv = ["oracle", "--gen", "cycle", "--n", "3", "--grid-size", "128"]
         tracemalloc.start()
         try:
@@ -384,7 +405,7 @@ class TestSharedOneVsRest:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 32 * 2**20
+        assert peak < 6 * 2**20
 
 
 FOLD_SIZES = [2, 3, 7, 63, 64, 65, 127, 128]
@@ -421,8 +442,9 @@ class TestParityFold:
         for v in range(graph.n):
             amp = reference_live_one_vs_rest(state, v, grid, tensor)
             pairs = amp.view(float)
-            rho = reduce_full_state(state, v, grid).matrix
-            assert np.max(np.abs(rho - pairs @ pairs.T)) < 1e-13, v
+            rho = reduce_full_state(state, v, grid)
+            assert np.max(np.abs(rho.matrix - pairs @ pairs.T)) < 1e-13, v
+            assert_lambda_matches_full_grid(rho, state, v, grid, tensor)
             if graph.n >= 2:
                 history = alternating_maximization(state, v, grid).history
                 unfolded = reference_alternating(amp)
@@ -471,7 +493,7 @@ class TestParityFold:
 
 
 class TestLiveNodes:
-    """The rest axes of the oracle tensor keep only the nodes that hold their mass."""
+    """Every axis of the oracle tensor keeps only the nodes that hold its mass."""
 
     @pytest.mark.parametrize("size", range(2, ORACLE_MAX_GRID + 1))
     def test_mask_is_symmetric_and_drops_at_most_its_share(self, size):
@@ -497,13 +519,18 @@ class TestLiveNodes:
         alpha = 1.3
         state = GraphState(graph, alpha)
         grid = build_grid(10.0 / math.sqrt(alpha), size)
+        live = numerics.live_nodes(alpha, grid)
         tensor = reference_tensor(state, grid)
         for v in range(graph.n):
             amp = reference_one_vs_rest(state, v, grid, tensor)
             pairs = amp.view(float)
             full = pairs @ pairs.T
             rho = reduce_full_state(state, v, grid)
-            assert np.max(np.abs(rho.matrix - full)) < 1e-13, v
+            # rho lives on the r live nodes of axis v, and holds exactly their nodes and weights
+            assert rho.matrix.shape == (np.sum(live),) * 2, v
+            assert np.array_equal(rho.grid.nodes, grid.nodes[live]), v
+            assert np.array_equal(rho.grid.weights, grid.weights[live]), v
+            assert np.max(np.abs(rho.matrix - full[np.ix_(live, live)])) < 1e-13, v
             expected = np.linalg.eigvalsh(full)[-1]
             bound = 2e-15 * max(1.0, expected)
             assert abs(top_eigenvalues(rho, 1).lambda_max_numeric - expected) < bound, v
