@@ -49,9 +49,9 @@ MAX_ROWS = 100_000  # most values --count or --kappa-range may ask for
 GRID_CAPS = {"profile": num.MAX_GRID_SIZE, "validate": num.MAX_GRID_SIZE, "oracle": num.ORACLE_MAX_GRID}
 # a reduced density matrix has trace 1, and an oracle grid whose quadrature trace
 # misses 1 by more than this cannot hold the state. At alpha in [0.5, 2] every graph
-# of at most 3 vertices stays within 4e-14 on 64 to 128 nodes, while 32 nodes miss
-# by up to 2.1e-4 and 3 nodes by up to 125. Independent of --tol, which judges the
-# degree law, not the grid.
+# of at most 3 vertices stays within 2e-15 at --grid-size 64 to 128 (48 to 96
+# trapezoid nodes), while --grid-size 32 misses by up to 1.3e-5 and --grid-size 3 by
+# up to 179. Independent of --tol, which judges the degree law, not the grid.
 ORACLE_TRACE_TOL = 1e-8
 
 
@@ -129,16 +129,21 @@ def _load_graph(args: argparse.Namespace,
     """Resolve the graph source; returns (graph, provenance string, seed or None).
 
     ``check_n`` sees the vertex count before the graph is built: a generated
-    graph's from its spec, a file's from its ``vertices <N>`` header.
+    graph's from its spec, a file's from its ``vertices <N>`` header, which
+    the parser reads from the file's first block, not from the whole file.
     """
     if args.graph is not None:
         try:
             with open(args.graph, encoding="utf-8") as fh:
-                text = fh.read()
+                try:
+                    return graph_mod.parse_edge_list(fh, check_n), args.graph, None
+                except UnicodeDecodeError as exc:
+                    # exc counts from the start of the bytes the decoder was last given,
+                    # which end where the file stands now
+                    at = fh.buffer.tell() - len(exc.object) + exc.start
+                    raise ValueError(f"{args.graph}: cannot decode byte {at} as UTF-8: {exc.reason}") from None
         except OSError as exc:
             raise ValueError(f"cannot read graph file: {exc}") from exc
-        try:
-            return graph_mod.parse_edge_list(text, check_n), args.graph, None
         except graph_mod.EdgeListError as exc:
             raise ValueError(f"{args.graph}: {exc}") from exc
     if args.gen is not None:
@@ -455,21 +460,22 @@ ORACLE_COLUMNS = [(key, key) for key in ("vertex", "kappa", "lambda_max", "lambd
                                          "lambda_alternating", "dev_reduced", "dev_alternating")]
 
 
-def _check_oracle_resolution(state: graph_mod.GraphState, grid: num.QuadratureGrid, rows: list[dict],
-                             tol: float) -> None:
+def _check_oracle_resolution(state: graph_mod.GraphState, grid: num.QuadratureGrid, grid_size: int,
+                             rows: list[dict], tol: float) -> None:
     """Refuse a FAIL verdict that ``grid`` cannot adjudicate: ValueError naming ``--grid-size``.
 
     The edge phases exp(i a x x') cancel on the diagonal of rho, so a grid too
     coarse for them keeps the reduced trace at 1 and moves lambda instead.
-    Each vertex whose deviation reaches ``tol`` is solved again on
-    ceil(3m/4) nodes; where lambda_reduced moves by more than that deviation,
-    the deviation is quadrature error, not a failed degree law. One edge of
-    weight 2 at alpha = 0.5 deviates by 5.2e-4 on 64 nodes, and 48 nodes move
-    lambda by 1.2e-2; on 128 nodes it deviates by 4.0e-14. A ``--tol`` below
-    the roundoff of the 128-node cap (about 1e-14) lands here too, so the
-    message names ``--tol`` as well.
+    Each vertex whose deviation reaches ``tol`` is solved again on the rule
+    that ``--grid-size`` n would build, n being the nodes of ``grid``; where
+    lambda_reduced moves by more than that deviation, the deviation is
+    quadrature error, not a failed degree law. One edge of weight 2 at
+    alpha = 0.5 deviates by 4.9e-5 on the 48 nodes of --grid-size 64, and 36
+    nodes move lambda by 4.0e-3; on the 96 nodes of --grid-size 128 it
+    deviates by 4.2e-14. A ``--tol`` below the roundoff of the 128 cap
+    (about 1e-14) lands here too, so the message names ``--tol`` as well.
     """
-    coarse = num.build_grid(grid.extent, -(-3 * grid.size // 4))
+    coarse = num.oracle_grid(grid.extent, grid.size)
     for row in rows:
         deviation = max(row["dev_reduced"], row["dev_alternating"] or 0.0)
         if deviation < tol:
@@ -477,9 +483,9 @@ def _check_oracle_resolution(state: graph_mod.GraphState, grid: num.QuadratureGr
         lam = num.top_eigenvalues(num.reduce_full_state(state, row["vertex"], coarse), 1).lambda_max_numeric
         moved = abs(lam - row["lambda_reduced"])
         if moved > deviation:
-            raise ValueError(f"--grid-size {grid.size} is too coarse to judge vertex {row['vertex']} at --tol "
-                             f"{tol:g}: its lambda moves by {moved:.2g} on {coarse.size} nodes, more than "
-                             f"its deviation {deviation:.2g} from the degree law")
+            raise ValueError(f"--grid-size {grid_size} is too coarse to judge vertex {row['vertex']} at --tol "
+                             f"{tol:g}: its lambda moves by {moved:.2g} from {grid.size} to {coarse.size} nodes, "
+                             f"more than its deviation {deviation:.2g} from the degree law")
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
@@ -487,7 +493,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     tol = _tolerance(args)
     g, source, seed = _load_graph(args, num.check_oracle_vertices)
     state = graph_mod.GraphState(g, alpha)
-    grid = num.build_grid(args.extent_mult / math.sqrt(alpha), args.grid_size)
+    grid = num.oracle_grid(args.extent_mult / math.sqrt(alpha), args.grid_size)
     # the tensor's phases are a x x' on nodes out to the extent: past the float
     # range they are inf, and exp(i inf) is nan
     if g.w.size and not math.isfinite(max(1.0, float(np.max(np.abs(g.w)))) * grid.extent * grid.extent):
@@ -504,7 +510,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         rho = num.reduce_full_state(state, v, grid, blocks)
         trace = float(np.trace(rho.matrix))
         if not abs(trace - 1.0) <= ORACLE_TRACE_TOL:
-            raise ValueError(f"--grid-size {grid.size} is too coarse for this state: the reduced density matrix "
+            raise ValueError(f"--grid-size {args.grid_size} is too coarse for this state: the reduced density matrix "
                              f"of vertex {v} has quadrature trace {trace!r}, which misses 1 by "
                              f"{abs(trace - 1.0):.2g}")
         reduced = num.top_eigenvalues(rho, 1)
@@ -531,15 +537,15 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         })
     passed = all_converged and worst < tol
     if not passed:
-        _check_oracle_resolution(state, grid, rows, tol)
+        _check_oracle_resolution(state, grid, args.grid_size, rows, tol)
     verdict = "PASS" if passed else "FAIL"
     footers = [f"{verdict}: max deviation = {_cell(worst, '-')} (tolerance {_cell(tol, '-')}), "
-               f"source {source}, grid {grid.size} nodes"]
+               f"source {source}, --grid-size {args.grid_size} ({grid.size} trapezoid nodes)"]
     payload = {
         "alpha": alpha,
         "graph": {"n": g.n, "source": source, "seed": seed},
         "tolerance": tol,
-        "grid_size": grid.size,
+        "grid_size": args.grid_size,
         "max_deviation": worst,
         "pass": passed,
         "rows": rows,
@@ -646,7 +652,7 @@ def _oracle_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--alpha", default="1", help="oscillator width parameter (default 1)")
     p.add_argument("--tol", type=float, default=1e-6,
                    help="PASS threshold on the worst deviation (default 1e-6)")
-    _numeric_options(p, "Gauss-Legendre nodes per axis", 64, GRID_CAPS["oracle"])
+    _numeric_options(p, "m: each axis is the trapezoid rule on ceil(3m/4) nodes", 64, GRID_CAPS["oracle"])
 
 
 def _scan_options(p: argparse.ArgumentParser) -> None:

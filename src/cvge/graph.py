@@ -24,7 +24,7 @@ sort of the pair keys.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable, Iterator, TextIO
 
 import numpy as np
 
@@ -298,17 +298,23 @@ def _kappa_overflow(v: int) -> str:
     return f"vertex {v}: the sum of its squared edge weights overflows, so kappa is inf"
 
 
-def _line_blocks(text: str) -> Iterator[list[str]]:
-    """``text.splitlines()`` in consecutive blocks of about :data:`PARSE_BLOCK` characters.
+def _line_blocks(source: str | TextIO) -> Iterator[list[str]]:
+    """The lines of ``source`` in consecutive blocks of about :data:`PARSE_BLOCK` characters.
 
-    Each block but the last ends just after a ``\\n``, so no line, and no
-    ``\\r\\n`` pair, is split between two blocks.
+    Each block but the last is ``PARSE_BLOCK`` characters and the rest of the
+    line they end in, so no line, and no ``\\r\\n`` pair, is split between two
+    blocks, and the blocks' ``splitlines`` are those of the whole text. A
+    stream is read one block at a time; a string is sliced the same way.
     """
+    if not isinstance(source, str):
+        while block := source.read(PARSE_BLOCK):
+            yield (block + source.readline()).splitlines()
+        return
     start = 0
-    while start < len(text):
-        end = text.find("\n", start + PARSE_BLOCK)
-        end = len(text) if end < 0 else end + 1
-        yield text[start:end].splitlines()
+    while start < len(source):
+        end = source.find("\n", start + PARSE_BLOCK)
+        end = len(source) if end < 0 else end + 1
+        yield source[start:end].splitlines()
         start = end
 
 
@@ -395,7 +401,7 @@ def _parse_block(lines: list[str], linenos: np.ndarray,
     return u[:stop], v[:stop], w[:stop], stop, error
 
 
-def parse_edge_list(text: str, check_n: Callable[[int], None] | None = None) -> Graph:
+def parse_edge_list(text: str | TextIO, check_n: Callable[[int], None] | None = None) -> Graph:
     """Parse the plain-text edge-list format.
 
     Lines starting with ``#`` are comments and blank lines are skipped. The
@@ -404,7 +410,9 @@ def parse_edge_list(text: str, check_n: Callable[[int], None] | None = None) -> 
     with 0-indexed endpoints and optional real weight (default 1.0). A pair
     may be listed again with an equal weight. An edge of weight 0 is no edge.
 
-    The text is read in blocks of lines. Python's ``int`` and ``float``
+    ``text`` is a string or a text stream, and is read in blocks of lines:
+    a stream no further than the block that holds a faulty line, or the
+    header that ``check_n`` refuses. Python's ``int`` and ``float``
     convert each block's fields, and the checks run on its arrays. A faulty
     line raises EdgeListError naming the first one in the file and its line
     number. One stable sort of the pair keys finds the pairs listed twice; a

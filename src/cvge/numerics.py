@@ -14,10 +14,11 @@ Two representations of B exist:
 
 * :func:`discretize` assembles the dense matrix on any grid, and
   :func:`top_eigenvalues` solves it with one dense symmetric eigensolve. The
-  oracles and cross-check helpers (:func:`reduce_full_state`,
-  :func:`alternating_maximization`, :func:`eigenfunction_residual`,
-  :func:`purity_numeric`) use this route, normally on the Gauss-Legendre rule
-  of :func:`build_grid`.
+  oracles (:func:`reduce_full_state`, :func:`alternating_maximization`) use
+  this route, normally on the symmetric trapezoid rule of
+  :func:`oracle_grid`, and the cross-check helpers
+  (:func:`eigenfunction_residual`, :func:`purity_numeric`) on the
+  Gauss-Legendre rule of :func:`build_grid`.
 * ``discretize(..., matrix_free=True)`` never forms B. The kernel factors as
   K(x, x') = d(x) g(x - x') d(x'), so on the equally spaced grid of
   :func:`trapezoid_grid`, which carries its step h, B is a
@@ -56,19 +57,22 @@ envelope mass, so A is r x r^(N-1) and rho is r x r on the live sub-grid.
 The pruned rest axes move no eigenvalue of rho by more than about 2e-21,
 and the rows and columns of rho dropped with the vertex's own axis move
 lambda_max by second order only, about as much. The wavefunction is even
-under x -> -x and the Gauss-Legendre rule and the live mask are symmetric,
-so A[::-1, ::-1] == A: only its top ceil(r/2) rows are built, and they fold
+under x -> -x and the oracle's rule and the live mask are symmetric, so
+A[::-1, ::-1] == A: only its top ceil(r/2) rows are built, and they fold
 into an even and an odd :class:`ParityBlocks` block, each a quarter of A.
 :func:`reduce_full_state` assembles rho from one real product per block,
-and :func:`alternating_maximization` sweeps the even block alone. At 3
-vertices and 128 nodes (66 live) the top rows hold 143,748 complex points
-(2.2 MiB). Per vertex, building and folding them takes about 1.1 ms, the
-reduction 0.6 ms, the dense eigensolve of rho 0.17 ms and the alternating
-iteration 0.45 ms, against 2.0, 1.3, 0.45 and 1.1 ms with all 128 nodes on
-the vertex's own axis (one core, one BLAS thread, medians of 600 vertex
-solves interleaved in one process on a shared 2-core machine). A caller
-that runs both oracles on one vertex builds the blocks once and passes
-them to each; called without them, each builds its own.
+and :func:`alternating_maximization` sweeps the even block alone. The
+oracles normally run on the trapezoid rule of :func:`oracle_grid`, which
+keeps 34 live of the 48 nodes of ``--grid-size`` 64 and 68 of the 96 of
+``--grid-size`` 128; at 3 vertices the top rows then hold 157,216 complex
+points (2.4 MiB). On 128 Gauss-Legendre nodes (66 live) they hold 143,748
+(2.2 MiB), and per vertex, building and folding them took about 1.1 ms,
+the reduction 0.6 ms, the dense eigensolve of rho 0.17 ms and the
+alternating iteration 0.45 ms, against 2.0, 1.3, 0.45 and 1.1 ms with all
+128 nodes on the vertex's own axis (one core, one BLAS thread, medians of
+600 vertex solves interleaved in one process on a shared 2-core machine).
+A caller that runs both oracles on one vertex builds the blocks once and
+passes them to each; called without them, each builds its own.
 
 A dense discretization, and so every oracle, needs the truncation extent
 L >= 8 / sqrt(alpha): the integrand mass beyond that is below exp(-32) of
@@ -124,7 +128,8 @@ class QuadratureGrid:
     """Quadrature nodes and weights on [-extent, extent].
 
     ``step`` is the node spacing h of a grid built equally spaced,
-    x_i = x_0 + i h, by :func:`trapezoid_grid`; it is None on every other grid.
+    x_i = x_0 + i h, by :func:`trapezoid_grid` or :func:`oracle_grid`; it is
+    None on every other grid.
     """
 
     nodes: np.ndarray
@@ -331,6 +336,29 @@ def trapezoid_grid(extent: float, size: int) -> QuadratureGrid:
     weights = np.full(size, 2.0 * extent / (size - 1))
     weights[[0, -1]] /= 2.0
     return QuadratureGrid(nodes, weights, extent, float((nodes[-1] - nodes[0]) / (size - 1)))
+
+
+def oracle_grid(extent: float, grid_size: int) -> QuadratureGrid:
+    """The oracles' rule for ``--grid-size m``: the trapezoid rule on ceil(3m/4) nodes over [-extent, extent].
+
+    Node i is h (i - (n - 1) / 2): each offset and its negation are exact,
+    so nodes i and n - 1 - i are one half and its mirror, bit for bit, as the
+    parity fold of :func:`one_vs_rest` needs. ceil(3m/4) trapezoid nodes
+    keep about as many :func:`live_nodes` as m Gauss-Legendre nodes (34 of
+    48 against 32 of 64, 68 of 96 against 66 of 128), so the tensor work is
+    the same, and the rule converges geometrically on these Gaussian
+    integrands. On the 48 nodes of m = 64, every unweighted graph of at most
+    3 vertices misses the degree law by at most 2.0e-9 for alpha from 0.5
+    to 2 in steps of 0.05 (star 3 at alpha = 0.55), where 64 Gauss-Legendre
+    nodes miss by up to 2.6e-7.
+    """
+    if grid_size < 2:
+        raise ValueError(f"grid size must be >= 2, got {grid_size}")
+    size = -(-3 * grid_size // 4)
+    step = 2.0 * extent / (size - 1)
+    weights = np.full(size, step)
+    weights[[0, -1]] /= 2.0
+    return QuadratureGrid(step * (np.arange(size) - (size - 1) / 2), weights, extent, step)
 
 
 def top_eigenvalues(dk: DiscretizedKernel, k: int) -> NumericResult:
@@ -564,8 +592,11 @@ def live_nodes(alpha: float, grid: QuadratureGrid) -> np.ndarray:
     axis's mass and the heaviest node is always live. The mask reads only
     alpha and the grid, never kappa or a closed form; on a grid symmetric
     about 0 it is symmetric bit for bit, so the x -> -x fold stays exact.
-    On the default +-10 / sqrt(alpha) Gauss-Legendre grid it keeps 66 of 128
-    nodes and 32 of 64, at every alpha.
+    The oracles normally run on the trapezoid rule of :func:`oracle_grid`:
+    on +-10 / sqrt(alpha) it keeps 34 of the 48 nodes of ``--grid-size`` 64
+    and 68 of the 96 of ``--grid-size`` 128, at every alpha. The
+    Gauss-Legendre rule of :func:`build_grid` crowds its nodes towards the
+    ends, where the state has no mass: it keeps 32 of 64 and 66 of 128.
     """
     mass = grid.weights * np.exp(-alpha * np.square(grid.nodes))
     return mass >= LIVE_MASS_TOL * np.sum(mass) / grid.size
@@ -593,9 +624,10 @@ def one_vs_rest(state: GraphState, v: int, grid: QuadratureGrid) -> ParityBlocks
     psi(-x) = psi(x) bit for bit (each phase reads a x_j x_k), and the grid
     and the live mask are symmetric about 0, so A[::-1, ::-1] == A: only the
     top ceil(r/2) rows are built, and they fold into :class:`ParityBlocks`,
-    the odd block in place. At 3 vertices and 128 nodes (66 live) the top
-    rows are 2.2 MiB and the even block 1.1 MiB, against 4.3 and 2.1 MiB
-    with all 128 nodes on axis 0.
+    the odd block in place. At 3 vertices and 128 Gauss-Legendre nodes (66
+    live) the top rows are 2.2 MiB and the even block 1.1 MiB, against 4.3
+    and 2.1 MiB with all 128 nodes on axis 0; on the 96 trapezoid nodes of
+    ``oracle_grid(L, 128)`` (68 live) they are 2.4 and 1.2 MiB.
 
     Both oracles start from these blocks; a caller that runs both on one
     vertex builds them once and passes them to each.

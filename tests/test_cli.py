@@ -133,6 +133,17 @@ class TestProfile:
         assert code == EXIT_USAGE
         assert "line 2" in err
 
+    @pytest.mark.parametrize("lines", [0, 30_000])
+    def test_undecodable_byte_is_named_by_its_offset_in_the_file(self, lines, tmp_path):
+        # the file is read in blocks, so the decoder sees one chunk at a time;
+        # the offset must still count from the start of the file
+        head = "vertices 3\n" + "# café\n0 1\n" * lines
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(head.encode("utf-8") + b"1 2 \xff\n0 2\n")
+        code, out, err = run_cli("profile", "--graph", str(path))
+        assert code == EXIT_USAGE and out == ""
+        assert err == f"error: {path}: cannot decode byte {len(head.encode('utf-8')) + 4} as UTF-8: invalid start byte\n"
+
     def test_invalid_alpha(self):
         code, _, err = run_cli("profile", "--gen", "star", "--n", "3", "--alpha", "-1")
         assert code == EXIT_USAGE
@@ -261,6 +272,21 @@ class TestValidate:
 
 
 class TestOracle:
+    def test_no_gauss_legendre_rule_on_the_oracle_path(self, tmp_path):
+        # numpy.polynomial holds leggauss; one edge of weight 2 at alpha = 0.5
+        # FAILs on --grid-size 64 and runs the re-check before it exits 2
+        path = tmp_path / "w.txt"
+        path.write_text("vertices 2\n0 1 2.0\n", encoding="utf-8")
+        script = ("import contextlib, io, sys\n"
+                  "from cvge.cli import main\n"
+                  "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+                  "    codes = [main(['oracle', '--graph', sys.argv[1], '--alpha', '0.5']),\n"
+                  "             main(['oracle', '--gen', 'cycle', '--n', '3', '--grid-size', '128'])]\n"
+                  "print(*codes, any(m.split('.')[:2] == ['numpy', 'polynomial'] for m in sys.modules))\n")
+        proc = run_python("-c", script, str(path))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == [str(EXIT_USAGE), str(EXIT_OK), "False"]
+
     def test_single_edge_three_routes(self):
         code, out, _ = run_cli("oracle", "--gen", "path", "--n", "2", "--format", "json")
         assert code == EXIT_OK
@@ -508,7 +534,7 @@ class TestValueBounds:
          "--extent-mult must be finite and >= 8, got 5"),
         (("oracle", "--gen", "path", "--n", "2", "--extent-mult", "5"),
          "--extent-mult must be finite and >= 8, got 5"),
-        # 32 nodes hold the reduced state's trace only to 2.1e-4
+        # the 24 nodes of --grid-size 32 hold the reduced state's trace only to 1.3e-5
         (("oracle", "--gen", "cycle", "--n", "3", "--grid-size", "32"), "--grid-size 32 is too coarse"),
         *[((command, *source, "--extent-mult", mult), f"--extent-mult must be <= 1000, got {mult}")
           for command, source in (("profile", ("--gen", "path", "--n", "2")), ("validate", ("--kappa", "1")),
@@ -826,6 +852,25 @@ class TestEdgeStorage:
         assert message == ("error: full-state reduction is a brute-force check limited to 3 vertices "
                            "(tensor grids grow exponentially), got n=700\n")
         assert int(grown_kib) < 8 * 1024
+
+    def test_oracle_refuses_a_large_file_without_reading_it_whole(self, tmp_path):
+        # the complete graph on 1415 vertices: 1,000,405 edge lines, 8.4 MB of text.
+        # Reading it whole before the header check grew VmHWM by 16 MiB; the
+        # parser reads the header's block of about 64 KiB and stops there
+        path = tmp_path / "complete1415.txt"
+        path.write_text(graph_mod.serialize_edge_list(graph_mod.generate(graph_mod.GraphGenSpec("complete", 1415))),
+                        encoding="utf-8")
+        script = self.PEAK_KIB + ("import contextlib, io, sys\n"
+                                  "from cvge.cli import main\n"
+                                  "before = peak_kib()\n"
+                                  "with contextlib.redirect_stderr(io.StringIO()):\n"
+                                  "    code = main(['oracle', '--graph', sys.argv[1]])\n"
+                                  "print(code, peak_kib() - before)\n")
+        proc = run_python("-c", script, str(path))
+        assert proc.returncode == 0, proc.stderr
+        code, grown_kib = proc.stdout.split()
+        assert code == str(EXIT_USAGE)
+        assert int(grown_kib) < 4 * 1024
 
     def test_million_edge_parse_stays_small(self, tmp_path):
         # the weighted complete graph on 1415 vertices: 1,000,405 edge lines, about 27 MB of text

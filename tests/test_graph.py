@@ -1,5 +1,6 @@
 """Graph construction, edge-list round trips, generators, and coupling strength."""
 
+import io
 import math
 from unittest import mock
 
@@ -227,6 +228,35 @@ class TestParseBlocks:
         assert parse_error(text.replace("1 0 0.5", "1 0 0.75")) == \
             "line 10: edge (0, 1) already declared with weight 0.5 on line 4"
 
+    @pytest.mark.parametrize("block", [1, 4, 9, 64, graph_mod.PARSE_BLOCK])
+    def test_a_stream_parses_as_its_text(self, block, monkeypatch, tmp_path):
+        monkeypatch.setattr(graph_mod, "PARSE_BLOCK", block)
+        text = "# c\r\n\r\nvertices 4\r\n0 1 0.5\r\n\r\n1 2\r2 3 0.25\f# c\x85\n1 0 0.5\n"
+        path = tmp_path / "g.txt"
+
+        def outcome(source):  # the edges, or the error with its line number
+            try:
+                return list(parse_edge_list(source).edges())
+            except EdgeListError as exc:
+                return str(exc)
+
+        for variant in (text, text + "0 2 2 2\n", text.replace("1 0 0.5", "1 0 0.75"), text + "7 x\n"):
+            path.write_text(variant, encoding="utf-8", newline="")
+            with open(path, encoding="utf-8") as fh:  # as the CLI opens it: \r and \r\n read as \n
+                from_file = outcome(fh)
+            assert outcome(io.StringIO(variant)) == from_file == outcome(variant)
+
+    def test_a_refused_header_stops_the_read_at_its_block(self):
+        text, _ = self.path_text()
+        stream = io.StringIO(text)
+
+        def refuse(n):
+            raise ValueError(f"refused n={n}")
+
+        with pytest.raises(ValueError, match="refused n=10000"):
+            parse_edge_list(stream, refuse)
+        assert graph_mod.PARSE_BLOCK <= stream.tell() < graph_mod.PARSE_BLOCK + 20
+
 
 @st.composite
 def weighted_graphs(draw):
@@ -249,10 +279,11 @@ class TestParseRoundTrip:
         text = data.draw(st.sampled_from(["\n", "\r\n"])).join(lines)
         block = data.draw(st.sampled_from([1, 16, graph_mod.PARSE_BLOCK]))
         with mock.patch.object(graph_mod, "PARSE_BLOCK", block):
-            again = parse_edge_list(text)
-        assert again.n == graph.n
-        for name in ("u", "v", "w"):
-            assert getattr(again, name).tobytes() == getattr(graph, name).tobytes()
+            again, streamed = parse_edge_list(text), parse_edge_list(io.StringIO(text))
+        for parsed in (again, streamed):
+            assert parsed.n == graph.n
+            for name in ("u", "v", "w"):
+                assert getattr(parsed, name).tobytes() == getattr(graph, name).tobytes()
 
 
 class TestFromEdges:

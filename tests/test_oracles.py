@@ -372,7 +372,7 @@ class TestSharedOneVsRest:
         code, payload = oracle_json(source, graph, tmp_path, "--alpha", repr(alpha), "--grid-size", "64")
         assert code == EXIT_OK
         state = GraphState(graph, alpha)
-        grid = build_grid(10.0 / math.sqrt(alpha), 64)
+        grid = numerics.oracle_grid(10.0 / math.sqrt(alpha), 64)
         for row in payload["rows"]:
             v = row["vertex"]
             reduced = top_eigenvalues(reduce_full_state(state, v, grid), 1).lambda_max_numeric
@@ -392,11 +392,12 @@ class TestSharedOneVsRest:
                     == alternating_maximization(state, v, GRID))
 
     def test_one_matrix_is_live_at_a_time(self):
-        # a 3-vertex, 128-node vertex builds the top 33 rows of its matrix on
-        # the 66 live nodes (2.2 MiB) and folds them into a 1.1 MiB even block,
-        # the odd block in place; the traced peak is about 4.5 MiB. Blocks kept
-        # alive while the next vertex builds its own put it at about 7.8 MiB,
-        # and all 128 nodes on the vertex's own axis at about 7.7 MiB
+        # a 3-vertex vertex at --grid-size 128 builds the top 34 rows of its
+        # matrix on the 68 live nodes of 96 (2.4 MiB) and folds them into a
+        # 1.2 MiB even block, the odd block in place; the traced peak is about
+        # 4.1 MiB. Blocks kept alive while the next vertex builds its own, or
+        # every node kept on the vertex's own axis, put it at 7.8 and 7.7 MiB
+        # on 128 Gauss-Legendre nodes
         argv = ["oracle", "--gen", "cycle", "--n", "3", "--grid-size", "128"]
         tracemalloc.start()
         try:
@@ -419,6 +420,18 @@ class TestParityFold:
         grid = build_grid(10.0, size)
         assert np.array_equal(grid.nodes, -grid.nodes[::-1])
         assert np.array_equal(grid.weights, grid.weights[::-1])
+
+    @pytest.mark.parametrize("grid_size", range(2, ORACLE_MAX_GRID + 1))
+    def test_oracle_rule_is_an_exactly_symmetric_trapezoid_rule(self, grid_size):
+        grid = numerics.oracle_grid(10.0 / math.sqrt(1.3), grid_size)
+        size = -(-3 * grid_size // 4)
+        assert grid.size == size
+        assert np.array_equal(grid.nodes, -grid.nodes[::-1])
+        assert np.array_equal(grid.weights, grid.weights[::-1])
+        assert np.allclose(np.diff(grid.nodes), grid.step, rtol=1e-13, atol=0)
+        assert grid.nodes[-1] == pytest.approx(grid.extent, rel=1e-15)
+        assert np.sum(grid.weights) == pytest.approx(2.0 * grid.extent, rel=1e-14)
+        assert grid.weights[0] == grid.step / 2.0
 
     @pytest.mark.parametrize("graph", [generate(GraphGenSpec("path", 3)),
                                        generate(GraphGenSpec("cycle", 3)), WEIGHTED_TRIANGLE],
@@ -495,11 +508,12 @@ class TestParityFold:
 class TestLiveNodes:
     """Every axis of the oracle tensor keeps only the nodes that hold its mass."""
 
+    @pytest.mark.parametrize("rule", [build_grid, numerics.oracle_grid], ids=["gauss-legendre", "oracle-trapezoid"])
     @pytest.mark.parametrize("size", range(2, ORACLE_MAX_GRID + 1))
-    def test_mask_is_symmetric_and_drops_at_most_its_share(self, size):
+    def test_mask_is_symmetric_and_drops_at_most_its_share(self, rule, size):
         for alpha in (0.5, 1.0, 2.0):
             for mult in (8.0, 10.0, 1000.0):
-                grid = build_grid(mult / math.sqrt(alpha), size)
+                grid = rule(mult / math.sqrt(alpha), size)
                 live = numerics.live_nodes(alpha, grid)
                 mass = grid.weights * np.sqrt(alpha / np.pi) * np.exp(-alpha * grid.nodes**2)
                 assert np.array_equal(live, live[::-1]), (alpha, mult)
@@ -510,6 +524,14 @@ class TestLiveNodes:
     def test_default_grid_keeps_about_half(self, alpha):
         for size, kept in ((64, 32), (128, 66)):
             assert np.sum(numerics.live_nodes(alpha, build_grid(10.0 / math.sqrt(alpha), size))) == kept
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.83, 1.0, 1.9, 4.0])
+    def test_oracle_rule_keeps_as_many_as_gauss_legendre(self, alpha):
+        # ceil(3m/4) trapezoid nodes for --grid-size m keep about the live nodes of m Gauss-Legendre nodes
+        for grid_size, size, kept in ((64, 48, 34), (128, 96, 68)):
+            grid = numerics.oracle_grid(10.0 / math.sqrt(alpha), grid_size)
+            assert grid.size == size
+            assert np.sum(numerics.live_nodes(alpha, grid)) == kept
 
     @pytest.mark.parametrize("size", FOLD_SIZES)
     @pytest.mark.parametrize("graph", [graph for _, graph in ORACLE_SOURCES], ids=ORACLE_SOURCE_IDS)
@@ -541,13 +563,26 @@ class TestLiveNodes:
                 assert abs(history[-1] - unfolded[-1]) < 2e-15 * max(1.0, unfolded[-1]), v
 
 
+class TestOracleAccuracy:
+    """The oracle's trapezoid rule meets the degree law to 1e-9 at the default --grid-size."""
+
+    @pytest.mark.parametrize("alpha", ["0.5", "0.6", "0.8", "1", "1.4", "2"])
+    @pytest.mark.parametrize("source,graph", ORACLE_SOURCES[:-1], ids=ORACLE_SOURCE_IDS[:-1])
+    def test_unweighted_graphs_at_the_default_grid(self, source, graph, alpha, tmp_path):
+        # 64 Gauss-Legendre nodes missed by up to 1.6e-7 (cycle 3 at alpha = 0.5);
+        # the 48 trapezoid nodes of --grid-size 64 miss by at most 5.9e-10
+        code, payload = oracle_json(source, graph, tmp_path, "--alpha", alpha)
+        assert code == EXIT_OK and payload["grid_size"] == 64
+        assert payload["max_deviation"] <= 1e-9
+
+
 class TestPhaseResolution:
     """A grid too coarse for the edge phases exp(i a x x') is a usage error naming --grid-size, never a FAIL."""
 
-    # the trace check passes both at 64 nodes: the phases cancel on the diagonal of rho
+    # the trace check passes both at --grid-size 64: the phases cancel on the diagonal of rho
     @pytest.mark.parametrize("graph,alpha", [
-        (Graph(2, [[0.0, 2.0], [2.0, 0.0]]), "0.5"),  # deviates by 5.2e-4 on 64 nodes
-        (Graph(3, [[0.0, 3.0, 0.0], [3.0, 0.0, 3.0], [0.0, 3.0, 0.0]]), "1"),  # 5.5e-4 at the middle vertex
+        (Graph(2, [[0.0, 2.0], [2.0, 0.0]]), "0.5"),  # deviates by 4.9e-5 on the 48 nodes of --grid-size 64
+        (Graph(3, [[0.0, 3.0, 0.0], [3.0, 0.0, 3.0], [0.0, 3.0, 0.0]]), "1"),  # 6.3e-5 at the middle vertex
     ], ids=["edge-weight-2-alpha-half", "path-weights-3-3"])
     def test_coarse_grid_is_usage_error_and_128_nodes_pass(self, graph, alpha, tmp_path):
         code, out, err = oracle_run((), graph, tmp_path, "--alpha", alpha)
@@ -557,16 +592,16 @@ class TestPhaseResolution:
         assert code == EXIT_OK and payload["pass"]
 
     def test_trace_message_shows_the_miss(self, tmp_path):
-        # a 30 / sqrt(alpha) extent leaves 128 nodes a trace of 0.99999992777...,
-        # which ".6g" used to round to 1 in a message saying it was not 1
+        # a 35 / sqrt(alpha) extent leaves the 96 nodes of --grid-size 128 a trace of
+        # 0.99999992353..., which ".6g" used to round to 1 in a message saying it was not 1
         code, out, err = oracle_run(("--gen", "cycle", "--n", "3"), None, tmp_path,
-                                    "--grid-size", "128", "--extent-mult", "30")
+                                    "--grid-size", "128", "--extent-mult", "35")
         assert code == EXIT_USAGE and out == ""
         assert err == ("error: --grid-size 128 is too coarse for this state: the reduced density matrix of "
-                       "vertex 0 has quadrature trace 0.9999999277725578, which misses 1 by 7.2e-08\n")
+                       "vertex 0 has quadrature trace 0.9999999235355952, which misses 1 by 7.6e-08\n")
 
     def test_a_deviation_the_grid_resolves_stays_a_fail(self, monkeypatch):
-        # 48 and 64 nodes agree on the single edge to 3.4e-7, far inside a 1e-3 error in the closed form
+        # 36 and 48 nodes agree on the single edge to 1.7e-9, far inside a 1e-3 error in the closed form
         monkeypatch.setattr(cf, "lambda_max", lambda spec: lambda_max(spec) + 1e-3)
         with redirect_stdout(io.StringIO()):
             assert main(["oracle", "--gen", "path", "--n", "2"]) == EXIT_FAIL
@@ -582,4 +617,4 @@ class TestPhaseResolution:
         monkeypatch.setattr(numerics, "reduce_full_state", spy)
         with redirect_stdout(io.StringIO()):
             assert main(["oracle", "--gen", "cycle", "--n", "3"]) == EXIT_OK
-        assert solved == [64, 64, 64]
+        assert solved == [48, 48, 48]  # the default --grid-size 64 builds ceil(3 * 64 / 4) nodes
