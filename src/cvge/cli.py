@@ -1,14 +1,15 @@
 """Command-line surface: profiles, spectra, validation tables, oracles, scans, generation.
 
-Each table command builds its rows once, as the JSON row dicts, and declares a
-column table of (header, key) pairs, the key being where the value sits in a
-row. ``--format json`` prints the rows at full double precision; CSV and text
-show the same values under the headers through one cell rule: a bool is
-yes/NO, an int prints as is, a float to 10 significant digits, and a missing
-value (None) is an empty CSV field and ``-`` in text. The JSON layout is
-exactly ``json.dumps(payload, indent=2)``'s. One renderer writes every format
-column by column, formatting each distinct value of a column once, and fills
-each JSON row into one template made from the first row's layout.
+Each table command hands the renderer its table as columns: a header for CSV
+and text (or none, for a JSON-only column), the path of keys where the
+column's values nest in a JSON row, and the values, one per row. ``--format
+json`` prints the rows at full double precision; CSV and text show the same
+values under the headers through one cell rule: a bool is yes/NO, an int
+prints as is, a float to 10 significant digits, and a missing value (None) is
+an empty CSV field and ``-`` in text. The JSON layout is exactly
+``json.dumps(payload, indent=2)``'s. One renderer writes every format column
+by column, encoding each distinct value of a column once, and fills each JSON
+row into one template laid out from the key paths.
 
 Every command is deterministic for a fixed invocation: all randomness is
 seeded and rows are emitted in a fixed order.
@@ -28,9 +29,9 @@ import dataclasses
 import io
 import json
 import math
-import operator
 import sys
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Sequence
+from functools import partial
 from itertools import chain, repeat
 
 import numpy as np
@@ -44,7 +45,7 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 FORMATS = ("json", "csv", "text")
-MAX_ROWS = 100_000  # most values --count or --kappa-range may ask for
+MAX_ROWS = 100_000  # most values --count or --kappa-range may ask for, and most --samples graphs
 # most --grid-size nodes of each command that takes --grid-size and --extent-mult
 GRID_CAPS = {"profile": num.MAX_GRID_SIZE, "validate": num.MAX_GRID_SIZE, "oracle": num.ORACLE_MAX_GRID}
 # a reduced density matrix has trace 1, and an oracle grid whose quadrature trace
@@ -53,15 +54,17 @@ GRID_CAPS = {"profile": num.MAX_GRID_SIZE, "validate": num.MAX_GRID_SIZE, "oracl
 # trapezoid nodes), while --grid-size 32 misses by up to 1.3e-5 and --grid-size 3 by
 # up to 179. Independent of --tol, which judges the degree law, not the grid.
 ORACLE_TRACE_TOL = 1e-8
+# a table column: its CSV and text header (None keeps it to JSON), the path of
+# keys where its values nest in a JSON row, and the values, one per row
+Column = tuple[str | None, tuple[str, ...], Sequence]
+# a float column this short is encoded value by value: np.unique's set-up
+# (about 12 us) costs more than the repeats it finds
+SHORT_COLUMN = 64
 
 
 # ---------------------------------------------------------------------------
 # argument helpers
 # ---------------------------------------------------------------------------
-
-def _fmt(x: float) -> str:
-    return f"{x:.10g}"
-
 
 def _float_list(text: str, option: str) -> list[float]:
     try:
@@ -201,38 +204,7 @@ def _cell(value: object, missing: str) -> str:
         return "yes" if value else "NO"
     if isinstance(value, int):
         return str(value)
-    return _fmt(value)
-
-
-def _pluck(rows: list, path: tuple[str, ...]) -> list:
-    """The value at ``path`` (a key, then the keys nested under it) of every row."""
-    values = rows
-    for key in path:
-        values = map(operator.itemgetter(key), values)
-    return list(values)
-
-
-def _encode(values: list, encode) -> list[str]:
-    """``encode`` of each value, called once per distinct (type, value).
-
-    The columns of an Erdos-Renyi profile repeat: its n vertices share a few
-    dozen degrees, and so a few dozen kappa, lambda and E values. So the memo
-    wins over whole profile-graphs passes (about 120 against 145 ms per pass
-    with a plain map, seed 1, on a shared 2-core machine), though a column of
-    all distinct values pays for its dict. A zero is never memoised, so it
-    is encoded each time: 0.0 == -0.0, yet they print apart.
-    """
-    memo: dict[tuple[type, object], str] = {}
-    out = []
-    for value in values:
-        key = (value.__class__, value)
-        text = memo.get(key)
-        if text is None:
-            text = encode(value)
-            if value != 0:
-                memo[key] = text
-        out.append(text)
-    return out
+    return f"{value:.10g}"
 
 
 def _json_scalar(value: object) -> str:
@@ -244,77 +216,102 @@ def _json_scalar(value: object) -> str:
     return json.dumps(value)
 
 
-def _json(value: object, level: int = 0, scalar=_json_scalar) -> str:
-    """``value`` as ``json.dumps(value, indent=2)`` lays it out at depth ``level``.
+def _encode(values: Sequence, fmt: str) -> list[str]:
+    """Each value of a column as ``fmt`` writes it: a JSON scalar, or a CSV or text cell.
 
-    Dict keys are strings, every non-empty list is table rows
-    (:func:`_json_rows`), and ``scalar`` writes each other value.
+    Each distinct value is encoded once, and the distinct values in one
+    C-level ``map``. A column of floats only is told apart by the values'
+    bits, so that 0.0 and -0.0 print apart, and encoded by ``repr`` for JSON
+    when every value is finite and by the 10-digit format for cells; one
+    shorter than :data:`SHORT_COLUMN` is mapped value by value. Any other
+    column goes through :func:`_json_scalar` or :func:`_cell`, which raise
+    TypeError on a container; a column of mixed types, or of a float
+    subclass, value by value.
     """
-    if not isinstance(value, (dict, list)):
-        return scalar(value)
-    if not value:
-        return json.dumps(value)
-    inner = "\n" + "  " * (level + 1)
-    if isinstance(value, dict):
-        body = ("," + inner).join(f"{json.dumps(key)}: {_json(item, level + 1, scalar)}"
-                                  for key, item in value.items())
-        return "{" + inner + body + "\n" + "  " * level + "}"
-    return "[" + inner + _json_rows(value, level + 1, "," + inner) + "\n" + "  " * level + "]"
+    kinds = set(map(type, values))
+    if kinds == {float}:
+        distinct, which = values, None
+        if len(values) >= SHORT_COLUMN:
+            bits, which = np.unique(np.array(values).view(np.int64), return_inverse=True)
+            if bits.size < len(values):
+                distinct = bits.view(np.float64).tolist()
+            else:
+                which = None  # no value repeats
+        if fmt != "json":
+            texts = list(map(format, distinct, repeat(".10g")))
+        else:
+            texts = list(map(repr if all(map(math.isfinite, distinct)) else _json_scalar, distinct))
+        return texts if which is None else list(map(texts.__getitem__, which.tolist()))
+    if kinds == {int}:
+        encode = str  # an int's repr, str and cell are one text
+    elif fmt == "json":
+        encode = _json_scalar
+    else:
+        encode = partial(_cell, missing="" if fmt == "csv" else "-")
+    kinds.discard(type(None))
+    if len(kinds) > 1 or any(map(issubclass, kinds, repeat(float))):
+        return list(map(encode, values))  # equal values that print apart: 1 and True, 0.0 and -0.0
+    distinct = list(dict.fromkeys(values))
+    if len(distinct) == len(values):
+        return list(map(encode, values))  # no value repeats
+    return list(map(dict(zip(distinct, map(encode, distinct))).__getitem__, values))
 
 
-def _layout(row: object, path: tuple[str, ...], dicts: list, scalars: list) -> None:
-    """Append the (path, keys) of each dict in ``row`` to ``dicts`` and the path of each scalar to ``scalars``."""
-    if isinstance(row, list):
-        raise TypeError(f"a table row holds scalars and dicts, but {'/'.join(path)} is a list")
-    if not isinstance(row, dict):
-        scalars.append(path)
-        return
-    dicts.append((path, list(row)))
-    for key, value in row.items():
-        _layout(value, path + (key,), dicts, scalars)
+def _json_rows(columns: list[Column], level: int, separator: str) -> str:
+    """The rows of ``columns``, as json.dumps lays each out at depth ``level``, joined by ``separator``.
 
-
-def _json_rows(rows: list, level: int, separator: str) -> str:
-    """``rows`` as :func:`_json` lays each out, joined by ``separator``, filled in column by column.
-
-    The first row's layout, split at its scalars, is the template of every
-    row, and each column's values are encoded once per distinct value. A row
-    whose dicts hold other keys, or the same keys in another order, raises
-    ValueError.
+    Each column's key path says where its values nest in a row; the row
+    template is laid out once, and the rows are filled in column by column.
     """
-    dicts: list[tuple[tuple[str, ...], list[str]]] = []
-    scalars: list[tuple[str, ...]] = []
-    _layout(rows[0], (), dicts, scalars)
-    for path, keys in dicts:
-        found = _pluck(rows, path)
-        if not all(map(isinstance, found, repeat(dict))) or not all(map(keys.__eq__, map(list, found))):
-            raise ValueError(f"rows differ in shape at {'/'.join(path) or 'the top level'}: "
-                             f"the first row has keys {keys}")
-    # json.dumps writes a NUL only as the escape \u0000, so a bare one marks a scalar
-    chunks = _json(rows[0], level, lambda value: "\0").split("\0")
+    tree: dict = {}
+    for i, (_, path, _) in enumerate(columns):
+        node = tree
+        for key in path[:-1]:
+            node = node.setdefault(key, {})
+        node[path[-1]] = i
+    order: list[int] = []
+
+    def layout(node: dict, depth: int) -> str:
+        # json.dumps writes a NUL only as the escape \u0000, so a bare one marks a value
+        inner = "\n" + "  " * (depth + 1)
+        items = []
+        for key, sub in node.items():
+            if isinstance(sub, dict):
+                items.append(f"{json.dumps(key)}: {layout(sub, depth + 1)}")
+            else:
+                order.append(sub)
+                items.append(f"{json.dumps(key)}: \0")
+        return "{" + inner + ("," + inner).join(items) + "\n" + "  " * depth + "}"
+
+    chunks = layout(tree, level).split("\0")
     chunks[-1] += separator
     fields = [repeat(chunks[0])]
-    for path, chunk in zip(scalars, chunks[1:]):
-        fields += [_encode(_pluck(rows, path), _json_scalar), repeat(chunk)]
+    for i, chunk in zip(order, chunks[1:]):
+        fields += [_encode(columns[i][2], "json"), repeat(chunk)]
     return "".join(chain.from_iterable(zip(*fields)))[:-len(separator)]
 
 
-def _render(fmt: str, payload: dict, rows_key: str,
-            columns: list[tuple[str, str | tuple[str, ...]]], footers: list[str]) -> str:
-    """JSON prints ``payload``; CSV and text show its ``rows_key`` rows under ``columns``.
+def _render(fmt: str, payload: dict, rows_key: str, columns: list[Column], footers: list[str]) -> str:
+    """JSON prints ``payload`` with the rows of ``columns`` under ``rows_key``, its last key; CSV and
+    text show the columns that have a header, under it.
 
-    Each column is a (header, key) pair, the key being a row's JSON key or the
-    path of keys where the value nests. A missing value (None) is an empty
-    CSV field and a ``-`` in text. Every format encodes a column's values
-    once per distinct value.
+    Each column is a (header, key path, values) triple: None as the header
+    keeps a column out of CSV and text. A missing value (None) is an empty
+    CSV field and a ``-`` in text. Columns of unequal length raise
+    ValueError, and a container among the values raises TypeError.
     """
+    lengths = {len(values) for _, _, values in columns}
+    if len(lengths) > 1:
+        raise ValueError(f"columns differ in length: {sorted(lengths)}")
     if fmt == "json":
-        return _json(payload) + "\n"
-    header = [name for name, _ in columns]
-    missing = "" if fmt == "csv" else "-"
-    rows = payload[rows_key]
-    cells = [_encode(_pluck(rows, (key,) if isinstance(key, str) else key), lambda v: _cell(v, missing))
-             for _, key in columns]
+        text = json.dumps({**payload, rows_key: []}, indent=2)
+        if max(lengths, default=0):
+            rows = _json_rows(columns, 2, ",\n    ")
+            text = text[:-len("[]\n}")] + "[\n    " + rows + "\n  ]\n}"
+        return text + "\n"
+    shown = [(header, values) for header, _, values in columns if header is not None]
+    header = [name for name, _ in shown]
+    cells = [_encode(values, fmt) for _, values in shown]
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -324,18 +321,24 @@ def _render(fmt: str, payload: dict, rows_key: str,
     padded = []
     for name, column in zip(header, cells):
         column = [name] + column
-        width = max(map(len, column))
-        padded.append([cell.ljust(width) for cell in column])
-    lines = [line.rstrip() for line in map("  ".join, zip(*padded))]
+        padded.append(list(map(str.ljust, column, repeat(max(map(len, column))))))
+    lines = [line.rstrip() for line in map("  ".join, zip(*padded))] or [""]  # the header line, if empty
     return "\n".join(lines + footers) + "\n"
+
+
+def _columns(layout: list[tuple[str | None, tuple[str, ...]]], rows: list[tuple]) -> list[Column]:
+    """The columns of ``rows``, each row a tuple of values in ``layout``'s order of (header, key path) pairs."""
+    values = list(zip(*rows)) if rows else [()] * len(layout)
+    return [(header, path, column) for (header, path), column in zip(layout, values)]
 
 
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
 
-PROFILE_COLUMNS = [("vertex", "id"), ("degree", "degree"), ("kappa", "kappa"),
-                   ("lambda_max", "lambda_max"), ("entanglement", "entanglement")]
+# each table's (header, key path) pairs, in the order of its CSV, text and JSON columns
+PROFILE_COLUMNS = [("vertex", ("id",)), ("degree", ("degree",)), ("kappa", ("kappa",)),
+                   ("lambda_max", ("lambda_max",)), ("entanglement", ("entanglement",))]
 NUMERIC_COLUMNS = [("numeric_lambda_max", ("numeric", "lambda_max")),
                    ("deviation", ("numeric", "deviation")), ("grid_size", ("numeric", "grid_size")),
                    ("converged", ("numeric", "converged"))]
@@ -345,45 +348,29 @@ def cmd_profile(args: argparse.Namespace) -> int:
     alpha = _single_alpha(args)
     g, source, seed = _load_graph(args)
     report = cf.profile(graph_mod.GraphState(g, alpha), source=source, seed=seed)
-    checks = _numeric_checks(report, args) if args.numeric else repeat(None)
-    degrees = repeat(None) if report.degree is None else report.degree
-    vertices = [{
-        "id": v,
-        "degree": deg,
-        "kappa": kv,
-        "lambda_max": lam,
-        "entanglement": ent,
-        "numeric": check,
-    } for v, deg, kv, lam, ent, check in zip(range(g.n), degrees, report.kappa, report.lambda_max,
-                                              report.entanglement, checks)]
-    payload = {
-        "alpha": report.alpha,
-        "graph": {"n": g.n, "source": report.source, "seed": report.seed},
-        "vertices": vertices,
-    }
-    columns = PROFILE_COLUMNS + NUMERIC_COLUMNS if args.numeric else PROFILE_COLUMNS
+    degrees = (None,) * g.n if report.degree is None else report.degree
+    columns = [(header, path, values) for (header, path), values in zip(
+        PROFILE_COLUMNS, (range(g.n), degrees, report.kappa, report.lambda_max, report.entanglement))]
+    columns += _numeric_checks(report, args) if args.numeric else [(None, ("numeric",), (None,) * g.n)]
+    payload = {"alpha": report.alpha, "graph": {"n": g.n, "source": report.source, "seed": report.seed}}
     footers = [f"alpha {_cell(report.alpha, '-')}  source {report.source}"]
     _emit(_render(args.format, payload, "vertices", columns, footers), args.out)
     return EXIT_OK
 
 
-def _numeric_checks(report: cf.EntanglementReport, args: argparse.Namespace) -> list[dict]:
-    """Quadrature cross-check of each vertex, solved once per distinct kappa and shared."""
+def _numeric_checks(report: cf.EntanglementReport, args: argparse.Namespace) -> list[Column]:
+    """Quadrature cross-check columns of the vertices, solved once per distinct kappa and shared."""
     policy = _policy(args)
     distinct, first, which = np.unique(report.kappa, return_index=True, return_inverse=True)
     checks = []
     for kv, v in zip(distinct.tolist(), first.tolist()):
         result = num.numeric_entanglement(cf.KernelSpec(report.alpha, kv), policy)
-        checks.append({
-            "lambda_max": result.lambda_max_numeric,
-            "deviation": abs(result.lambda_max_numeric - report.lambda_max[v]),
-            "grid_size": result.grid_size,
-            "converged": result.converged,
-        })
-    return [checks[i] for i in which.tolist()]
+        checks.append((result.lambda_max_numeric, abs(result.lambda_max_numeric - report.lambda_max[v]),
+                       result.grid_size, result.converged))
+    return _columns(NUMERIC_COLUMNS, list(map(checks.__getitem__, which.tolist())))
 
 
-SPECTRUM_COLUMNS = [("n", "n"), ("lambda_n", "value"), ("cumulative", "cumulative")]
+SPECTRUM_COLUMNS = [("n", ("n",)), ("lambda_n", ("value",)), ("cumulative", ("cumulative",))]
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
@@ -396,25 +383,19 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     if not 1 <= args.count <= MAX_ROWS:
         raise ValueError(f"--count must be in [1, {MAX_ROWS}], got {args.count}")
     spect = cf.spectrum(cf.KernelSpec(alpha, kappas[0]), args.count)
-    payload = {
-        "alpha": alpha,
-        "kappa": kappas[0],
-        "ratio": spect.ratio,
-        "rows": [
-            {"n": i, "value": v, "cumulative": c}
-            for i, (v, c) in enumerate(zip(spect.values, spect.cumulative()))
-        ],
-    }
+    payload = {"alpha": alpha, "kappa": kappas[0], "ratio": spect.ratio}
+    columns = [(header, path, values) for (header, path), values in zip(
+        SPECTRUM_COLUMNS, (range(args.count), spect.values, spect.cumulative()))]
     footers = [f"ratio {_cell(spect.ratio, '-')}"]
-    _emit(_render(args.format, payload, "rows", SPECTRUM_COLUMNS, footers), args.out)
+    _emit(_render(args.format, payload, "rows", columns, footers), args.out)
     return EXIT_OK
 
 
 VALIDATE_COLUMNS = [
-    ("alpha", "alpha"), ("kappa", "kappa"), ("lambda_max", "lambda_max"),
-    ("lambda_kappa_over_alpha", "lambda_max_kappa_over_alpha"), ("lambda_numeric", "lambda_numeric"),
-    ("dev_closed", "dev_closed"), ("dev_kappa_over_alpha", "dev_kappa_over_alpha"),
-    ("grid_size", "grid_size"), ("converged", "converged"),
+    ("alpha", ("alpha",)), ("kappa", ("kappa",)), ("lambda_max", ("lambda_max",)),
+    ("lambda_kappa_over_alpha", ("lambda_max_kappa_over_alpha",)), ("lambda_numeric", ("lambda_numeric",)),
+    ("dev_closed", ("dev_closed",)), ("dev_kappa_over_alpha", ("dev_kappa_over_alpha",)),
+    ("grid_size", ("grid_size",)), ("converged", ("converged",)),
 ]
 
 
@@ -436,32 +417,23 @@ def cmd_validate(args: argparse.Namespace) -> int:
             dev_alt = abs(lam_alt - result.lambda_max_numeric)
             worst = max(worst, dev_closed)
             all_converged = all_converged and result.converged
-            rows.append({
-                "alpha": alpha,
-                "kappa": kap,
-                "lambda_max": lam_closed,
-                "lambda_max_kappa_over_alpha": lam_alt,
-                "lambda_numeric": result.lambda_max_numeric,
-                "dev_closed": dev_closed,
-                "dev_kappa_over_alpha": dev_alt,
-                "grid_size": result.grid_size,
-                "converged": result.converged,
-            })
+            rows.append((alpha, kap, lam_closed, lam_alt, result.lambda_max_numeric, dev_closed, dev_alt,
+                         result.grid_size, result.converged))
     passed = all_converged and worst < tol
     verdict = "PASS" if passed else "FAIL"
     footers = [f"{verdict}: max |lambda_max - numeric| = {_cell(worst, '-')} over "
                f"{len(rows)} cells (tolerance {_cell(tol, '-')})"]
-    payload = {"tolerance": tol, "max_deviation": worst, "pass": passed, "rows": rows}
-    _emit(_render(args.format, payload, "rows", VALIDATE_COLUMNS, footers), args.out)
+    payload = {"tolerance": tol, "max_deviation": worst, "pass": passed}
+    _emit(_render(args.format, payload, "rows", _columns(VALIDATE_COLUMNS, rows), footers), args.out)
     return EXIT_OK if passed else EXIT_FAIL
 
 
-ORACLE_COLUMNS = [(key, key) for key in ("vertex", "kappa", "lambda_max", "lambda_reduced",
+ORACLE_COLUMNS = [(key, (key,)) for key in ("vertex", "kappa", "lambda_max", "lambda_reduced",
                                          "lambda_alternating", "dev_reduced", "dev_alternating")]
 
 
 def _check_oracle_resolution(state: graph_mod.GraphState, grid: num.QuadratureGrid, grid_size: int,
-                             rows: list[dict], tol: float) -> None:
+                             rows: list[tuple], tol: float) -> None:
     """Refuse a FAIL verdict that ``grid`` cannot adjudicate: ValueError naming ``--grid-size``.
 
     The edge phases exp(i a x x') cancel on the diagonal of rho, so a grid too
@@ -476,14 +448,14 @@ def _check_oracle_resolution(state: graph_mod.GraphState, grid: num.QuadratureGr
     (about 1e-14) lands here too, so the message names ``--tol`` as well.
     """
     coarse = num.oracle_grid(grid.extent, grid.size)
-    for row in rows:
-        deviation = max(row["dev_reduced"], row["dev_alternating"] or 0.0)
+    for v, _, _, lam_reduced, _, dev_reduced, dev_alt in rows:
+        deviation = max(dev_reduced, dev_alt or 0.0)
         if deviation < tol:
             continue
-        lam = num.top_eigenvalues(num.reduce_full_state(state, row["vertex"], coarse), 1).lambda_max_numeric
-        moved = abs(lam - row["lambda_reduced"])
+        lam = num.top_eigenvalues(num.reduce_full_state(state, v, coarse), 1).lambda_max_numeric
+        moved = abs(lam - lam_reduced)
         if moved > deviation:
-            raise ValueError(f"--grid-size {grid_size} is too coarse to judge vertex {row['vertex']} at --tol "
+            raise ValueError(f"--grid-size {grid_size} is too coarse to judge vertex {v} at --tol "
                              f"{tol:g}: its lambda moves by {moved:.2g} from {grid.size} to {coarse.size} nodes, "
                              f"more than its deviation {deviation:.2g} from the degree law")
 
@@ -526,15 +498,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
             worst = max(worst, dev_alt)
             all_converged = all_converged and alternating.converged
         del blocks
-        rows.append({
-            "vertex": v,
-            "kappa": spec.kappa,
-            "lambda_max": lam_closed,
-            "lambda_reduced": reduced.lambda_max_numeric,
-            "lambda_alternating": lam_alt,
-            "dev_reduced": dev_reduced,
-            "dev_alternating": dev_alt,
-        })
+        rows.append((v, spec.kappa, lam_closed, reduced.lambda_max_numeric, lam_alt, dev_reduced, dev_alt))
     passed = all_converged and worst < tol
     if not passed:
         _check_oracle_resolution(state, grid, args.grid_size, rows, tol)
@@ -548,14 +512,13 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         "grid_size": args.grid_size,
         "max_deviation": worst,
         "pass": passed,
-        "rows": rows,
     }
-    _emit(_render(args.format, payload, "rows", ORACLE_COLUMNS, footers), args.out)
+    _emit(_render(args.format, payload, "rows", _columns(ORACLE_COLUMNS, rows), footers), args.out)
     return EXIT_OK if passed else EXIT_FAIL
 
 
-SCAN_GRID_COLUMNS = [(key, key) for key in ("kappa", "coupling_ratio", "entanglement")]
-SCAN_ENSEMBLE_COLUMNS = [(key, key) for key in ("degree", "entanglement", "multiplicity")]
+SCAN_GRID_COLUMNS = [(key, (key,)) for key in ("kappa", "coupling_ratio", "entanglement")]
+SCAN_ENSEMBLE_COLUMNS = [(key, (key,)) for key in ("degree", "entanglement", "multiplicity")]
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
@@ -568,28 +531,21 @@ def cmd_scan(args: argparse.Namespace) -> int:
     if grid_mode:
         specs = sorted((cf.KernelSpec(alpha, kap) for kap in _resolve_kappas(args)),
                        key=lambda spec: (spec.coupling_ratio, spec.kappa))
-        rows = [{
-            "kappa": spec.kappa,
-            "coupling_ratio": spec.coupling_ratio,
-            "entanglement": cf.entanglement(spec),
-        } for spec in specs]
-        payload = {"alpha": alpha, "mode": "grid", "rows": rows}
-        columns = SCAN_GRID_COLUMNS
+        rows = [(spec.kappa, spec.coupling_ratio, cf.entanglement(spec)) for spec in specs]
+        payload = {"alpha": alpha, "mode": "grid"}
+        columns = _columns(SCAN_GRID_COLUMNS, rows)
     else:
         spec = _gen_spec(args)
-        if args.samples < 1:
-            raise ValueError(f"--samples must be >= 1, got {args.samples}")
+        if not 1 <= args.samples <= MAX_ROWS:
+            raise ValueError(f"--samples must be in [1, {MAX_ROWS}], got {args.samples}")
         counts = np.zeros(spec.n, dtype=np.int64)
         for i in range(args.samples):
             sample = spec if spec.kind != "erdos_renyi" else dataclasses.replace(spec, seed=spec.seed + i)
             counts += np.bincount(graph_mod.degree(graph_mod.generate(sample)), minlength=spec.n)
-        rows = [{
-            "degree": d,
-            "entanglement": cf.entanglement(cf.KernelSpec(alpha, float(d))),
-            "multiplicity": counts[d].item(),
-        } for d in np.flatnonzero(counts).tolist()]
-        payload = {"alpha": alpha, "mode": "ensemble", "samples": args.samples, "rows": rows}
-        columns = SCAN_ENSEMBLE_COLUMNS
+        rows = [(d, cf.entanglement(cf.KernelSpec(alpha, float(d))), counts[d].item())
+                for d in np.flatnonzero(counts).tolist()]
+        payload = {"alpha": alpha, "mode": "ensemble", "samples": args.samples}
+        columns = _columns(SCAN_ENSEMBLE_COLUMNS, rows)
     _emit(_render(args.format, payload, "rows", columns, []), args.out)
     return EXIT_OK
 

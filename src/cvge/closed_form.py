@@ -22,6 +22,7 @@ import math
 import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -203,7 +204,9 @@ def entanglement(spec: KernelSpec) -> float:
     small kappa. kappa = 0 returns kappa itself as a float (0.0, or -0.0 with
     its sign kept): below alpha ~ 1.5e-162 the denominator underflows to 0.
     Above alpha ~ 6.7e153 the square of alpha + root overflows, and kappa is
-    divided by alpha + root twice instead.
+    divided by alpha + root twice instead. That square is Python's ``**`` on
+    a float, which is libm ``pow``, not total * total: the two differ in the
+    last bit on about 0.09% of doubles, and the printed E values are pow's.
     """
     if spec.kappa == 0.0:
         return float(spec.kappa)
@@ -249,25 +252,54 @@ def purity(spec: KernelSpec) -> float:
     return 2.0 * spec.alpha * math.sqrt(d) / (d + spec.kappa)
 
 
+def _closed_forms(alpha: float, kappa: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`lambda_max` and :func:`entanglement` at each kappa, as arrays, bit for bit the scalar values.
+
+    Each element takes the scalar functions' operations in their order, and
+    numpy's +, / and sqrt round as Python's floats do. The square of alpha +
+    root is Python's ``**`` (libm ``pow``, see :func:`entanglement`), never
+    numpy's ``**2``, which is t * t. The branches are the scalar ones: kappa =
+    0, ``hypot`` where alpha**2 + kappa overflows, and the scalar call itself
+    where total**2 does.
+    """
+    lam = np.ones_like(kappa)
+    ent = kappa.copy()  # kappa = 0 keeps its own zero
+    coupled = kappa != 0.0
+    k = kappa[coupled]
+    with np.errstate(all="ignore"):  # a Python float overflows to inf silently, and so must these
+        square = alpha**2 + k
+        root = np.sqrt(square)
+        wide = np.isinf(square)
+        if wide.any():
+            root[wide] = [math.hypot(alpha, math.sqrt(kv)) for kv in k[wide].tolist()]
+        total = alpha + root
+        lam[coupled] = 2.0 * alpha / total
+        try:
+            ent[coupled] = k / np.array(list(map(pow, total.tolist(), repeat(2.0))))
+        except OverflowError:
+            ent[coupled] = [entanglement(KernelSpec(alpha, kv)) for kv in k.tolist()]
+    return lam, ent
+
+
 def profile(state: GraphState, source: str = "", seed: int | None = None) -> EntanglementReport:
     """Per-vertex entanglement report for a graph state, as columns over the vertices.
 
-    The scalar :func:`lambda_max` and :func:`entanglement` run once per
-    distinct kappa, and ``np.unique``'s inverse scatters their values to the
+    lambda_max and E are computed once per distinct kappa, as arrays
+    (:func:`_closed_forms`), and ``np.unique``'s inverse scatters them to the
     vertices. So vertices sharing the same kappa get bit-identical lambda_max
     and E, and every value is bit-identical to the scalar call at its kappa.
-    Raises ValueError if the graph violates its invariants.
+    Raises ValueError if the graph violates its invariants, or if alpha**2
+    overflows.
     """
     issues = graph_mod.validate(state.graph)
     if issues:
         raise ValueError("invalid graph: " + "; ".join(issues))
+    KernelSpec(state.alpha, 0.0)  # refuses the alpha that every scalar call would refuse
     g = state.graph
     kappas = graph_mod.kappa(g)
     degrees = tuple(graph_mod.degree(g).tolist()) if g.is_binary else None
     distinct, which = np.unique(kappas, return_inverse=True)
-    specs = [KernelSpec(state.alpha, kv) for kv in distinct.tolist()]
-    lams = np.array([lambda_max(ks) for ks in specs])[which]
-    ents = np.array([entanglement(ks) for ks in specs])[which]
+    lams, ents = _closed_forms(state.alpha, distinct)
     return EntanglementReport(alpha=state.alpha, kappa=tuple(kappas.tolist()), degree=degrees,
-                              lambda_max=tuple(lams.tolist()), entanglement=tuple(ents.tolist()),
+                              lambda_max=tuple(lams[which].tolist()), entanglement=tuple(ents[which].tolist()),
                               source=source, seed=seed)

@@ -552,6 +552,9 @@ class TestValueBounds:
         (("gen", "--gen", "cycle", "--n", "2"), "cycle requires n >= 3, got 2"),
         (("spectrum", "--kappa", "-1"), "kappa must be nonnegative and finite, got -1.0"),
         (("validate", "--alpha", "0,1", "--kappa", "1"), "--alpha must be positive and finite, got 0.0"),
+        # each sample generates a graph, so --samples is bounded as --count is
+        (("scan", "--gen", "path", "--n", "2", "--samples", "100001"), "--samples must be in [1, 100000], got 100001"),
+        (("scan", "--gen", "path", "--n", "2", "--samples", "0"), "--samples must be in [1, 100000], got 0"),
     ], ids=["validate-tol-nan", "validate-tol-negative", "validate-tol-zero", "validate-tol-inf",
             "oracle-tol-nan", "oracle-tol-negative", "validate-extent", "profile-extent",
             "profile-extent-without-numeric", "oracle-extent", "oracle-grid-too-coarse",
@@ -560,7 +563,8 @@ class TestValueBounds:
             "validate-alpha-squared-overflows", "spectrum-alpha-squared-overflows",
             "profile-alpha-squared-overflows", "scan-grid-alpha-squared-overflows",
             "scan-ensemble-alpha-squared-overflows", "profile-cycle-too-small", "profile-erdos-renyi-without-p",
-            "gen-cycle-too-small", "spectrum-negative-kappa", "validate-alpha-zero"])
+            "gen-cycle-too-small", "spectrum-negative-kappa", "validate-alpha-zero",
+            "scan-samples-above-the-cap", "scan-samples-zero"])
     def test_out_of_range_value_is_usage_error(self, argv, message):
         code, out, err = run_cli(*argv)
         assert code == EXIT_USAGE
@@ -665,19 +669,26 @@ class TestUnderflowingAlpha:
         assert row["lambda_max"] == 1.0 and row["converged"] is True
 
 
+def rows_of(columns):
+    """The JSON row dicts of ``columns``: value i of each column, nested at its key path, in row i."""
+    rows = [{} for _ in columns[0][2]] if columns else []
+    for _, path, values in columns:
+        for row, value in zip(rows, values):
+            for key in path[:-1]:
+                row = row.setdefault(key, {})
+            row[path[-1]] = value
+    return rows
+
+
 def reference_render(fmt, payload, rows_key, columns, footers):
-    """The renderer before it went column by column: ``json.dumps`` and the cell rule row by row."""
+    """The renderer before it went column by column: ``json.dumps`` of the row dicts, and the cell rule
+    row by row."""
     if fmt == "json":
-        return json.dumps(payload, indent=2) + "\n"
-
-    def lookup(row, key):
-        for part in (key,) if isinstance(key, str) else key:
-            row = row[part]
-        return row
-
-    header = [name for name, _ in columns]
+        return json.dumps({**payload, rows_key: rows_of(columns)}, indent=2) + "\n"
+    shown = [(name, values) for name, _, values in columns if name is not None]
+    header = [name for name, _ in shown]
     missing = "" if fmt == "csv" else "-"
-    cells = [[expected_cell(lookup(row, key), missing) for _, key in columns] for row in payload[rows_key]]
+    cells = [[expected_cell(value, missing) for value in row] for row in zip(*(values for _, values in shown))]
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -689,44 +700,69 @@ def reference_render(fmt, payload, rows_key, columns, footers):
     return "\n".join(lines + footers) + "\n"
 
 
+SPECIAL_FLOATS = [0.0, -0.0, math.nan, math.inf, -math.inf, 0.1, 5e-324]
 SCALARS = st.one_of(
     st.none(), st.booleans(), st.integers(-2**70, 2**70), st.floats(),
-    st.sampled_from([0.0, -0.0, 0, 1, 1.0, True, False, math.nan, math.inf, -math.inf, 0.1, 5e-324]),
+    st.sampled_from([0, 1, 1.0, True, False] + SPECIAL_FLOATS),
 )
+# a column of one type takes the renderer's fast paths
+COLUMN_KINDS = [SCALARS, st.floats() | st.sampled_from(SPECIAL_FLOATS), st.integers(-2**70, 2**70)]
 KEYS = st.text(max_size=4).filter(lambda key: key != "numeric")
 
 
 @st.composite
 def tables(draw):
-    """(payload, rows_key, columns, footers): rows of one shape, with a nested dict when ``nested`` is drawn."""
+    """(payload, rows_key, columns, footers): columns of one length, some nested under "numeric", some
+    JSON only, some long enough for the renderer to look for their repeats."""
     keys = draw(st.lists(KEYS, min_size=1, max_size=5, unique=True))
-    nested = draw(st.none() | st.lists(KEYS, max_size=3, unique=True))
-    pool = draw(st.lists(SCALARS, min_size=1, max_size=4))  # so that columns repeat values
-    cell = st.sampled_from(pool) | SCALARS
-    rows = []
-    for _ in range(draw(st.integers(0, 8))):
-        row = {key: draw(cell) for key in keys}
-        if nested is not None:
-            row["numeric"] = {key: draw(cell) for key in nested}
-        rows.append(row)
+    nested = draw(st.lists(KEYS, max_size=3, unique=True))
+    count = draw(st.integers(0, 8) | st.integers(cli.SHORT_COLUMN, cli.SHORT_COLUMN + 16))
+    columns = []
+    for path in [(key,) for key in keys] + [("numeric", key) for key in nested]:
+        kind = draw(st.sampled_from(COLUMN_KINDS))
+        pool = draw(st.lists(kind, min_size=1, max_size=8))
+        # so that columns repeat values, and long ones draw quickly
+        values = [pool[i] for i in draw(st.lists(st.integers(0, len(pool) - 1), min_size=count, max_size=count))]
+        columns.append((draw(st.none() | st.just("/".join(path))), path, values))
     rows_key = draw(st.sampled_from(["rows", "vertices"]))
     payload = {"alpha": draw(SCALARS),
                "graph": {"n": draw(st.integers(0, 9)), "source": draw(st.text(max_size=6)),
-                         "seed": draw(st.none() | st.integers())},
-               rows_key: rows}
-    columns = [(key, key) for key in keys] + [(key, ("numeric", key)) for key in nested or []]
+                         "seed": draw(st.none() | st.integers())}}
     return payload, rows_key, columns, draw(st.lists(st.text(max_size=5), max_size=2))
 
 
 class TestColumnRenderer:
-    """One renderer, column by column, prints what json.dumps and the row-by-row cell rule printed."""
+    """One renderer, column by column, prints what json.dumps and the row-by-row cell rule print."""
 
     @settings(max_examples=300, deadline=None)
     @given(table=tables(), fmt=st.sampled_from(["json", "csv", "text"]))
     def test_matches_the_reference(self, table, fmt):
         payload, rows_key, columns, footers = table
         expected = reference_render(fmt, payload, rows_key, columns, footers)
-        assert cli._render(fmt, payload, rows_key, columns, footers) == expected
+        # as lists of lines, so that a failure reports the first line that differs, not a slow diff
+        assert cli._render(fmt, payload, rows_key, columns, footers).split("\n") == expected.split("\n")
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+    def test_long_columns_of_signed_zeros_and_non_finite_floats(self, fmt):
+        rng = np.random.default_rng(7)
+        pool = [0.0, -0.0, math.nan, math.inf, -math.inf, 1.5, -2.5e-300]
+        mixed = [pool[i] for i in rng.integers(0, len(pool), 1200).tolist()]
+        columns = [
+            ("mixed", ("mixed",), mixed),
+            ("finite", ("finite",), [v if math.isfinite(v) else 0.0 for v in mixed]),
+            ("zeros", ("zeros",), [math.copysign(0.0, v) for v in mixed]),
+            ("count", ("count",), rng.integers(-3, 3, 1200).tolist()),
+            (None, ("numeric", "flag"), [None if v != v else v > 0 for v in mixed]),
+        ]
+        assert {type(v) for _, _, values in columns[:3] for v in values} == {float}
+        payload = {"alpha": 1.0}
+        expected = reference_render(fmt, payload, "rows", columns, ["footer"])
+        assert cli._render(fmt, payload, "rows", columns, ["footer"]).split("\n") == expected.split("\n")
+
+    def test_spectrum_of_the_largest_count_is_json_dumps(self):
+        code, out, _ = run_cli("spectrum", "--kappa", "3", "--count", "100000", "--format", "json")
+        assert code == EXIT_OK
+        assert out.split("\n") == (json.dumps(json.loads(out), indent=2) + "\n").split("\n")
 
     @pytest.mark.parametrize("fmt,expected", [
         ("json", '{\n  "alpha": 1.0,\n  "mode": "grid",\n  "rows": [\n'
@@ -739,27 +775,18 @@ class TestColumnRenderer:
     def test_negative_zero_keeps_its_sign(self, fmt, expected):
         assert run_cli("scan", "--kappa", "0,-0.0", "--format", fmt) == (EXIT_OK, expected, "")
 
-    @pytest.mark.parametrize("second", [
-        {"b": 2, "a": 1, "numeric": {"x": 1}},  # same keys, another order
-        {"a": 1, "b": 2, "c": 3, "numeric": {"x": 1}},  # a key more
-        {"a": 1, "numeric": {"x": 1}},  # a key less
-        {"a": 1, "b": 2, "numeric": {"y": 1}},  # another nested key
-        {"a": 1, "b": 2, "numeric": None},  # a scalar where the first row nests
-    ], ids=["reordered", "extra", "missing", "nested-key", "nested-none"])
-    def test_row_of_another_shape_is_an_error(self, second):
-        payload = {"rows": [{"a": 1, "b": 2, "numeric": {"x": 1}}, second]}
-        with pytest.raises(ValueError, match="rows differ in shape"):
-            cli._render("json", payload, "rows", [("a", "a")], [])
+    @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+    def test_columns_of_unequal_length_are_an_error(self, fmt):
+        columns = [("a", ("a",), [1.0, 2.0]), ("b", ("numeric", "b"), [1.0])]
+        with pytest.raises(ValueError, match="columns differ in length"):
+            cli._render(fmt, {"alpha": 1.0}, "rows", columns, [])
 
-    @pytest.mark.parametrize("rows", [
-        [{"a": 1, "numeric": None}, {"a": 1, "numeric": {"x": 1}}],  # a dict where the first row has a scalar
-        [{"a": 1, "numeric": None}, {"a": 1, "numeric": [1]}],  # a list there
-        [{"a": 1, "numeric": None}, {"a": 1, "numeric": (1,)}],  # a tuple there
-        [{"a": 1, "numeric": []}, {"a": 1, "numeric": [1]}],  # a list in the first row
-    ], ids=["dict", "list", "tuple", "first-row-list"])
-    def test_row_holding_a_container_where_a_scalar_belongs_is_an_error(self, rows):
+    @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+    @pytest.mark.parametrize("container", [{"x": 1}, [1], (1,)], ids=["dict", "list", "tuple"])
+    @pytest.mark.parametrize("head", [[None], [1.5] * 80], ids=["short", "long-floats"])
+    def test_container_in_a_column_is_an_error(self, fmt, container, head):
         with pytest.raises(TypeError):
-            cli._render("json", {"rows": rows}, "rows", [("a", "a")], [])
+            cli._render(fmt, {"alpha": 1.0}, "rows", [("a", ("a",), head + [container])], [])
 
 
 class TestConfigIsolation:

@@ -3,6 +3,7 @@
 import math
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -374,3 +375,48 @@ class TestProfile:
                          source="gen:path(n=2)", seed=None)
         assert report.source == "gen:path(n=2)"
         assert report.seed is None
+
+
+def many_kappa_graph():
+    """A matching of 10,001 edges, so 10,001 distinct random kappa, and an isolated vertex (kappa = 0).
+
+    At 10,000 random kappa, values where libm pow(t, 2) and t * t round apart are
+    certain to appear (about 0.09% of doubles). The last edge has weight 1e154: its
+    kappa, about 1e308, overflows alpha**2 + kappa at alpha = 1e154.
+    """
+    weights = np.exp(np.random.default_rng(11).uniform(-15.0, 15.0, 10_000)).tolist() + [1e154]
+    m = len(weights)
+    return Graph.from_edges(2 * m + 1, range(0, 2 * m, 2), range(1, 2 * m, 2), weights)
+
+
+class TestProfileArrays:
+    """``profile`` computes its columns as arrays; every value is the scalar call's, bit for bit."""
+
+    @pytest.mark.parametrize("alpha", [1e-300, 1e-3, 1.0, 7.3, 1e3, 1e154])
+    def test_every_value_is_the_scalar_call(self, alpha):
+        g = many_kappa_graph()
+        report = profile(GraphState(g, alpha))
+        kappas = kappa(g).tolist()
+        assert len(set(kappas)) == 10_002
+        assert [x.hex() for x in report.lambda_max] == [lambda_max(KernelSpec(alpha, kv)).hex() for kv in kappas]
+        assert [x.hex() for x in report.entanglement] == [entanglement(KernelSpec(alpha, kv)).hex()
+                                                         for kv in kappas]
+
+    def test_the_kappa_reach_every_branch(self):
+        kappas = sorted(set(kappa(many_kappa_graph()).tolist()))
+        assert kappas[0] == 0.0
+        # squares where pow(t, 2) and t * t round apart: 11, 5, 2, 3 and 18 of them at the test's finite
+        # alphas from 1e-300 to 1e3
+        for alpha in (1e-300, 1e-3, 1.0, 7.3, 1e3):
+            totals = [alpha + math.sqrt(alpha**2 + kv) for kv in kappas[1:]]
+            assert sum(t**2 != t * t for t in totals) >= 2
+        # at alpha = 1e154, alpha**2 + kappa overflows (hypot) and so does total**2 (kappa / total / total)
+        assert math.isinf(1e154**2 + kappas[-1])
+        with pytest.raises(OverflowError):
+            (1e154 + math.sqrt(1e154**2 + 1.0)) ** 2
+
+    def test_alpha_whose_square_overflows_is_refused(self):
+        with pytest.raises(ValueError, match="alpha must be below"):
+            KernelSpec(1e200, 1.0)
+        with pytest.raises(ValueError, match="alpha must be below"):
+            profile(GraphState(many_kappa_graph(), 1e200))
