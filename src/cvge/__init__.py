@@ -11,6 +11,7 @@ from .closed_form import (
     KernelSpec,
     Spectrum,
     VertexRecord,
+    closed_forms,
     entanglement,
     lambda_max,
     lambda_max_kappa_over_alpha,
@@ -57,6 +58,7 @@ __all__ = [
     "KernelSpec",
     "Spectrum",
     "VertexRecord",
+    "closed_forms",
     "entanglement",
     "lambda_max",
     "lambda_max_kappa_over_alpha",

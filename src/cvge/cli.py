@@ -351,23 +351,24 @@ def cmd_profile(args: argparse.Namespace) -> int:
     degrees = (None,) * g.n if report.degree is None else report.degree
     columns = [(header, path, values) for (header, path), values in zip(
         PROFILE_COLUMNS, (range(g.n), degrees, report.kappa, report.lambda_max, report.entanglement))]
-    columns += _numeric_checks(report, args) if args.numeric else [(None, ("numeric",), (None,) * g.n)]
+    columns += (_columns(NUMERIC_COLUMNS, _quadrature_checks(report.alpha, report.kappa, report.lambda_max, args))
+                if args.numeric else [(None, ("numeric",), (None,) * g.n)])
     payload = {"alpha": report.alpha, "graph": {"n": g.n, "source": report.source, "seed": report.seed}}
     footers = [f"alpha {_cell(report.alpha, '-')}  source {report.source}"]
     _emit(_render(args.format, payload, "vertices", columns, footers), args.out)
     return EXIT_OK
 
 
-def _numeric_checks(report: cf.EntanglementReport, args: argparse.Namespace) -> list[Column]:
-    """Quadrature cross-check columns of the vertices, solved once per distinct kappa and shared."""
-    policy = _policy(args)
-    distinct, first, which = np.unique(report.kappa, return_index=True, return_inverse=True)
-    checks = []
-    for kv, v in zip(distinct.tolist(), first.tolist()):
-        result = num.numeric_entanglement(cf.KernelSpec(report.alpha, kv), policy)
-        checks.append((result.lambda_max_numeric, abs(result.lambda_max_numeric - report.lambda_max[v]),
-                       result.grid_size, result.converged))
-    return _columns(NUMERIC_COLUMNS, list(map(checks.__getitem__, which.tolist())))
+def _quadrature_checks(alpha: float, kappas: Sequence[float], closed: Sequence[float],
+                       args: argparse.Namespace) -> list[tuple]:
+    """(numeric lambda_max, |numeric - closed|, grid_size, converged) at each kappa; one solve per distinct kappa."""
+    solved: dict[float, tuple] = {}
+    for kap, lam in zip(kappas, closed):
+        if kap not in solved:
+            result = num.numeric_entanglement(cf.KernelSpec(alpha, kap), _policy(args))
+            solved[kap] = (result.lambda_max_numeric, abs(result.lambda_max_numeric - lam),
+                           result.grid_size, result.converged)
+    return list(map(solved.__getitem__, kappas))
 
 
 SPECTRUM_COLUMNS = [("n", ("n",)), ("lambda_n", ("value",)), ("cumulative", ("cumulative",))]
@@ -403,23 +404,15 @@ def cmd_validate(args: argparse.Namespace) -> int:
     tol = _tolerance(args)
     alphas = _alpha_list(args)
     kappas = _resolve_kappas(args)
-    policy = _policy(args)
     rows = []
-    worst = 0.0
-    all_converged = True
     for alpha in alphas:
-        for kap in kappas:
-            spec = cf.KernelSpec(alpha, kap)
-            lam_closed = cf.lambda_max(spec)
-            lam_alt = cf.lambda_max_kappa_over_alpha(spec)
-            result = num.numeric_entanglement(spec, policy)
-            dev_closed = abs(lam_closed - result.lambda_max_numeric)
-            dev_alt = abs(lam_alt - result.lambda_max_numeric)
-            worst = max(worst, dev_closed)
-            all_converged = all_converged and result.converged
-            rows.append((alpha, kap, lam_closed, lam_alt, result.lambda_max_numeric, dev_closed, dev_alt,
-                         result.grid_size, result.converged))
-    passed = all_converged and worst < tol
+        closed = cf.closed_forms(alpha, kappas)[0].tolist()
+        for kap, lam, (lam_numeric, dev, size, converged) in zip(
+                kappas, closed, _quadrature_checks(alpha, kappas, closed, args)):
+            lam_alt = cf.lambda_max_kappa_over_alpha(cf.KernelSpec(alpha, kap))
+            rows.append((alpha, kap, lam, lam_alt, lam_numeric, dev, abs(lam_alt - lam_numeric), size, converged))
+    worst = max(0.0, *(row[5] for row in rows))  # a NaN deviation never becomes the worst
+    passed = all(row[-1] for row in rows) and worst < tol
     verdict = "PASS" if passed else "FAIL"
     footers = [f"{verdict}: max |lambda_max - numeric| = {_cell(worst, '-')} over "
                f"{len(rows)} cells (tolerance {_cell(tol, '-')})"]
@@ -471,12 +464,10 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     if g.w.size and not math.isfinite(max(1.0, float(np.max(np.abs(g.w)))) * grid.extent * grid.extent):
         raise ValueError(f"--alpha {alpha:g} is too small for --extent-mult {args.extent_mult:g}: "
                          f"the oracle grid reaches {grid.extent:g}, where the phases a x x' overflow")
+    kappas = graph_mod.kappa(g).tolist()
     rows = []
-    worst = 0.0
     all_converged = True
-    for v in range(g.n):
-        spec = cf.KernelSpec(alpha, graph_mod.kappa(g, v))
-        lam_closed = cf.lambda_max(spec)
+    for v, (kap, lam_closed) in enumerate(zip(kappas, cf.closed_forms(alpha, kappas)[0].tolist())):
         # both oracles read these parity blocks, released below before the next vertex builds its own
         blocks = num.one_vs_rest(state, v, grid)
         rho = num.reduce_full_state(state, v, grid, blocks)
@@ -487,7 +478,6 @@ def cmd_oracle(args: argparse.Namespace) -> int:
                              f"{abs(trace - 1.0):.2g}")
         reduced = num.top_eigenvalues(rho, 1)
         dev_reduced = abs(reduced.lambda_max_numeric - lam_closed)
-        worst = max(worst, dev_reduced)
         all_converged = all_converged and reduced.converged
         lam_alt: float | None = None
         dev_alt: float | None = None
@@ -495,10 +485,10 @@ def cmd_oracle(args: argparse.Namespace) -> int:
             alternating = num.alternating_maximization(state, v, grid, blocks=blocks)
             lam_alt = alternating.lambda_max_numeric
             dev_alt = abs(lam_alt - lam_closed)
-            worst = max(worst, dev_alt)
             all_converged = all_converged and alternating.converged
         del blocks
-        rows.append((v, spec.kappa, lam_closed, reduced.lambda_max_numeric, lam_alt, dev_reduced, dev_alt))
+        rows.append((v, kap, lam_closed, reduced.lambda_max_numeric, lam_alt, dev_reduced, dev_alt))
+    worst = max(0.0, *(dev for row in rows for dev in row[5:] if dev is not None))
     passed = all_converged and worst < tol
     if not passed:
         _check_oracle_resolution(state, grid, args.grid_size, rows, tol)
@@ -529,11 +519,13 @@ def cmd_scan(args: argparse.Namespace) -> int:
         raise ValueError("scan needs exactly one of a kappa grid (--kappa/--kappa-range) "
                          "or a generator ensemble (--gen)")
     if grid_mode:
-        specs = sorted((cf.KernelSpec(alpha, kap) for kap in _resolve_kappas(args)),
-                       key=lambda spec: (spec.coupling_ratio, spec.kappa))
-        rows = [(spec.kappa, spec.coupling_ratio, cf.entanglement(spec)) for spec in specs]
-        payload = {"alpha": alpha, "mode": "grid"}
-        columns = _columns(SCAN_GRID_COLUMNS, rows)
+        kappas = np.sort(_resolve_kappas(args), kind="stable")  # sorts kappa / alpha**2 too, as it is monotone
+        entanglements = cf.closed_forms(alpha, kappas)[1]
+        if alpha**2 == 0.0:
+            raise ValueError(f"--alpha {alpha!r} underflows alpha**2 to 0, so kappa/alpha**2 is undefined")
+        with np.errstate(over="ignore"):  # past the float range a ratio is inf, as a Python float's is
+            values = (kappas, kappas / alpha**2, entanglements)
+        layout, payload = SCAN_GRID_COLUMNS, {"alpha": alpha, "mode": "grid"}
     else:
         spec = _gen_spec(args)
         if not 1 <= args.samples <= MAX_ROWS:
@@ -542,10 +534,10 @@ def cmd_scan(args: argparse.Namespace) -> int:
         for i in range(args.samples):
             sample = spec if spec.kind != "erdos_renyi" else dataclasses.replace(spec, seed=spec.seed + i)
             counts += np.bincount(graph_mod.degree(graph_mod.generate(sample)), minlength=spec.n)
-        rows = [(d, cf.entanglement(cf.KernelSpec(alpha, float(d))), counts[d].item())
-                for d in np.flatnonzero(counts).tolist()]
-        payload = {"alpha": alpha, "mode": "ensemble", "samples": args.samples}
-        columns = _columns(SCAN_ENSEMBLE_COLUMNS, rows)
+        degrees = np.flatnonzero(counts)
+        values = (degrees, cf.closed_forms(alpha, degrees)[1], counts[degrees])
+        layout, payload = SCAN_ENSEMBLE_COLUMNS, {"alpha": alpha, "mode": "ensemble", "samples": args.samples}
+    columns = [(header, path, column.tolist()) for (header, path), column in zip(layout, values)]
     _emit(_render(args.format, payload, "rows", columns, []), args.out)
     return EXIT_OK
 

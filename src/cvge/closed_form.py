@@ -252,8 +252,14 @@ def purity(spec: KernelSpec) -> float:
     return 2.0 * spec.alpha * math.sqrt(d) / (d + spec.kappa)
 
 
-def _closed_forms(alpha: float, kappa: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def closed_forms(alpha: float, kappa: Sequence[float] | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """:func:`lambda_max` and :func:`entanglement` at each kappa, as arrays, bit for bit the scalar values.
+
+    The one evaluator of the degree law over many kappa: every command takes
+    its lambda_max and E from here. ``kappa`` is any float sequence or
+    array, each value nonnegative and finite. Raises ValueError, as
+    :class:`KernelSpec` does, if alpha is not positive and finite or alpha**2
+    overflows.
 
     Each element takes the scalar functions' operations in their order, and
     numpy's +, / and sqrt round as Python's floats do. The square of alpha +
@@ -262,6 +268,8 @@ def _closed_forms(alpha: float, kappa: np.ndarray) -> tuple[np.ndarray, np.ndarr
     0, ``hypot`` where alpha**2 + kappa overflows, and the scalar call itself
     where total**2 does.
     """
+    KernelSpec(alpha, 0.0)  # refuses the alpha that every scalar call would refuse
+    kappa = np.asarray(kappa, dtype=float)
     lam = np.ones_like(kappa)
     ent = kappa.copy()  # kappa = 0 keeps its own zero
     coupled = kappa != 0.0
@@ -285,7 +293,7 @@ def profile(state: GraphState, source: str = "", seed: int | None = None) -> Ent
     """Per-vertex entanglement report for a graph state, as columns over the vertices.
 
     lambda_max and E are computed once per distinct kappa, as arrays
-    (:func:`_closed_forms`), and ``np.unique``'s inverse scatters them to the
+    (:func:`closed_forms`), and ``np.unique``'s inverse scatters them to the
     vertices. So vertices sharing the same kappa get bit-identical lambda_max
     and E, and every value is bit-identical to the scalar call at its kappa.
     Raises ValueError if the graph violates its invariants, or if alpha**2
@@ -294,12 +302,11 @@ def profile(state: GraphState, source: str = "", seed: int | None = None) -> Ent
     issues = graph_mod.validate(state.graph)
     if issues:
         raise ValueError("invalid graph: " + "; ".join(issues))
-    KernelSpec(state.alpha, 0.0)  # refuses the alpha that every scalar call would refuse
     g = state.graph
     kappas = graph_mod.kappa(g)
     degrees = tuple(graph_mod.degree(g).tolist()) if g.is_binary else None
     distinct, which = np.unique(kappas, return_inverse=True)
-    lams, ents = _closed_forms(state.alpha, distinct)
+    lams, ents = closed_forms(state.alpha, distinct)
     return EntanglementReport(alpha=state.alpha, kappa=tuple(kappas.tolist()), degree=degrees,
                               lambda_max=tuple(lams[which].tolist()), entanglement=tuple(ents[which].tolist()),
                               source=source, seed=seed)

@@ -23,6 +23,7 @@ sort of the pair keys.
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, TextIO
 
@@ -304,18 +305,13 @@ def _line_blocks(source: str | TextIO) -> Iterator[list[str]]:
     Each block but the last is ``PARSE_BLOCK`` characters and the rest of the
     line they end in, so no line, and no ``\\r\\n`` pair, is split between two
     blocks, and the blocks' ``splitlines`` are those of the whole text. A
-    stream is read one block at a time; a string is sliced the same way.
+    string is read as a stream through ``io.StringIO``, which translates no
+    newline.
     """
-    if not isinstance(source, str):
-        while block := source.read(PARSE_BLOCK):
-            yield (block + source.readline()).splitlines()
-        return
-    start = 0
-    while start < len(source):
-        end = source.find("\n", start + PARSE_BLOCK)
-        end = len(source) if end < 0 else end + 1
-        yield source[start:end].splitlines()
-        start = end
+    if isinstance(source, str):
+        source = io.StringIO(source)
+    while block := source.read(PARSE_BLOCK):
+        yield (block + source.readline()).splitlines()
 
 
 def _header(line: str, lineno: int) -> int:

@@ -68,9 +68,8 @@ keeps 34 live of the 48 nodes of ``--grid-size`` 64 and 68 of the 96 of
 points (2.4 MiB). On 128 Gauss-Legendre nodes (66 live) they hold 143,748
 (2.2 MiB), and per vertex, building and folding them took about 1.1 ms,
 the reduction 0.6 ms, the dense eigensolve of rho 0.17 ms and the
-alternating iteration 0.45 ms, against 2.0, 1.3, 0.45 and 1.1 ms with all
-128 nodes on the vertex's own axis (one core, one BLAS thread, medians of
-600 vertex solves interleaved in one process on a shared 2-core machine).
+alternating iteration 0.45 ms (one core, one BLAS thread, medians of 600
+vertex solves interleaved in one process on a shared 2-core machine).
 A caller that runs both oracles on one vertex builds the blocks once and
 passes them to each; called without them, each builds its own.
 
@@ -576,11 +575,13 @@ class ParityBlocks:
     * ``odd`` (ceil(r/2) x M // 2): entry (i, c) is A_ic - A_i,M-1-c. Its
       middle row, for odd r, is exactly zero.
 
-    ``odd`` is a view of the buffer the top rows of A were built in.
+    ``odd`` is a view of the buffer the top rows of A were built in, and
+    ``grid`` is the live sub-grid of the r nodes every axis holds.
     """
 
     even: np.ndarray
     odd: np.ndarray
+    grid: QuadratureGrid
 
 
 def live_nodes(alpha: float, grid: QuadratureGrid) -> np.ndarray:
@@ -624,10 +625,10 @@ def one_vs_rest(state: GraphState, v: int, grid: QuadratureGrid) -> ParityBlocks
     psi(-x) = psi(x) bit for bit (each phase reads a x_j x_k), and the grid
     and the live mask are symmetric about 0, so A[::-1, ::-1] == A: only the
     top ceil(r/2) rows are built, and they fold into :class:`ParityBlocks`,
-    the odd block in place. At 3 vertices and 128 Gauss-Legendre nodes (66
-    live) the top rows are 2.2 MiB and the even block 1.1 MiB, against 4.3
-    and 2.1 MiB with all 128 nodes on axis 0; on the 96 trapezoid nodes of
-    ``oracle_grid(L, 128)`` (68 live) they are 2.4 and 1.2 MiB.
+    the odd block in place, and carry the live sub-grid. At 3 vertices and
+    128 Gauss-Legendre nodes (66 live) the top rows are 2.2 MiB and the even
+    block 1.1 MiB; on the 96 trapezoid nodes of ``oracle_grid(L, 128)`` (68
+    live) they are 2.4 and 1.2 MiB.
 
     Both oracles start from these blocks; a caller that runs both on one
     vertex builds them once and passes them to each.
@@ -662,7 +663,7 @@ def one_vs_rest(state: GraphState, v: int, grid: QuadratureGrid) -> ParityBlocks
     if x.size % 2:
         even[-1] /= SQRT2
     amp[:, :half] -= mirror
-    return ParityBlocks(even, amp[:, :half])
+    return ParityBlocks(even, amp[:, :half], QuadratureGrid(x, grid.weights[live], grid.extent))
 
 
 def check_oracle_vertices(n: int) -> None:
@@ -698,17 +699,16 @@ def reduce_full_state(
     caller has built them; without them they are built here.
 
     A holds the r live nodes of :func:`live_nodes` on every axis, so rho is
-    the r x r kernel on the live sub-grid, ``QuadratureGrid(grid.nodes[live],
-    grid.weights[live], grid.extent)``, and its sums run over r^(N-1)
-    points, not m^(N-1). Each entry misses at most E_i E_i' (N - 1) 2^-70 of
-    the full-grid sum, E being the envelope sqrt(w) d(x), and so each
-    eigenvalue about 2e-21. The rows and columns of the full m x m rho that
-    axis v drops are a principal block of it: by Cauchy interlacing lambda_max
-    can only fall, and the Rayleigh quotient of the top eigenvector u
-    restricted to the live rows bounds the fall by lambda_max delta /
-    (1 - delta), where delta = |u_dropped|^2 <= 2^-70 / lambda_max^2 (on a
-    trace-1 rho each u_i is at most E_i / lambda_max). That is second order
-    in the dropped amplitude: about 2^-70 / lambda_max, under 2e-21 wherever
+    the r x r kernel on the live sub-grid that the blocks carry, and its sums
+    run over r^(N-1) points, not m^(N-1). Each entry misses at most E_i E_i'
+    (N - 1) 2^-70 of the full-grid sum, E being the envelope sqrt(w) d(x), and
+    so each eigenvalue about 2e-21. The rows and columns of the full m x m rho
+    that axis v drops are a principal block of it: by Cauchy interlacing
+    lambda_max can only fall, and the Rayleigh quotient of the top eigenvector
+    u restricted to the live rows bounds the fall by lambda_max delta / (1 -
+    delta), where delta = |u_dropped|^2 <= 2^-70 / lambda_max^2 (on a trace-1
+    rho each u_i is at most E_i / lambda_max). That is second order in the
+    dropped amplitude: about 2^-70 / lambda_max, under 2e-21 wherever
     lambda_max >= 1/2.
 
     rho = Re(A A^H) is block diagonal in the parity bases: rho_e = Re(F F^H)
@@ -722,8 +722,7 @@ def reduce_full_state(
     _check_oracle_limits(state, v, grid)
     if blocks is None:
         blocks = one_vs_rest(state, v, grid)
-    live = live_nodes(state.alpha, grid)
-    r = int(np.count_nonzero(live))
+    r = blocks.grid.size
     top = (r + 1) // 2
     # interleaved (Re, Im) columns: R R^T = Re(F F^H) at half the flops of the
     # complex product; numpy computes a product with its own transpose as one
@@ -740,7 +739,7 @@ def reduce_full_state(
     rho[r - top:, :top] = mirrored[::-1]
     rho[r - top:, r - top:] = same[::-1, ::-1]
     equivalent = KernelSpec(state.alpha, vertex_kappa(state.graph, v))
-    return DiscretizedKernel(rho, QuadratureGrid(grid.nodes[live], grid.weights[live], grid.extent), equivalent)
+    return DiscretizedKernel(rho, blocks.grid, equivalent)
 
 
 def alternating_maximization(

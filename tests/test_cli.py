@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 import cvge
 from cvge import cli
+from cvge import closed_form as cf
 from cvge import graph as graph_mod
 from cvge.cli import EXIT_FAIL, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from cvge.closed_form import KernelSpec, entanglement
@@ -546,6 +547,8 @@ class TestValueBounds:
         (("profile", "--gen", "path", "--n", "2", "--alpha", "1e300"), "alpha must be below 1.341e+154"),
         (("scan", "--kappa", "1", "--alpha", "1e300"), "alpha must be below 1.341e+154"),
         (("scan", "--gen", "path", "--n", "2", "--alpha", "1e300"), "alpha must be below 1.341e+154"),
+        # below about 1.5e-162 alpha**2 underflows to 0, and a kappa grid has no kappa / alpha**2
+        (("scan", "--kappa", "1", "--alpha", "1e-200"), "--alpha 1e-200 underflows alpha**2 to 0"),
         # raised by the library and printed as it is
         (("profile", "--gen", "cycle", "--n", "2"), "cycle requires n >= 3, got 2"),
         (("profile", "--gen", "erdos_renyi", "--n", "5"), "erdos_renyi requires edge probability p"),
@@ -562,7 +565,8 @@ class TestValueBounds:
             "validate-extent-1e308", "oracle-extent-1e200", "oracle-extent-1e308",
             "validate-alpha-squared-overflows", "spectrum-alpha-squared-overflows",
             "profile-alpha-squared-overflows", "scan-grid-alpha-squared-overflows",
-            "scan-ensemble-alpha-squared-overflows", "profile-cycle-too-small", "profile-erdos-renyi-without-p",
+            "scan-ensemble-alpha-squared-overflows", "scan-grid-alpha-squared-underflows",
+            "profile-cycle-too-small", "profile-erdos-renyi-without-p",
             "gen-cycle-too-small", "spectrum-negative-kappa", "validate-alpha-zero",
             "scan-samples-above-the-cap", "scan-samples-zero"])
     def test_out_of_range_value_is_usage_error(self, argv, message):
@@ -633,6 +637,12 @@ class TestOverflowingInputs:
         assert (code, err) == (EXIT_OK, "")
         assert json.loads(out)["rows"][0]["entanglement"] == pytest.approx(3.0 - 2.0 * math.sqrt(2.0), rel=1e-12)
 
+    # below alpha ~ 1.5e-154, alpha**2 is subnormal and kappa / alpha**2 can pass the float range
+    def test_scan_ratio_past_the_float_range_is_inf(self):
+        code, out, err = self.run_strict("scan", "--alpha", "1e-160", "--kappa", "0,1", "--format", "json")
+        assert (code, err) == (EXIT_OK, "")
+        assert [row["coupling_ratio"] for row in json.loads(out)["rows"]] == [0.0, math.inf]
+
     def test_spectrum_where_d_overflows(self):
         code, out, err = self.run_strict("spectrum", "--alpha", "1e154", "--kappa", "1e300", "--count", "2",
                                          "--format", "json")
@@ -667,6 +677,14 @@ class TestUnderflowingAlpha:
         assert (code, err) == (EXIT_OK, "")
         row = json.loads(out)["rows"][0]
         assert row["lambda_max"] == 1.0 and row["converged"] is True
+
+    def test_ensemble_scan_prints_no_ratio_and_runs(self):
+        code, out, err = run_cli("scan", "--gen", "path", "--n", "3", "--alpha", "1e-200", "--format", "json")
+        assert (code, err) == (EXIT_OK, "")
+        rows = json.loads(out)["rows"]
+        assert [sorted(row) for row in rows] == [["degree", "entanglement", "multiplicity"]] * 2
+        assert [(row["degree"], row["multiplicity"]) for row in rows] == [(1, 2), (2, 1)]
+        assert [row["entanglement"] for row in rows] == [entanglement(KernelSpec(1e-200, d)) for d in (1.0, 2.0)]
 
 
 def rows_of(columns):
@@ -1010,6 +1028,67 @@ class TestVectorizedGraphPath:
                              "--seed", "4", "--samples", "3")
         assert code == EXIT_OK
         assert calls["degree"] <= 3
+
+
+class TestOneDegreeLawPath:
+    """Every command takes lambda_max and E from ``closed_forms``, and every quadrature check from one helper."""
+
+    @staticmethod
+    def unsorted_kappas():
+        """10,004 kappa in random order, most of them listed more than once, with 0.0 and -0.0 twice each."""
+        rng = np.random.default_rng(24)
+        pool = np.exp(rng.uniform(-20.0, 20.0, 4000)).tolist() + [float(d) for d in range(1, 50)]
+        kappas = [pool[i] for i in rng.integers(0, len(pool), 10_000).tolist()]
+        for at, zero in ((17, -0.0), (2500, 0.0), (5000, -0.0), (7500, 0.0)):
+            kappas.insert(at, zero)
+        return kappas
+
+    @pytest.mark.parametrize("alpha", [1e-3, 1.0, 1e3, 1e154])
+    def test_scan_grid_is_the_scalar_rows_in_the_old_order(self, alpha):
+        # at alpha = 1e154, alpha**2 + 1e308 overflows, so the root goes through hypot
+        kappas = [1e308, 1.0, 0.0, 1e308, -0.0] if alpha == 1e154 else self.unsorted_kappas()
+        code, out, _ = run_cli("scan", "--alpha", repr(alpha), "--kappa=" + ",".join(map(repr, kappas)),
+                               "--format", "json")
+        assert code == EXIT_OK
+        # the rows as they were built before: one KernelSpec per kappa, sorted by (ratio, kappa)
+        specs = sorted((KernelSpec(alpha, kap) for kap in kappas),
+                       key=lambda spec: (spec.coupling_ratio, spec.kappa))
+        expected = [(spec.kappa.hex(), spec.coupling_ratio.hex(), entanglement(spec).hex()) for spec in specs]
+        assert [(row["kappa"].hex(), row["coupling_ratio"].hex(), row["entanglement"].hex())
+                for row in json.loads(out)["rows"]] == expected
+
+    def test_no_command_calls_the_scalar_closed_form(self, monkeypatch, tmp_path):
+        def refuse(spec):
+            raise RuntimeError(f"scalar closed form called at {spec}")
+
+        monkeypatch.setattr(cf, "lambda_max", refuse)
+        monkeypatch.setattr(cf, "entanglement", refuse)
+        checked = []
+        original = cli._quadrature_checks
+        monkeypatch.setattr(cli, "_quadrature_checks", lambda *args: checked.append(1) or original(*args))
+        for argv, shares_the_check in [
+            (("profile", "--gen", "erdos_renyi", "--n", "30", "--p", "0.2", "--seed", "3"), False),
+            (("profile", "--gen", "star", "--n", "4", "--numeric", "--grid-size", "64"), True),
+            (("scan", "--kappa", "0,3,1,3"), False),
+            (("scan", "--gen", "erdos_renyi", "--n", "30", "--p", "0.2", "--seed", "3", "--samples", "2"), False),
+            (("validate", "--alpha", "1,2", "--kappa", "0,1,2"), True),
+            (("oracle", "--gen", "path", "--n", "2"), False),
+        ]:
+            checked.clear()
+            assert run_cli(*argv)[0] == EXIT_OK, argv
+            assert bool(checked) == shares_the_check, argv
+
+    def test_validate_solves_each_distinct_kappa_once(self, monkeypatch):
+        solved = []
+        original = cli.num.numeric_entanglement
+        monkeypatch.setattr(cli.num, "numeric_entanglement",
+                            lambda spec, policy: solved.append(spec.kappa) or original(spec, policy))
+        code, out, _ = run_cli("validate", "--kappa", "1,1,2", "--format", "json")
+        assert code == EXIT_OK
+        assert solved == [1.0, 2.0]
+        per_cell = [json.loads(run_cli("validate", "--kappa", kap, "--format", "json")[1])["rows"][0]
+                    for kap in ("1", "1", "2")]
+        assert json.loads(out)["rows"] == per_cell
 
 
 # Edge weights that are exact binary fractions, so every kappa is exact

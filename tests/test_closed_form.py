@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from cvge.closed_form import (
     KernelSpec,
     VertexRecord,
+    closed_forms,
     entanglement,
     lambda_max,
     lambda_max_kappa_over_alpha,
@@ -420,3 +421,15 @@ class TestProfileArrays:
             KernelSpec(1e200, 1.0)
         with pytest.raises(ValueError, match="alpha must be below"):
             profile(GraphState(many_kappa_graph(), 1e200))
+
+    @pytest.mark.parametrize("alpha,message", [(1e200, "alpha must be below"), (0.0, "alpha must be positive"),
+                                               (math.inf, "alpha must be positive")])
+    def test_closed_forms_refuses_the_alpha_kernelspec_refuses(self, alpha, message):
+        with pytest.raises(ValueError, match=message):
+            closed_forms(alpha, [1.0])
+
+    def test_closed_forms_takes_a_list_and_keeps_the_sign_of_zero(self):
+        kappas = [2.0, -0.0, 0.0, 1e-300]
+        lams, ents = closed_forms(3.0, kappas)
+        assert [x.hex() for x in lams.tolist()] == [lambda_max(KernelSpec(3.0, kv)).hex() for kv in kappas]
+        assert [x.hex() for x in ents.tolist()] == [entanglement(KernelSpec(3.0, kv)).hex() for kv in kappas]

@@ -602,7 +602,13 @@ class TestPhaseResolution:
 
     def test_a_deviation_the_grid_resolves_stays_a_fail(self, monkeypatch):
         # 36 and 48 nodes agree on the single edge to 1.7e-9, far inside a 1e-3 error in the closed form
-        monkeypatch.setattr(cf, "lambda_max", lambda spec: lambda_max(spec) + 1e-3)
+        closed_forms = cf.closed_forms
+
+        def skewed(alpha, kappas):
+            lam, ent = closed_forms(alpha, kappas)
+            return lam + 1e-3, ent
+
+        monkeypatch.setattr(cf, "closed_forms", skewed)
         with redirect_stdout(io.StringIO()):
             assert main(["oracle", "--gen", "path", "--n", "2"]) == EXIT_FAIL
 
