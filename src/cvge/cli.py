@@ -48,12 +48,6 @@ FORMATS = ("json", "csv", "text")
 MAX_ROWS = 100_000  # most values --count or --kappa-range may ask for, and most --samples graphs
 # most --grid-size nodes of each command that takes --grid-size and --extent-mult
 GRID_CAPS = {"profile": num.MAX_GRID_SIZE, "validate": num.MAX_GRID_SIZE, "oracle": num.ORACLE_MAX_GRID}
-# a reduced density matrix has trace 1, and an oracle grid whose quadrature trace
-# misses 1 by more than this cannot hold the state. At alpha in [0.5, 2] every graph
-# of at most 3 vertices stays within 2e-15 at --grid-size 64 to 128 (48 to 96
-# trapezoid nodes), while --grid-size 32 misses by up to 1.3e-5 and --grid-size 3 by
-# up to 179. Independent of --tol, which judges the degree law, not the grid.
-ORACLE_TRACE_TOL = 1e-8
 # a table column: its CSV and text header (None keeps it to JSON), the path of
 # keys where its values nest in a JSON row, and the values, one per row
 Column = tuple[str | None, tuple[str, ...], Sequence]
@@ -429,8 +423,8 @@ def _check_oracle_resolution(state: graph_mod.GraphState, grid: num.QuadratureGr
                              rows: list[tuple], tol: float) -> None:
     """Refuse a FAIL verdict that ``grid`` cannot adjudicate: ValueError naming ``--grid-size``.
 
-    The edge phases exp(i a x x') cancel on the diagonal of rho, so a grid too
-    coarse for them keeps the reduced trace at 1 and moves lambda instead.
+    The up-front rule of :func:`cmd_oracle` never reads ``tol``; this does: 24
+    nodes (T = 13.1) miss the degree law by 4.3e-6 on a graph without edges.
     Each vertex whose deviation reaches ``tol`` is solved again on the rule
     that ``--grid-size`` n would build, n being the nodes of ``grid``; where
     lambda_reduced moves by more than that deviation, the deviation is
@@ -459,24 +453,28 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     g, source, seed = _load_graph(args, num.check_oracle_vertices)
     state = graph_mod.GraphState(g, alpha)
     grid = num.oracle_grid(args.extent_mult / math.sqrt(alpha), args.grid_size)
-    # the tensor's phases are a x x' on nodes out to the extent: past the float
-    # range they are inf, and exp(i inf) is nan
-    if g.w.size and not math.isfinite(max(1.0, float(np.max(np.abs(g.w)))) * grid.extent * grid.extent):
+    weight = float(np.max(np.abs(g.w), initial=0.0))
+    # the tensor's envelopes and phases read x x and a x x' on nodes out to the
+    # extent: past the float range they are inf, and exp(i inf) is nan
+    if not math.isfinite(max(1.0, weight) * grid.extent * grid.extent):
         raise ValueError(f"--alpha {alpha:g} is too small for --extent-mult {args.extent_mult:g}: "
-                         f"the oracle grid reaches {grid.extent:g}, where the phases a x x' overflow")
+                         f"the oracle grid reaches {grid.extent:g}, where x x and the phases a x x' overflow")
+    # Poisson summation: the trapezoid rule of step h over a rest axis copies an edge
+    # phase's frequency a (x - x') out by 2 pi / h, and the copy weighs e^-T, with
+    # T = pi^2 (n - 1)^2 / (4 E^2 (1 + (a / alpha)^2)); at a = 0 it copies the envelope.
+    # Refused below T = 3: with the re-check alone, graphs of at most 3 vertices FAILed the
+    # degree law where it holds up to T = 2.03; the lowest PASS at the default --tol is at 3.37
+    root, ratio = math.pi * (grid.size - 1) / (2.0 * args.extent_mult), weight / alpha
+    if (exponent := root * root / (1.0 + ratio * ratio)) < 3.0:
+        raise ValueError(f"--grid-size {args.grid_size} is too coarse: on its {grid.size} nodes the largest "
+                         f"|edge weight| {weight:g} at --alpha {alpha:g} aliases with weight e^-{exponent:.2g} > e^-3")
     kappas = graph_mod.kappa(g).tolist()
     rows = []
     all_converged = True
     for v, (kap, lam_closed) in enumerate(zip(kappas, cf.closed_forms(alpha, kappas)[0].tolist())):
         # both oracles read these parity blocks, released below before the next vertex builds its own
         blocks = num.one_vs_rest(state, v, grid)
-        rho = num.reduce_full_state(state, v, grid, blocks)
-        trace = float(np.trace(rho.matrix))
-        if not abs(trace - 1.0) <= ORACLE_TRACE_TOL:
-            raise ValueError(f"--grid-size {args.grid_size} is too coarse for this state: the reduced density matrix "
-                             f"of vertex {v} has quadrature trace {trace!r}, which misses 1 by "
-                             f"{abs(trace - 1.0):.2g}")
-        reduced = num.top_eigenvalues(rho, 1)
+        reduced = num.top_eigenvalues(num.reduce_full_state(state, v, grid, blocks), 1)
         dev_reduced = abs(reduced.lambda_max_numeric - lam_closed)
         all_converged = all_converged and reduced.converged
         lam_alt: float | None = None
@@ -600,7 +598,8 @@ def _oracle_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--alpha", default="1", help="oscillator width parameter (default 1)")
     p.add_argument("--tol", type=float, default=1e-6,
                    help="PASS threshold on the worst deviation (default 1e-6)")
-    _numeric_options(p, "m: each axis is the trapezoid rule on ceil(3m/4) nodes", 64, GRID_CAPS["oracle"])
+    _numeric_options(p, "m: the trapezoid rule on n = ceil(3m/4) nodes per axis; exit 2 where pi^2 (n-1)^2 / (4 E^2 "
+                        "(1 + a^2/alpha^2)) < 3, a = max |edge weight|, E = --extent-mult", 64, GRID_CAPS["oracle"])
 
 
 def _scan_options(p: argparse.ArgumentParser) -> None:

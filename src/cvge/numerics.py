@@ -65,13 +65,8 @@ and :func:`alternating_maximization` sweeps the even block alone. The
 oracles normally run on the trapezoid rule of :func:`oracle_grid`, which
 keeps 34 live of the 48 nodes of ``--grid-size`` 64 and 68 of the 96 of
 ``--grid-size`` 128; at 3 vertices the top rows then hold 157,216 complex
-points (2.4 MiB). On 128 Gauss-Legendre nodes (66 live) they hold 143,748
-(2.2 MiB), and per vertex, building and folding them took about 1.1 ms,
-the reduction 0.6 ms, the dense eigensolve of rho 0.17 ms and the
-alternating iteration 0.45 ms (one core, one BLAS thread, medians of 600
-vertex solves interleaved in one process on a shared 2-core machine).
-A caller that runs both oracles on one vertex builds the blocks once and
-passes them to each; called without them, each builds its own.
+points (2.4 MiB). A caller that runs both oracles on one vertex builds the
+blocks once and passes them to each; called without them, each builds its own.
 
 A dense discretization, and so every oracle, needs the truncation extent
 L >= 8 / sqrt(alpha): the integrand mass beyond that is below exp(-32) of
@@ -383,7 +378,10 @@ def lanczos_eigenvalues(dk: DiscretizedKernel, k: int) -> tuple[NumericResult, f
     :data:`RITZ_TOL` within :data:`LANCZOS_MAX_STEPS` steps; ``residual`` is
     the largest of them. The tail is the largest, over the wanted Ritz
     vectors, of the function sample phi(x) = u / sqrt(w) at either end node
-    over its peak |phi|.
+    over its peak |phi|. Where the envelope is zero at every node, as at an
+    alpha so small that every node squares past the float range, B is zero
+    and spans no Krylov space: the solve ends before its first step,
+    unconverged, with values 0 and residual and tail inf.
 
     The residuals take a dense eigensolve of the tridiagonal matrix, so they
     are checked only every few steps, at most :data:`RITZ_CHECK_GAP` apart:
@@ -408,7 +406,10 @@ def lanczos_eigenvalues(dk: DiscretizedKernel, k: int) -> tuple[NumericResult, f
     tridiagonal = np.empty((steps, steps))
     betas = np.empty(steps)
     q = dk.matrix.envelope * (1.0 + dk.grid.nodes / dk.grid.extent)
-    q /= np.linalg.norm(q)
+    norm = np.linalg.norm(q)
+    if norm == 0.0:
+        return NumericResult(0.0, (0.0,) * k, math.inf, size, False, dk.grid.extent), math.inf
+    q /= norm
 
     def ritz_pairs(j: int) -> tuple[np.ndarray, np.ndarray, float]:
         """Ritz values and vectors after step j, and the largest wanted residual."""
@@ -625,10 +626,9 @@ def one_vs_rest(state: GraphState, v: int, grid: QuadratureGrid) -> ParityBlocks
     psi(-x) = psi(x) bit for bit (each phase reads a x_j x_k), and the grid
     and the live mask are symmetric about 0, so A[::-1, ::-1] == A: only the
     top ceil(r/2) rows are built, and they fold into :class:`ParityBlocks`,
-    the odd block in place, and carry the live sub-grid. At 3 vertices and
-    128 Gauss-Legendre nodes (66 live) the top rows are 2.2 MiB and the even
-    block 1.1 MiB; on the 96 trapezoid nodes of ``oracle_grid(L, 128)`` (68
-    live) they are 2.4 and 1.2 MiB.
+    the odd block in place, and carry the live sub-grid. At 3 vertices, on
+    the 96 trapezoid nodes of ``oracle_grid(L, 128)`` (68 live), the top rows
+    are 2.4 MiB and the even block 1.2 MiB.
 
     Both oracles start from these blocks; a caller that runs both on one
     vertex builds them once and passes them to each.

@@ -535,7 +535,7 @@ class TestValueBounds:
          "--extent-mult must be finite and >= 8, got 5"),
         (("oracle", "--gen", "path", "--n", "2", "--extent-mult", "5"),
          "--extent-mult must be finite and >= 8, got 5"),
-        # the 24 nodes of --grid-size 32 hold the reduced state's trace only to 1.3e-5
+        # the 24 nodes of --grid-size 32 pass the alias rule (T = 6.5), and the re-check refuses them
         (("oracle", "--gen", "cycle", "--n", "3", "--grid-size", "32"), "--grid-size 32 is too coarse"),
         *[((command, *source, "--extent-mult", mult), f"--extent-mult must be <= 1000, got {mult}")
           for command, source in (("profile", ("--gen", "path", "--n", "2")), ("validate", ("--kappa", "1")),
@@ -607,12 +607,14 @@ class TestOverflowingInputs:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "--alpha 1e-308" in err and "--extent-mult 10" in err
 
-    def test_envelope_overflow_is_silent(self):
+    # from alpha ~ 1e-311 every node squares to inf, the envelope is all zero and so is Lanczos' start
+    @pytest.mark.parametrize("alpha", ["1e-308", "1e-313", "1e-315", "1e-320"])
+    def test_envelope_overflow_is_silent(self, alpha):
         # the nodes out to 10 / sqrt(alpha) square to inf; the cell stays unconverged
-        code, out, err = self.run_strict("validate", "--alpha", "1e-308", "--kappa", "1")
+        code, out, err = self.run_strict("validate", "--alpha", alpha, "--kappa", "1")
         assert (code, err) == (EXIT_FAIL, "")
         assert out.splitlines()[-2].endswith("NO")
-        code, out, err = self.run_strict("profile", "--gen", "path", "--n", "2", "--alpha", "1e-308", "--numeric")
+        code, out, err = self.run_strict("profile", "--gen", "path", "--n", "2", "--alpha", alpha, "--numeric")
         assert (code, err) == (EXIT_OK, "")
 
 

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import tracemalloc
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from functools import reduce
 
@@ -579,7 +580,7 @@ class TestOracleAccuracy:
 class TestPhaseResolution:
     """A grid too coarse for the edge phases exp(i a x x') is a usage error naming --grid-size, never a FAIL."""
 
-    # the trace check passes both at --grid-size 64: the phases cancel on the diagonal of rho
+    # the up-front rule accepts both at --grid-size 64 (T = 3.2 and 5.45); the re-check refuses them
     @pytest.mark.parametrize("graph,alpha", [
         (Graph(2, [[0.0, 2.0], [2.0, 0.0]]), "0.5"),  # deviates by 4.9e-5 on the 48 nodes of --grid-size 64
         (Graph(3, [[0.0, 3.0, 0.0], [3.0, 0.0, 3.0], [0.0, 3.0, 0.0]]), "1"),  # 6.3e-5 at the middle vertex
@@ -587,18 +588,17 @@ class TestPhaseResolution:
     def test_coarse_grid_is_usage_error_and_128_nodes_pass(self, graph, alpha, tmp_path):
         code, out, err = oracle_run((), graph, tmp_path, "--alpha", alpha)
         assert code == EXIT_USAGE and out == ""
-        assert err.startswith("error:") and err.count("\n") == 1 and "--grid-size 64" in err
+        assert err.startswith("error:") and err.count("\n") == 1 and "--grid-size 64 is too coarse to judge" in err
         code, payload = oracle_json((), graph, tmp_path, "--alpha", alpha, "--grid-size", "128")
         assert code == EXIT_OK and payload["pass"]
 
-    def test_trace_message_shows_the_miss(self, tmp_path):
-        # a 35 / sqrt(alpha) extent leaves the 96 nodes of --grid-size 128 a trace of
-        # 0.99999992353..., which ".6g" used to round to 1 in a message saying it was not 1
+    def test_wide_extent_is_refused_by_the_recheck(self, tmp_path):
+        # 96 nodes over 35 / sqrt(alpha) pass the up-front rule (T = 9.1) and deviate by
+        # about 4e-5; the 72 nodes of the re-check move lambda by about 5e-3
         code, out, err = oracle_run(("--gen", "cycle", "--n", "3"), None, tmp_path,
                                     "--grid-size", "128", "--extent-mult", "35")
         assert code == EXIT_USAGE and out == ""
-        assert err == ("error: --grid-size 128 is too coarse for this state: the reduced density matrix of "
-                       "vertex 0 has quadrature trace 0.9999999235355952, which misses 1 by 7.6e-08\n")
+        assert err.startswith("error:") and err.count("\n") == 1 and "--grid-size 128 is too coarse" in err
 
     def test_a_deviation_the_grid_resolves_stays_a_fail(self, monkeypatch):
         # 36 and 48 nodes agree on the single edge to 1.7e-9, far inside a 1e-3 error in the closed form
@@ -624,3 +624,63 @@ class TestPhaseResolution:
         with redirect_stdout(io.StringIO()):
             assert main(["oracle", "--gen", "cycle", "--n", "3"]) == EXIT_OK
         assert solved == [48, 48, 48]  # the default --grid-size 64 builds ceil(3 * 64 / 4) nodes
+
+
+def edge_file(tmp_path, weight):
+    path = tmp_path / f"edge-{weight}.txt"
+    path.write_text(f"vertices 2\n0 1 {weight}\n", encoding="utf-8")
+    return ("--graph", str(path))
+
+
+class TestAliasRule:
+    """The oracle refuses, before building a tensor, every grid whose worst aliased copy weighs e^-3 or more.
+
+    T = pi^2 (n - 1)^2 / (4 E^2 (1 + (a / alpha)^2)) for n nodes, --extent-mult E and
+    largest |edge weight| a.
+    """
+
+    GENERATED = [(kind, n) for kind in ("path", "star", "complete") for n in (1, 2, 3)] + [("cycle", 3)]
+    ALPHAS = ["1e-320", "1e-300", "1e-100", "1e-3", "0.01", "1", "1e100"]
+
+    def test_no_grid_too_coarse_for_the_state_fails(self, tmp_path):
+        empty = tmp_path / "empty.txt"
+        empty.write_text("vertices 2\n", encoding="utf-8")
+        sources = [("--gen", kind, "--n", str(n)) for kind, n in self.GENERATED]
+        sources += [("--gen", "erdos_renyi", "--n", "3", "--p", "0.5", "--seed", "1"), ("--graph", str(empty))]
+        sources += [edge_file(tmp_path, weight) for weight in ("1e-6", "1", "100", "1e6")]
+        codes = set()
+        for source in sources:
+            for alpha in self.ALPHAS:
+                for size in ("64", "128"):
+                    with warnings.catch_warnings(record=True) as caught:
+                        warnings.simplefilter("always")
+                        code, out, err = oracle_run(source, None, tmp_path, "--alpha", alpha, "--grid-size", size)
+                    run = (source, alpha, size)
+                    assert code in (EXIT_OK, EXIT_USAGE) and not caught, (run, code, err, caught)
+                    if code == EXIT_USAGE:
+                        assert out == "" and err.startswith("error:") and err.count("\n") == 1, (run, err)
+                    codes.add(code)
+        assert codes == {EXIT_OK, EXIT_USAGE}
+
+    @pytest.mark.parametrize("source,alpha,size", [
+        (("--gen", "path", "--n", "2"), "1e-100", "64"),  # T = 5.5e-199
+        (("--gen", "path", "--n", "2"), "0.1", "128"),  # T = 2.2
+        (("--gen", "path", "--n", "1"), "1", "3"),  # no edge: the envelope's own copy, T = 0.099
+        (None, "1", "64"),  # one edge of weight 100, T = 0.0054
+    ], ids=["path-2-alpha-1e-100", "path-2-alpha-0.1-grid-128", "path-1-grid-3", "edge-weight-100"])
+    def test_refused_before_any_tensor(self, source, alpha, size, tmp_path, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("one_vs_rest ran")
+
+        monkeypatch.setattr(numerics, "one_vs_rest", unreachable)
+        code, out, err = oracle_run(source or edge_file(tmp_path, "100"), None, tmp_path,
+                                    "--alpha", alpha, "--grid-size", size)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith(f"error: --grid-size {size} is too coarse: ") and err.count("\n") == 1
+
+    def test_resolved_grid_near_the_floor_passes(self, tmp_path):
+        # T = 4.70 on the 96 nodes of --grid-size 128; one edge of weight 2 at alpha = 0.5
+        # (T = 3.2) is refused by the re-check, in TestPhaseResolution
+        code, payload = oracle_json(("--gen", "path", "--n", "2"), None, tmp_path, "--alpha", "0.147",
+                                    "--grid-size", "128")
+        assert code == EXIT_OK and payload["pass"]
