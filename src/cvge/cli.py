@@ -45,9 +45,13 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 FORMATS = ("json", "csv", "text")
-MAX_ROWS = 100_000  # most values --count or --kappa-range may ask for, and most --samples graphs
+MAX_ROWS = 100_000  # most values --count or --kappa-range may ask for, and most --samples
+MAX_GRID_SIZE = 4096  # most --grid-size of profile and validate: the highest floor on their coarse rung
+# most --extent-mult, 125 times the truncation minimum: a wider interval only
+# spends nodes on the vanishing tail, and at 1e200 the squared nodes overflow
+MAX_EXTENT_FACTOR = 1000.0
 # most --grid-size nodes of each command that takes --grid-size and --extent-mult
-GRID_CAPS = {"profile": num.MAX_GRID_SIZE, "validate": num.MAX_GRID_SIZE, "oracle": num.ORACLE_MAX_GRID}
+GRID_CAPS = {"profile": MAX_GRID_SIZE, "validate": MAX_GRID_SIZE, "oracle": num.ORACLE_MAX_GRID}
 # a table column: its CSV and text header (None keeps it to JSON), the path of
 # keys where its values nest in a JSON row, and the values, one per row
 Column = tuple[str | None, tuple[str, ...], Sequence]
@@ -161,8 +165,8 @@ def _check_numeric_flags(args: argparse.Namespace) -> None:
     if not (math.isfinite(args.extent_mult) and args.extent_mult >= num.MIN_EXTENT_FACTOR):
         raise ValueError(f"--extent-mult must be finite and >= {num.MIN_EXTENT_FACTOR:g}, "
                          f"got {args.extent_mult:g}")
-    if args.extent_mult > num.MAX_EXTENT_FACTOR:
-        raise ValueError(f"--extent-mult must be <= {num.MAX_EXTENT_FACTOR:g}, got {args.extent_mult:g}")
+    if args.extent_mult > MAX_EXTENT_FACTOR:
+        raise ValueError(f"--extent-mult must be <= {MAX_EXTENT_FACTOR:g}, got {args.extent_mult:g}")
 
 
 def _policy(args: argparse.Namespace) -> num.GridPolicy:
@@ -341,14 +345,14 @@ NUMERIC_COLUMNS = [("numeric_lambda_max", ("numeric", "lambda_max")),
 def cmd_profile(args: argparse.Namespace) -> int:
     alpha = _single_alpha(args)
     g, source, seed = _load_graph(args)
-    report = cf.profile(graph_mod.GraphState(g, alpha), source=source, seed=seed)
+    report = cf.profile(graph_mod.GraphState(g, alpha))
     degrees = (None,) * g.n if report.degree is None else report.degree
     columns = [(header, path, values) for (header, path), values in zip(
         PROFILE_COLUMNS, (range(g.n), degrees, report.kappa, report.lambda_max, report.entanglement))]
     columns += (_columns(NUMERIC_COLUMNS, _quadrature_checks(report.alpha, report.kappa, report.lambda_max, args))
                 if args.numeric else [(None, ("numeric",), (None,) * g.n)])
-    payload = {"alpha": report.alpha, "graph": {"n": g.n, "source": report.source, "seed": report.seed}}
-    footers = [f"alpha {_cell(report.alpha, '-')}  source {report.source}"]
+    payload = {"alpha": report.alpha, "graph": {"n": g.n, "source": source, "seed": seed}}
+    footers = [f"alpha {_cell(report.alpha, '-')}  source {source}"]
     _emit(_render(args.format, payload, "vertices", columns, footers), args.out)
     return EXIT_OK
 
@@ -528,10 +532,14 @@ def cmd_scan(args: argparse.Namespace) -> int:
         spec = _gen_spec(args)
         if not 1 <= args.samples <= MAX_ROWS:
             raise ValueError(f"--samples must be in [1, {MAX_ROWS}], got {args.samples}")
+        # only erdos_renyi draws a graph per sample, from seed + i; any other kind
+        # is one graph, drawn once and counted once per sample
+        seeds = range(spec.seed, spec.seed + args.samples) if spec.kind == "erdos_renyi" else [None]
         counts = np.zeros(spec.n, dtype=np.int64)
-        for i in range(args.samples):
-            sample = spec if spec.kind != "erdos_renyi" else dataclasses.replace(spec, seed=spec.seed + i)
-            counts += np.bincount(graph_mod.degree(graph_mod.generate(sample)), minlength=spec.n)
+        for seed in seeds:
+            counts += np.bincount(graph_mod.degree(graph_mod.generate(dataclasses.replace(spec, seed=seed))),
+                                  minlength=spec.n)
+        counts *= args.samples // len(seeds)
         degrees = np.flatnonzero(counts)
         values = (degrees, cf.closed_forms(alpha, degrees)[1], counts[degrees])
         layout, payload = SCAN_ENSEMBLE_COLUMNS, {"alpha": alpha, "mode": "ensemble", "samples": args.samples}
@@ -553,11 +561,13 @@ def cmd_gen(args: argparse.Namespace) -> int:
 # parser and config file
 # ---------------------------------------------------------------------------
 
-def _graph_source(p: argparse.ArgumentParser) -> None:
-    src = p.add_mutually_exclusive_group()
-    src.add_argument("--graph", metavar="PATH", help="edge-list file to analyze")
-    src.add_argument("--gen", choices=graph_mod.GENERATOR_KINDS, metavar="KIND",
-                     help=f"generate the graph: one of {', '.join(graph_mod.GENERATOR_KINDS)}")
+def _generator_options(p: argparse.ArgumentParser, graph: bool = False, required: bool = False) -> None:
+    """--gen KIND with its --n, --p and --seed; with ``graph``, --gen is one choice with --graph PATH."""
+    source = p.add_mutually_exclusive_group() if graph else p
+    if graph:
+        source.add_argument("--graph", metavar="PATH", help="edge-list file to analyze")
+    source.add_argument("--gen", choices=graph_mod.GENERATOR_KINDS, metavar="KIND", required=required,
+                        help=f"generate the graph: one of {', '.join(graph_mod.GENERATOR_KINDS)}")
     p.add_argument("--n", type=int, help="vertex count for --gen")
     p.add_argument("--p", type=float, help="edge probability (erdos_renyi only)")
     p.add_argument("--seed", type=int, help="PRNG seed (erdos_renyi only)")
@@ -571,7 +581,7 @@ def _numeric_options(p: argparse.ArgumentParser, grid_help: str, default_grid: i
 
 
 def _profile_options(p: argparse.ArgumentParser) -> None:
-    _graph_source(p)
+    _generator_options(p, graph=True)
     p.add_argument("--alpha", default="1", help="oscillator width parameter (default 1)")
     p.add_argument("--numeric", action="store_true",
                    help="add quadrature lambda_max, deviation, grid_size and converged columns")
@@ -594,7 +604,7 @@ def _validate_options(p: argparse.ArgumentParser) -> None:
 
 
 def _oracle_options(p: argparse.ArgumentParser) -> None:
-    _graph_source(p)
+    _generator_options(p, graph=True)
     p.add_argument("--alpha", default="1", help="oscillator width parameter (default 1)")
     p.add_argument("--tol", type=float, default=1e-6,
                    help="PASS threshold on the worst deviation (default 1e-6)")
@@ -603,20 +613,13 @@ def _oracle_options(p: argparse.ArgumentParser) -> None:
 
 
 def _scan_options(p: argparse.ArgumentParser) -> None:
-    _graph_source(p)
+    _generator_options(p)
     p.add_argument("--alpha", default="1", help="oscillator width parameter (default 1)")
     p.add_argument("--kappa", help="comma-separated kappa values")
     p.add_argument("--kappa-range", metavar="LO..HI[..STEP]", help="inclusive kappa range")
     p.add_argument("--samples", type=int, default=1,
-                   help="ensemble mode: number of sampled graphs, seeds seed..seed+samples-1")
-
-
-def _gen_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--gen", choices=graph_mod.GENERATOR_KINDS, metavar="KIND", required=True,
-                   help=f"one of {', '.join(graph_mod.GENERATOR_KINDS)}")
-    p.add_argument("--n", type=int, help="vertex count")
-    p.add_argument("--p", type=float, help="edge probability (erdos_renyi only)")
-    p.add_argument("--seed", type=int, help="PRNG seed (erdos_renyi only)")
+                   help="ensemble mode: number of samples; erdos_renyi draws one graph per sample, "
+                        "seeds seed..seed+samples-1, and any other kind is one graph counted samples times")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -640,7 +643,8 @@ COMMANDS = {
                       _oracle_options, cmd_oracle),
     "scan": Command("entanglement curve over a kappa grid or a graph ensemble",
                     _scan_options, cmd_scan, default_format="csv"),
-    "gen": Command("write a generated graph in the edge-list format", _gen_options, cmd_gen),
+    "gen": Command("write a generated graph in the edge-list format",
+                   partial(_generator_options, required=True), cmd_gen),
 }
 
 

@@ -90,7 +90,7 @@ class VertexRecord:
 
 @dataclass(frozen=True)
 class EntanglementReport:
-    """Per-vertex entanglement of a graph state, with provenance, as one column per quantity.
+    """Per-vertex entanglement of a graph state, as one column per quantity.
 
     Entry v of each column belongs to vertex v; ``degree`` is None on
     weighted graphs. :attr:`records` gives the same data one vertex at a time.
@@ -101,8 +101,6 @@ class EntanglementReport:
     degree: tuple[int, ...] | None
     lambda_max: tuple[float, ...]
     entanglement: tuple[float, ...]
-    source: str = ""
-    seed: int | None = None
 
     @property
     def records(self) -> VertexRecords:
@@ -289,7 +287,7 @@ def closed_forms(alpha: float, kappa: Sequence[float] | np.ndarray) -> tuple[np.
     return lam, ent
 
 
-def profile(state: GraphState, source: str = "", seed: int | None = None) -> EntanglementReport:
+def profile(state: GraphState) -> EntanglementReport:
     """Per-vertex entanglement report for a graph state, as columns over the vertices.
 
     lambda_max and E are computed once per distinct kappa, as arrays
@@ -308,5 +306,4 @@ def profile(state: GraphState, source: str = "", seed: int | None = None) -> Ent
     distinct, which = np.unique(kappas, return_inverse=True)
     lams, ents = closed_forms(state.alpha, distinct)
     return EntanglementReport(alpha=state.alpha, kappa=tuple(kappas.tolist()), degree=degrees,
-                              lambda_max=tuple(lams[which].tolist()), entanglement=tuple(ents[which].tolist()),
-                              source=source, seed=seed)
+                              lambda_max=tuple(lams[which].tolist()), entanglement=tuple(ents[which].tolist()))

@@ -108,11 +108,13 @@ class Graph:
         if np.any(key[1:] < key[:-1]):
             order = np.argsort(key, kind="stable")
             u, v, w = u[order], v[order], w[order]
-        with np.errstate(over="ignore"):  # validate() reports a kappa that overflows to inf
-            squares = w * w
         kappas = np.zeros(n)  # float even with no edges, where a weighted bincount is integer
-        kappas += np.bincount(v, weights=squares, minlength=n)
-        kappas += np.bincount(u, weights=squares, minlength=n)
+        # validate() reports a kappa that overflows to inf, in a square or in the sum
+        # of a vertex's two halves (its edges as the v and as the u endpoint)
+        with np.errstate(over="ignore"):
+            squares = w * w
+            kappas += np.bincount(v, weights=squares, minlength=n)
+            kappas += np.bincount(u, weights=squares, minlength=n)
         degrees = np.bincount(v, minlength=n) + np.bincount(u, minlength=n)
         for arr in (u, v, w, kappas, degrees):
             arr.setflags(write=False)

@@ -88,10 +88,6 @@ from .graph import kappa as vertex_kappa
 
 MIN_EXTENT_FACTOR = 8.0
 DEFAULT_EXTENT_FACTOR = 10.0
-# the CLI's bound on --extent-mult, 125 times the truncation minimum: a wider
-# interval only spends nodes on the vanishing tail, and at 1e200 the squared nodes overflow
-MAX_EXTENT_FACTOR = 1000.0
-MAX_GRID_SIZE = 4096  # the CLI's bound on --grid-size, the floor on the coarse rung
 LANCZOS_MAX_STEPS = 300
 LAMBDA_TOL = 1e-10  # the two rungs of numeric_entanglement must agree this closely to converge
 RITZ_TOL = 1e-15  # a Lanczos solve is certified once every wanted Ritz residual is below this
@@ -676,6 +672,7 @@ def check_oracle_vertices(n: int) -> None:
 
 
 def _check_oracle_limits(state: GraphState, v: int, grid: QuadratureGrid) -> None:
+    """Refuse what :func:`one_vs_rest`, and so both oracles, cannot take: ValueError."""
     n = state.graph.n
     check_oracle_vertices(n)
     if not 0 <= v < n:
@@ -696,7 +693,9 @@ def reduce_full_state(
     wavefunction, never using the closed-form kernel, so the result can be
     compared entrywise against ``discretize(KernelSpec(alpha, kappa_v), grid)``
     on the live nodes. ``blocks`` are those of :func:`one_vs_rest` when the
-    caller has built them; without them they are built here.
+    caller has built them; without them they are built here. Either way
+    :func:`one_vs_rest` has refused a vertex, graph or grid the oracles
+    cannot take, and this does not check them again.
 
     A holds the r live nodes of :func:`live_nodes` on every axis, so rho is
     the r x r kernel on the live sub-grid that the blocks carry, and its sums
@@ -719,7 +718,6 @@ def reduce_full_state(
     column of rho_e, for odd r, carrying sqrt(2)); the other three blocks
     are flips of T and S, as rho[::-1, ::-1] == rho.
     """
-    _check_oracle_limits(state, v, grid)
     if blocks is None:
         blocks = one_vs_rest(state, v, grid)
     r = blocks.grid.size
@@ -764,7 +762,8 @@ def alternating_maximization(
     lambda moves by less than ``tol`` between sweeps, within
     :data:`POWER_ITERATION_CAP` sweeps. ``blocks`` are those of
     :func:`one_vs_rest` when the caller has built them; without them they
-    are built here.
+    are built here, and :func:`one_vs_rest` checks the vertex, graph and grid
+    either way.
 
     The start phi_2 is uniform on the M = r^(N-1) live rest points of
     :func:`one_vs_rest`. It is even under x -> -x, and A maps even vectors to
@@ -777,7 +776,6 @@ def alternating_maximization(
     """
     if state.graph.n < 2:
         raise ValueError("the one-vs-rest split needs at least 2 oscillators")
-    _check_oracle_limits(state, v, grid)
     if not (tol > 0.0):
         raise ValueError(f"tol must be positive, got {tol!r}")
     if blocks is None:

@@ -362,6 +362,51 @@ class TestScan:
         assert run_cli("scan", "--alpha", "1")[0] == EXIT_USAGE
         assert run_cli("scan", "--kappa", "1", "--gen", "star", "--n", "3")[0] == EXIT_USAGE
 
+    def test_takes_no_graph_file(self, tmp_path):
+        # argparse refuses the flag, so the path, which does not exist, is never opened
+        code, out, err = run_cli("scan", "--graph", str(tmp_path / "missing.txt"), "--kappa", "1")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "unrecognized arguments: --graph" in err
+
+    def test_config_graph_is_an_unknown_key(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"graph = {tmp_path / 'missing.txt'}\n", encoding="utf-8")
+        code, out, err = run_cli("scan", "--kappa", "1", "--config", str(cfg))
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "error: unknown config key 'graph' for command 'scan'\n"
+
+    @pytest.mark.parametrize("kind,draws", [("star", 1), ("erdos_renyi", 7)])
+    def test_ensemble_draws_each_distinct_graph_once(self, monkeypatch, kind, draws):
+        drawn = []
+        original = graph_mod.generate
+
+        def spy(spec):
+            drawn.append(spec)
+            return original(spec)
+
+        monkeypatch.setattr(graph_mod, "generate", spy)
+        extra = ("--p", "0.5", "--seed", "3") if kind == "erdos_renyi" else ()
+        assert run_cli("scan", "--gen", kind, "--n", "5", *extra, "--samples", "7")[0] == EXIT_OK
+        assert len(drawn) == draws
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+    @pytest.mark.parametrize("samples", [1, 3, 50])
+    @pytest.mark.parametrize("kind", ["path", "cycle", "star", "complete"])
+    def test_fixed_graph_ensemble_counts_every_sample(self, kind, samples, fmt):
+        spec = graph_mod.GraphGenSpec(kind, 6)
+        expected = {}
+        for _ in range(samples):  # each sample drawn on its own, as an ensemble of random graphs is
+            for degree in graph_mod.degree(graph_mod.generate(spec)).tolist():
+                expected[degree] = expected.get(degree, 0) + 1
+        code, out, err = run_cli("scan", "--gen", kind, "--n", "6", "--samples", str(samples), "--format", fmt)
+        assert (code, err) == (EXIT_OK, "")
+        if fmt == "json":
+            rows = [(row["degree"], row["multiplicity"]) for row in json.loads(out)["rows"]]
+        else:
+            lines = [line.split(",") if fmt == "csv" else line.split() for line in out.splitlines()[1:]]
+            rows = [(int(cells[0]), int(cells[2])) for cells in lines]
+        assert rows == sorted(expected.items())
+
 
 class TestGen:
     def test_star_file_round_trips(self, tmp_path):
@@ -590,7 +635,8 @@ class TestOverflowingInputs:
     @pytest.mark.parametrize("edges,vertex", [
         ("0 1 1e307\n", 0),  # the square of the weight overflows
         ("0 2 1.2e154\n1 2 1.2e154\n", 2),  # each square is finite, their sum is not
-    ], ids=["square", "sum"])
+        ("0 1 1.2e154\n1 2 1.2e154\n", 1),  # the same sum, of vertex 1 as the v and the u endpoint
+    ], ids=["square", "sum", "split"])
     def test_kappa_overflow_names_the_vertex(self, tmp_path, command, edges, vertex):
         path = tmp_path / "huge.txt"
         path.write_text("vertices 3\n" + edges, encoding="utf-8")

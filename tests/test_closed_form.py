@@ -371,12 +371,6 @@ class TestProfile:
         with pytest.raises(IndexError):
             report.records[4]
 
-    def test_provenance_carried(self):
-        report = profile(GraphState(generate(GraphGenSpec("path", 2)), 1.0),
-                         source="gen:path(n=2)", seed=None)
-        assert report.source == "gen:path(n=2)"
-        assert report.seed is None
-
 
 def many_kappa_graph():
     """A matching of 10,001 edges, so 10,001 distinct random kappa, and an isolated vertex (kappa = 0).

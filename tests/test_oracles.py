@@ -625,6 +625,19 @@ class TestPhaseResolution:
             assert main(["oracle", "--gen", "cycle", "--n", "3"]) == EXIT_OK
         assert solved == [48, 48, 48]  # the default --grid-size 64 builds ceil(3 * 64 / 4) nodes
 
+    def test_limits_are_checked_once_per_vertex(self, monkeypatch):
+        checked = []
+        original = numerics._check_oracle_limits
+
+        def spy(state, v, grid):
+            checked.append(v)
+            return original(state, v, grid)
+
+        monkeypatch.setattr(numerics, "_check_oracle_limits", spy)
+        with redirect_stdout(io.StringIO()):
+            assert main(["oracle", "--gen", "cycle", "--n", "3"]) == EXIT_OK
+        assert checked == [0, 1, 2]  # one_vs_rest's check; both oracles read its blocks
+
 
 def edge_file(tmp_path, weight):
     path = tmp_path / f"edge-{weight}.txt"
