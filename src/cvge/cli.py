@@ -46,12 +46,9 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 FORMATS = ("json", "csv", "text")
 MAX_ROWS = 100_000  # most values --count or --kappa-range may ask for, and most --samples
-MAX_GRID_SIZE = 4096  # most --grid-size of profile and validate: the highest floor on their coarse rung
-# most --extent-mult, 125 times the truncation minimum: a wider interval only
-# spends nodes on the vanishing tail, and at 1e200 the squared nodes overflow
+# most oracle --extent-mult, 125 times the truncation minimum: a wider interval
+# only spends nodes on the vanishing tail, and at 1e200 the squared nodes overflow
 MAX_EXTENT_FACTOR = 1000.0
-# most --grid-size nodes of each command that takes --grid-size and --extent-mult
-GRID_CAPS = {"profile": MAX_GRID_SIZE, "validate": MAX_GRID_SIZE, "oracle": num.ORACLE_MAX_GRID}
 # a table column: its CSV and text header (None keeps it to JSON), the path of
 # keys where its values nest in a JSON row, and the values, one per row
 Column = tuple[str | None, tuple[str, ...], Sequence]
@@ -134,6 +131,7 @@ def _load_graph(args: argparse.Namespace,
     the parser reads from the file's first block, not from the whole file.
     """
     if args.graph is not None:
+        _refuse_unread(args, ("n", "p", "seed"), "with --graph")
         try:
             with open(args.graph, encoding="utf-8") as fh:
                 try:
@@ -157,20 +155,22 @@ def _load_graph(args: argparse.Namespace,
     raise ValueError("a graph source is required: --graph PATH or --gen KIND --n N")
 
 
+def _refuse_unread(args: argparse.Namespace, dests: Iterable[str], where: str) -> None:
+    """Refuse a set option that the chosen input never reads: ValueError naming the first."""
+    for dest in dests:
+        if getattr(args, dest) is not None:
+            raise ValueError(f"--{dest} is not read {where}")
+
+
 def _check_numeric_flags(args: argparse.Namespace) -> None:
-    """Bound ``--grid-size`` and ``--extent-mult`` of the commands that take them, used or not."""
-    cap = GRID_CAPS[args.command]
-    if not 2 <= args.grid_size <= cap:
-        raise ValueError(f"--grid-size must be >= 2 and <= {cap}, got {args.grid_size}")
+    """Bound the oracle's ``--grid-size`` and ``--extent-mult``."""
+    if not 2 <= args.grid_size <= num.ORACLE_MAX_GRID:
+        raise ValueError(f"--grid-size must be >= 2 and <= {num.ORACLE_MAX_GRID}, got {args.grid_size}")
     if not (math.isfinite(args.extent_mult) and args.extent_mult >= num.MIN_EXTENT_FACTOR):
         raise ValueError(f"--extent-mult must be finite and >= {num.MIN_EXTENT_FACTOR:g}, "
                          f"got {args.extent_mult:g}")
     if args.extent_mult > MAX_EXTENT_FACTOR:
         raise ValueError(f"--extent-mult must be <= {MAX_EXTENT_FACTOR:g}, got {args.extent_mult:g}")
-
-
-def _policy(args: argparse.Namespace) -> num.GridPolicy:
-    return num.GridPolicy(initial_size=args.grid_size, extent_factor=args.extent_mult)
 
 
 def _tolerance(args: argparse.Namespace) -> float:
@@ -221,10 +221,11 @@ def _encode(values: Sequence, fmt: str) -> list[str]:
     C-level ``map``. A column of floats only is told apart by the values'
     bits, so that 0.0 and -0.0 print apart, and encoded by ``repr`` for JSON
     when every value is finite and by the 10-digit format for cells; one
-    shorter than :data:`SHORT_COLUMN` is mapped value by value. Any other
-    column goes through :func:`_json_scalar` or :func:`_cell`, which raise
-    TypeError on a container; a column of mixed types, or of a float
-    subclass, value by value.
+    shorter than :data:`SHORT_COLUMN` is mapped value by value. A column of
+    ints only is ``str`` of each value. Any other column goes through
+    :func:`_json_scalar` or :func:`_cell`, which raise TypeError on a
+    container; a column of mixed types, or of a float subclass, value by
+    value.
     """
     kinds = set(map(type, values))
     if kinds == {float}:
@@ -241,8 +242,10 @@ def _encode(values: Sequence, fmt: str) -> list[str]:
             texts = list(map(repr if all(map(math.isfinite, distinct)) else _json_scalar, distinct))
         return texts if which is None else list(map(texts.__getitem__, which.tolist()))
     if kinds == {int}:
-        encode = str  # an int's repr, str and cell are one text
-    elif fmt == "json":
+        # an int's repr, str and cell are one text; str of all 800 vertex ids costs 47 us less
+        # than finding that none repeats, and of their degrees 19 us more than finding the repeats
+        return list(map(str, values))
+    if fmt == "json":
         encode = _json_scalar
     else:
         encode = partial(_cell, missing="" if fmt == "csv" else "-")
@@ -349,7 +352,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
     degrees = (None,) * g.n if report.degree is None else report.degree
     columns = [(header, path, values) for (header, path), values in zip(
         PROFILE_COLUMNS, (range(g.n), degrees, report.kappa, report.lambda_max, report.entanglement))]
-    columns += (_columns(NUMERIC_COLUMNS, _quadrature_checks(report.alpha, report.kappa, report.lambda_max, args))
+    columns += (_columns(NUMERIC_COLUMNS, _quadrature_checks(report.alpha, report.kappa, report.lambda_max))
                 if args.numeric else [(None, ("numeric",), (None,) * g.n)])
     payload = {"alpha": report.alpha, "graph": {"n": g.n, "source": source, "seed": seed}}
     footers = [f"alpha {_cell(report.alpha, '-')}  source {source}"]
@@ -357,13 +360,12 @@ def cmd_profile(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _quadrature_checks(alpha: float, kappas: Sequence[float], closed: Sequence[float],
-                       args: argparse.Namespace) -> list[tuple]:
+def _quadrature_checks(alpha: float, kappas: Sequence[float], closed: Sequence[float]) -> list[tuple]:
     """(numeric lambda_max, |numeric - closed|, grid_size, converged) at each kappa; one solve per distinct kappa."""
     solved: dict[float, tuple] = {}
     for kap, lam in zip(kappas, closed):
         if kap not in solved:
-            result = num.numeric_entanglement(cf.KernelSpec(alpha, kap), _policy(args))
+            result = num.numeric_entanglement(cf.KernelSpec(alpha, kap))
             solved[kap] = (result.lambda_max_numeric, abs(result.lambda_max_numeric - lam),
                            result.grid_size, result.converged)
     return list(map(solved.__getitem__, kappas))
@@ -406,7 +408,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     for alpha in alphas:
         closed = cf.closed_forms(alpha, kappas)[0].tolist()
         for kap, lam, (lam_numeric, dev, size, converged) in zip(
-                kappas, closed, _quadrature_checks(alpha, kappas, closed, args)):
+                kappas, closed, _quadrature_checks(alpha, kappas, closed)):
             lam_alt = cf.lambda_max_kappa_over_alpha(cf.KernelSpec(alpha, kap))
             rows.append((alpha, kap, lam, lam_alt, lam_numeric, dev, abs(lam_alt - lam_numeric), size, converged))
     worst = max(0.0, *(row[5] for row in rows))  # a NaN deviation never becomes the worst
@@ -452,6 +454,7 @@ def _check_oracle_resolution(state: graph_mod.GraphState, grid: num.QuadratureGr
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
+    _check_numeric_flags(args)
     alpha = _single_alpha(args)
     tol = _tolerance(args)
     g, source, seed = _load_graph(args, num.check_oracle_vertices)
@@ -521,6 +524,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
         raise ValueError("scan needs exactly one of a kappa grid (--kappa/--kappa-range) "
                          "or a generator ensemble (--gen)")
     if grid_mode:
+        _refuse_unread(args, ("n", "p", "seed", "samples"), "with a kappa grid")
         kappas = np.sort(_resolve_kappas(args), kind="stable")  # sorts kappa / alpha**2 too, as it is monotone
         entanglements = cf.closed_forms(alpha, kappas)[1]
         if alpha**2 == 0.0:
@@ -530,19 +534,20 @@ def cmd_scan(args: argparse.Namespace) -> int:
         layout, payload = SCAN_GRID_COLUMNS, {"alpha": alpha, "mode": "grid"}
     else:
         spec = _gen_spec(args)
-        if not 1 <= args.samples <= MAX_ROWS:
-            raise ValueError(f"--samples must be in [1, {MAX_ROWS}], got {args.samples}")
+        samples = 1 if args.samples is None else args.samples
+        if not 1 <= samples <= MAX_ROWS:
+            raise ValueError(f"--samples must be in [1, {MAX_ROWS}], got {samples}")
         # only erdos_renyi draws a graph per sample, from seed + i; any other kind
         # is one graph, drawn once and counted once per sample
-        seeds = range(spec.seed, spec.seed + args.samples) if spec.kind == "erdos_renyi" else [None]
+        seeds = range(spec.seed, spec.seed + samples) if spec.kind == "erdos_renyi" else [None]
         counts = np.zeros(spec.n, dtype=np.int64)
         for seed in seeds:
             counts += np.bincount(graph_mod.degree(graph_mod.generate(dataclasses.replace(spec, seed=seed))),
                                   minlength=spec.n)
-        counts *= args.samples // len(seeds)
+        counts *= samples // len(seeds)
         degrees = np.flatnonzero(counts)
         values = (degrees, cf.closed_forms(alpha, degrees)[1], counts[degrees])
-        layout, payload = SCAN_ENSEMBLE_COLUMNS, {"alpha": alpha, "mode": "ensemble", "samples": args.samples}
+        layout, payload = SCAN_ENSEMBLE_COLUMNS, {"alpha": alpha, "mode": "ensemble", "samples": samples}
     columns = [(header, path, column.tolist()) for (header, path), column in zip(layout, values)]
     _emit(_render(args.format, payload, "rows", columns, []), args.out)
     return EXIT_OK
@@ -573,19 +578,11 @@ def _generator_options(p: argparse.ArgumentParser, graph: bool = False, required
     p.add_argument("--seed", type=int, help="PRNG seed (erdos_renyi only)")
 
 
-def _numeric_options(p: argparse.ArgumentParser, grid_help: str, default_grid: int, max_grid: int) -> None:
-    p.add_argument("--grid-size", type=int, default=default_grid,
-                   help=f"{grid_help} (default {default_grid}, at most {max_grid})")
-    p.add_argument("--extent-mult", type=float, default=num.DEFAULT_EXTENT_FACTOR,
-                   help="interval half-width in units of 1/sqrt(alpha) (default 10, from 8 to 1000)")
-
-
 def _profile_options(p: argparse.ArgumentParser) -> None:
     _generator_options(p, graph=True)
     p.add_argument("--alpha", default="1", help="oscillator width parameter (default 1)")
     p.add_argument("--numeric", action="store_true",
                    help="add quadrature lambda_max, deviation, grid_size and converged columns")
-    _numeric_options(p, "fewest quadrature nodes of the coarse rung", 256, GRID_CAPS["profile"])
 
 
 def _spectrum_options(p: argparse.ArgumentParser) -> None:
@@ -600,7 +597,6 @@ def _validate_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--kappa-range", metavar="LO..HI[..STEP]", help="inclusive kappa range")
     p.add_argument("--tol", type=float, default=1e-8,
                    help="PASS threshold on |closed - numeric| (default 1e-8)")
-    _numeric_options(p, "fewest quadrature nodes of the coarse rung", 256, GRID_CAPS["validate"])
 
 
 def _oracle_options(p: argparse.ArgumentParser) -> None:
@@ -608,8 +604,12 @@ def _oracle_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--alpha", default="1", help="oscillator width parameter (default 1)")
     p.add_argument("--tol", type=float, default=1e-6,
                    help="PASS threshold on the worst deviation (default 1e-6)")
-    _numeric_options(p, "m: the trapezoid rule on n = ceil(3m/4) nodes per axis; exit 2 where pi^2 (n-1)^2 / (4 E^2 "
-                        "(1 + a^2/alpha^2)) < 3, a = max |edge weight|, E = --extent-mult", 64, GRID_CAPS["oracle"])
+    p.add_argument("--grid-size", type=int, default=64,
+                   help="m: the trapezoid rule on n = ceil(3m/4) nodes per axis; exit 2 where pi^2 (n-1)^2 / (4 E^2 "
+                        f"(1 + a^2/alpha^2)) < 3, a = max |edge weight|, E = --extent-mult (default 64, "
+                        f"at most {num.ORACLE_MAX_GRID})")
+    p.add_argument("--extent-mult", type=float, default=num.DEFAULT_EXTENT_FACTOR,
+                   help="interval half-width in units of 1/sqrt(alpha) (default 10, from 8 to 1000)")
 
 
 def _scan_options(p: argparse.ArgumentParser) -> None:
@@ -617,9 +617,9 @@ def _scan_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--alpha", default="1", help="oscillator width parameter (default 1)")
     p.add_argument("--kappa", help="comma-separated kappa values")
     p.add_argument("--kappa-range", metavar="LO..HI[..STEP]", help="inclusive kappa range")
-    p.add_argument("--samples", type=int, default=1,
-                   help="ensemble mode: number of samples; erdos_renyi draws one graph per sample, "
-                        "seeds seed..seed+samples-1, and any other kind is one graph counted samples times")
+    p.add_argument("--samples", type=int,
+                   help="number of samples, read only with --gen (default 1); erdos_renyi draws one graph per "
+                        "sample, seeds seed..seed+samples-1, and any other kind is one graph counted samples times")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -710,8 +710,8 @@ def _config_defaults(args: argparse.Namespace) -> dict[str, object]:
             defaults[dest] = raw_value
     # --graph/--gen (the graph source) and --kappa/--kappa-range (the
     # couplings) are each one choice: the command line's choice drops the
-    # config file's value for the other
-    for dest, rival in (("graph", "gen"), ("gen", "graph"),
+    # config file's value for the other, and --graph drops what only --gen reads
+    for dest, rival in (("graph", "gen"), ("gen", "graph"), ("n", "graph"), ("p", "graph"), ("seed", "graph"),
                         ("kappa", "kappa_range"), ("kappa_range", "kappa")):
         if known.get(rival) is not None:
             defaults.pop(dest, None)
@@ -731,8 +731,6 @@ def main(argv: list[str] | None = None) -> int:
             # parse again with the config file as defaults: explicit flags win
             registry[args.command].set_defaults(**_config_defaults(args))
             args = parser.parse_args(raw_argv)
-        if args.command in GRID_CAPS:
-            _check_numeric_flags(args)
         return COMMANDS[args.command].handler(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE

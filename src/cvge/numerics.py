@@ -212,18 +212,16 @@ class NumericResult:
 class GridPolicy:
     """Discretization policy of :func:`numeric_entanglement`.
 
-    ``extent_factor / sqrt(alpha)`` is the widest extent L0 a rung may
-    span; the solver takes the narrowest [-L, L] within it that its Ritz
-    vectors certify. Its floor of 8 binds the dense route only, which needs
-    L >= 8 / sqrt(alpha). ``initial_size`` is the fewest nodes of the coarse
-    rung, and ``max_size`` the most of the fine rung at L0: the default
-    40960 fits kappa / alpha^2 = 1e6 at the default extent, and bounds the
-    Lanczos basis at ``LANCZOS_MAX_STEPS * max_size * 8`` bytes, about 98 MB.
+    ``initial_size`` is the fewest nodes of the coarse rung, and
+    ``max_size`` the most of the fine rung at the widest extent L0 =
+    :data:`DEFAULT_EXTENT_FACTOR` / sqrt(alpha): the default 40960 fits
+    kappa / alpha^2 = 1e6, and bounds the Lanczos basis at
+    ``LANCZOS_MAX_STEPS * max_size * 8`` bytes, about 98 MB. ``top_k`` is
+    how many of the top eigenvalues are solved and certified.
     """
 
     initial_size: int = 256
     max_size: int = 40960
-    extent_factor: float = DEFAULT_EXTENT_FACTOR
     top_k: int = 1
 
     def __post_init__(self) -> None:
@@ -234,10 +232,6 @@ class GridPolicy:
         # the first rung may have just initial_size nodes, and Lanczos finds at most that many eigenvalues
         if not 1 <= self.top_k <= self.initial_size:
             raise ValueError(f"top_k must be in [1, initial_size = {self.initial_size}], got {self.top_k}")
-        if not math.isfinite(self.extent_factor):
-            raise ValueError(f"extent_factor must be finite, got {self.extent_factor!r}")
-        if self.extent_factor < MIN_EXTENT_FACTOR:
-            raise ValueError(f"extent_factor must be >= {MIN_EXTENT_FACTOR:g}, got {self.extent_factor!r}")
 
 
 def build_grid(extent: float, size: int) -> QuadratureGrid:
@@ -487,31 +481,41 @@ def numeric_entanglement(spec: KernelSpec, policy: GridPolicy = GridPolicy()) ->
     matrix-free kernel solved by :func:`lanczos_eigenvalues`.
 
     L starts at the extent the floor covers at h0, (initial_size - 1) h0 / 2,
-    or at L0 = ``policy.extent_factor / sqrt(alpha)`` if that is smaller, and
-    doubles, never past L0, until the coarse rung is certified and its wanted
-    Ritz vectors have decayed below :data:`TAIL_TOL` of their peak at +-L.
-    L is taken from h0, the floor and the computed vectors alone; a cell the
-    floor covers at L0 runs just the two rungs on L0. ``converged`` means
-    both rungs on the last L were certified, passed that tail test, and
-    agreed within :data:`LAMBDA_TOL`; ``residual`` is their difference and
-    ``extent`` that L. When the fine rung would exceed ``policy.max_size``
-    at L0, one rung runs at ``policy.initial_size`` on L0 and the result is
-    not converged, with ``residual`` inf.
+    or at L0 = :data:`DEFAULT_EXTENT_FACTOR` / sqrt(alpha) if that is
+    smaller, and doubles, never past L0, until the coarse rung is certified
+    and its wanted Ritz vectors have decayed below :data:`TAIL_TOL` of their
+    peak at +-L. L is taken from h0, the floor and the computed vectors
+    alone; a cell the floor covers at L0 runs just the two rungs on L0.
+    ``converged`` means both rungs on the last L were certified, passed that
+    tail test, and agreed within :data:`LAMBDA_TOL`; ``residual`` is their
+    difference and ``extent`` that L. When the fine rung would exceed
+    ``policy.max_size`` at L0, one rung runs at ``policy.initial_size`` on
+    L0 and the result is not converged, with ``residual`` inf.
 
     kappa = 0 short-circuits: the kernel is exactly rank-1, so its only
     nonzero eigenvalue equals the quadrature trace sum_i w_i K(x_i, x_i) on
-    L0 and no eigensolve is needed. When L0^2 overflows (alpha below about
-    1e-306 at the default extent), the outer nodes square to inf and drop out
-    of that trace, so the result is not converged, with ``residual`` inf.
+    L0 and no eigensolve is needed. The trace takes the coarse rung's node
+    count at h0 = 1 / (2 sqrt(alpha)), read off the envelope's exponent, as
+    g is flat: by Poisson summation a trace of m nodes on L0 misses by about
+    2 exp(-pi^2 (m - 1)^2 / 400), so a floor of 16 would miss by 7.8e-3,
+    and the step rule's 45 nodes or more miss by under 1e-20. Where that
+    count would exceed ``policy.max_size`` the trace runs on
+    ``policy.initial_size`` nodes and is not converged, with ``residual``
+    inf, as it is where L0^2 overflows (alpha below 100 / DBL_MAX, about
+    5.6e-307): there the outer nodes square to inf and drop out of the trace.
     """
-    widest = policy.extent_factor / math.sqrt(spec.alpha)
+    widest = DEFAULT_EXTENT_FACTOR / math.sqrt(spec.alpha)
+    width = 2.0 * math.sqrt(spec.alpha / spec.kappa) if spec.kappa else math.inf  # g is flat at kappa = 0
+    step = min(1.0 / math.sqrt(spec.alpha), width) / 2.0
+    coarse = _coarse_size(step, widest, policy)
     if spec.kappa == 0.0:
-        grid = trapezoid_grid(widest, policy.initial_size)
+        size = coarse or policy.initial_size
+        grid = trapezoid_grid(widest, size)
         with np.errstate(over="ignore"):
             lam = float(grid.weights @ kernel_value(spec, grid.nodes, grid.nodes))
         values = (lam,) + (0.0,) * (policy.top_k - 1)
-        certified = math.isfinite(widest * widest)
-        return NumericResult(lam, values, 0.0 if certified else math.inf, policy.initial_size, certified, widest)
+        certified = coarse is not None and math.isfinite(widest * widest)
+        return NumericResult(lam, values, 0.0 if certified else math.inf, size, certified, widest)
 
     def rung(extent: float, size: int) -> tuple[NumericResult, bool]:
         """The rung's result, and whether it was certified with its Ritz vectors' tails below TAIL_TOL."""
@@ -519,8 +523,6 @@ def numeric_entanglement(spec: KernelSpec, policy: GridPolicy = GridPolicy()) ->
         result, tail = lanczos_eigenvalues(dk, policy.top_k)
         return result, result.converged and tail < TAIL_TOL
 
-    step = min(1.0 / math.sqrt(spec.alpha), 2.0 * math.sqrt(spec.alpha / spec.kappa)) / 2.0
-    coarse = _coarse_size(step, widest, policy)
     if coarse is None:
         return replace(rung(widest, policy.initial_size)[0], residual=math.inf, converged=False)
     # L is kept as a count of h0 intervals across [-L, L], so that the node count

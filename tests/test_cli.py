@@ -68,8 +68,7 @@ class TestProfile:
         assert [row[4] for row in rows] == ["0", "0", "0"]
 
     def test_numeric_deviation_small(self):
-        code, out, _ = run_cli("profile", "--gen", "cycle", "--n", "3", "--numeric",
-                               "--grid-size", "64", "--format", "csv")
+        code, out, _ = run_cli("profile", "--gen", "cycle", "--n", "3", "--numeric", "--format", "csv")
         assert code == EXIT_OK
         header, rows = csv_rows(out)
         dev_col = header.index("deviation")
@@ -86,12 +85,19 @@ class TestProfile:
 
     def test_numeric_flag_keeps_closed_columns(self):
         _, plain, _ = run_cli("profile", "--gen", "star", "--n", "4", "--format", "csv")
-        _, numeric, _ = run_cli("profile", "--gen", "star", "--n", "4", "--numeric",
-                                "--grid-size", "64", "--format", "csv")
+        _, numeric, _ = run_cli("profile", "--gen", "star", "--n", "4", "--numeric", "--format", "csv")
         _, plain_rows = csv_rows(plain)
         _, numeric_rows = csv_rows(numeric)
         for a, b in zip(plain_rows, numeric_rows):
             assert a == b[:5]
+
+    @pytest.mark.parametrize("flag,value", [("--grid-size", "64"), ("--extent-mult", "10")])
+    @pytest.mark.parametrize("numeric", [(), ("--numeric",)], ids=["closed", "numeric"])
+    def test_takes_no_grid_flags(self, flag, value, numeric):
+        # the solver picks every cell's nodes and extent
+        code, out, err = run_cli("profile", "--gen", "path", "--n", "2", *numeric, flag, value)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert f"unrecognized arguments: {flag}" in err
 
     def test_json_schema(self):
         code, out, _ = run_cli("profile", "--gen", "erdos_renyi", "--n", "10", "--p", "0.4",
@@ -187,14 +193,12 @@ class TestSpectrum:
 
 class TestValidate:
     def test_unit_alpha_range_passes(self):
-        code, out, _ = run_cli("validate", "--alpha", "1", "--kappa-range", "1..5",
-                               "--grid-size", "64", "--format", "text")
+        code, out, _ = run_cli("validate", "--alpha", "1", "--kappa-range", "1..5", "--format", "text")
         assert code == EXIT_OK
         assert "PASS" in out
 
     def test_adjudication_row_passes_with_visible_gap(self):
-        code, out, _ = run_cli("validate", "--alpha", "4", "--kappa", "9",
-                               "--grid-size", "64", "--format", "json")
+        code, out, _ = run_cli("validate", "--alpha", "4", "--kappa", "9", "--format", "json")
         assert code == EXIT_OK
         payload = json.loads(out)
         assert payload["pass"] is True
@@ -204,8 +208,7 @@ class TestValidate:
         assert row["dev_kappa_over_alpha"] > 1e-2
 
     def test_uncoupled_row_all_unit(self):
-        code, out, _ = run_cli("validate", "--alpha", "1", "--kappa", "0",
-                               "--grid-size", "64", "--format", "json")
+        code, out, _ = run_cli("validate", "--alpha", "1", "--kappa", "0", "--format", "json")
         assert code == EXIT_OK
         row = json.loads(out)["rows"][0]
         assert row["lambda_max"] == 1.0
@@ -213,14 +216,12 @@ class TestValidate:
         assert row["lambda_numeric"] == pytest.approx(1.0, abs=1e-10)
 
     def test_alpha_list(self):
-        code, out, _ = run_cli("validate", "--alpha", "1,2", "--kappa", "1,3",
-                               "--grid-size", "64", "--format", "json")
+        code, out, _ = run_cli("validate", "--alpha", "1,2", "--kappa", "1,3", "--format", "json")
         assert code == EXIT_OK
         assert len(json.loads(out)["rows"]) == 4
 
     def test_impossible_tolerance_fails(self):
-        code, out, _ = run_cli("validate", "--alpha", "1", "--kappa", "1",
-                               "--grid-size", "64", "--tol", "1e-18")
+        code, out, _ = run_cli("validate", "--alpha", "1", "--kappa", "1", "--tol", "1e-18")
         assert code == EXIT_FAIL
         assert "FAIL" in out
 
@@ -245,12 +246,15 @@ class TestValidate:
     def test_kappa_required(self):
         assert run_cli("validate", "--alpha", "1")[0] == EXIT_USAGE
 
-    @pytest.mark.parametrize("mult", ["inf", "nan"])
-    def test_non_finite_extent_is_usage_error(self, mult):
-        code, out, err = run_cli("validate", "--kappa", "1", "--extent-mult", mult)
-        assert code == EXIT_USAGE
-        assert out == ""
-        assert err.startswith("error: --extent-mult must be finite") and err.count("\n") == 1
+    @pytest.mark.parametrize("argv", [
+        ("--kappa", "1", "--grid-size", "64"),
+        ("--kappa", "1", "--extent-mult", "10"),
+    ], ids=["grid-size", "extent-mult"])
+    def test_takes_no_grid_flags(self, argv):
+        # the solver picks every cell's nodes and extent
+        code, out, err = run_cli("validate", *argv)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert f"unrecognized arguments: {argv[2]}" in err
 
     @pytest.mark.parametrize("ratio", [36.0, 400.0])
     def test_json_byte_identical_repeat_runs(self, ratio):
@@ -287,6 +291,13 @@ class TestOracle:
         proc = run_python("-c", script, str(path))
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == [str(EXIT_USAGE), str(EXIT_OK), "False"]
+
+    @pytest.mark.parametrize("mult", ["inf", "nan"])
+    def test_non_finite_extent_is_usage_error(self, mult):
+        code, out, err = run_cli("oracle", "--gen", "path", "--n", "2", "--extent-mult", mult)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: --extent-mult must be finite") and err.count("\n") == 1
 
     def test_single_edge_three_routes(self):
         code, out, _ = run_cli("oracle", "--gen", "path", "--n", "2", "--format", "json")
@@ -408,6 +419,47 @@ class TestScan:
         assert rows == sorted(expected.items())
 
 
+class TestUnreadInputs:
+    """An input that the chosen path never reads is a usage error: exit 2 with one line naming it."""
+
+    @pytest.fixture
+    def edge_file(self, tmp_path):
+        path = tmp_path / "edge.txt"
+        path.write_text("vertices 2\n0 1\n", encoding="utf-8")
+        return str(path)
+
+    @pytest.mark.parametrize("argv,message", [
+        (("profile", "--graph", "FILE", "--n", "50", "--seed", "3"), "--n is not read with --graph"),
+        (("profile", "--graph", "FILE", "--seed", "3"), "--seed is not read with --graph"),
+        (("oracle", "--graph", "FILE", "--p", "0.5"), "--p is not read with --graph"),
+        (("scan", "--kappa", "1", "--n", "5", "--p", "0.3", "--seed", "2", "--samples", "7"),
+         "--n is not read with a kappa grid"),
+        (("scan", "--kappa", "1", "--samples", "-5"), "--samples is not read with a kappa grid"),
+        (("scan", "--kappa-range", "0..2", "--p", "0.3"), "--p is not read with a kappa grid"),
+        (("scan", "--kappa", "1", "--seed", "2"), "--seed is not read with a kappa grid"),
+    ], ids=["profile-graph-n", "profile-graph-seed", "oracle-graph-p", "scan-grid-n",
+            "scan-grid-samples", "scan-range-p", "scan-grid-seed"])
+    def test_unread_input_is_usage_error(self, edge_file, argv, message):
+        code, out, err = run_cli(*(edge_file if arg == "FILE" else arg for arg in argv))
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == f"error: {message}\n"
+
+    def test_command_line_graph_drops_what_only_a_config_gen_reads(self, tmp_path, edge_file):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("gen = erdos_renyi\nn = 5\np = 0.5\nseed = 3\n", encoding="utf-8")
+        code, out, err = run_cli("profile", "--graph", edge_file, "--config", str(cfg), "--format", "json")
+        assert (code, err) == (EXIT_OK, "")
+        assert json.loads(out)["graph"] == {"n": 2, "source": edge_file, "seed": None}
+
+    @pytest.mark.parametrize("line,flag", [("n = 5", "--n"), ("samples = 3", "--samples")])
+    def test_config_ensemble_key_with_a_kappa_grid_is_usage_error(self, tmp_path, line, flag):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n", encoding="utf-8")
+        code, out, err = run_cli("scan", "--kappa", "1", "--config", str(cfg))
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == f"error: {flag} is not read with a kappa grid\n"
+
+
 class TestGen:
     def test_star_file_round_trips(self, tmp_path):
         path = tmp_path / "star.txt"
@@ -481,11 +533,21 @@ class TestConfigFile:
 
     def test_config_switches_on_flag(self, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("numeric = yes\ngrid-size = 64\n", encoding="utf-8")
+        cfg.write_text("numeric = yes\n", encoding="utf-8")
         argv = ("profile", "--gen", "path", "--n", "2", "--format", "json")
         code, out, _ = run_cli(*argv, "--config", str(cfg))
         assert code == EXIT_OK
-        assert out == run_cli(*argv, "--numeric", "--grid-size", "64")[1]
+        assert out == run_cli(*argv, "--numeric")[1]
+
+    @pytest.mark.parametrize("command,source", [("profile", ("--gen", "path", "--n", "2")),
+                                                ("validate", ("--kappa", "1"))])
+    @pytest.mark.parametrize("line", ["grid-size = 64", "extent-mult = 10"])
+    def test_config_grid_keys_are_unknown(self, tmp_path, command, source, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n", encoding="utf-8")
+        code, out, err = run_cli(command, *source, "--config", str(cfg))
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == f"error: unknown config key {line.split()[0]!r} for command {command!r}\n"
 
     def test_command_line_gen_beats_config_graph(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -533,10 +595,7 @@ class TestSizeLimits:
 
     @pytest.mark.parametrize("argv,message", [
         (("oracle", "--gen", "path", "--n", "2", "--grid-size", "1000000"), "<= 128"),
-        (("validate", "--kappa", "1", "--grid-size", "1000000"), "<= 4096"),
-        (("profile", "--gen", "path", "--n", "3", "--numeric", "--grid-size", "4097"), "<= 4096"),
-        (("profile", "--gen", "path", "--n", "2", "--grid-size", "999999"), "<= 4096"),
-        (("validate", "--kappa", "1", "--grid-size", "1"), "--grid-size must be >= 2"),
+        (("oracle", "--gen", "path", "--n", "2", "--grid-size", "1"), "--grid-size must be >= 2"),
         (("profile", "--gen", "path", "--n", "10000000"), "up to n(n-1)/2 edges"),
         (("gen", "--gen", "complete", "--n", "10001"), "up to n(n-1)/2 edges"),
         (("scan", "--gen", "star", "--n", "10000000"), "up to n(n-1)/2 edges"),
@@ -545,8 +604,7 @@ class TestSizeLimits:
         (("validate", "--kappa-range", "0..1e12..1e-6"), "more than 100000"),
         (("scan", "--kappa-range", "0..inf"), "more than 100000"),
         (("scan", "--kappa-range", "0..nan"), "LO <= HI"),
-    ], ids=["oracle-grid", "validate-grid", "profile-grid", "profile-grid-without-numeric",
-            "grid-below-two", "profile-n", "gen-n", "scan-n",
+    ], ids=["oracle-grid", "grid-below-two", "profile-n", "gen-n", "scan-n",
             "count", "scan-range", "validate-range", "infinite-range", "nan-range"])
     def test_oversized_input_is_usage_error(self, argv, message):
         code, out, err = run_cli(*argv)
@@ -573,18 +631,11 @@ class TestValueBounds:
         (("validate", "--kappa", "1", "--tol", "inf"), "--tol must be positive and finite"),
         (("oracle", "--gen", "path", "--n", "2", "--tol", "nan"), "--tol must be positive and finite"),
         (("oracle", "--gen", "path", "--n", "2", "--tol", "-1"), "--tol must be positive and finite"),
-        (("validate", "--kappa", "1", "--extent-mult", "-5"), "--extent-mult must be finite and >= 8"),
-        (("profile", "--gen", "path", "--n", "3", "--numeric", "--extent-mult", "5"),
-         "--extent-mult must be finite and >= 8"),
-        (("profile", "--gen", "path", "--n", "2", "--extent-mult", "5"),
-         "--extent-mult must be finite and >= 8, got 5"),
         (("oracle", "--gen", "path", "--n", "2", "--extent-mult", "5"),
          "--extent-mult must be finite and >= 8, got 5"),
         # the 24 nodes of --grid-size 32 pass the alias rule (T = 6.5), and the re-check refuses them
         (("oracle", "--gen", "cycle", "--n", "3", "--grid-size", "32"), "--grid-size 32 is too coarse"),
-        *[((command, *source, "--extent-mult", mult), f"--extent-mult must be <= 1000, got {mult}")
-          for command, source in (("profile", ("--gen", "path", "--n", "2")), ("validate", ("--kappa", "1")),
-                                  ("oracle", ("--gen", "path", "--n", "2")))
+        *[(("oracle", "--gen", "path", "--n", "2", "--extent-mult", mult), f"--extent-mult must be <= 1000, got {mult}")
           for mult in ("1e+200", "1e+308")],
         # alpha**2 overflows a Python float above about 1.34e154
         (("validate", "--alpha", "1e300", "--kappa", "1e-300"), "alpha must be below 1.341e+154"),
@@ -604,10 +655,8 @@ class TestValueBounds:
         (("scan", "--gen", "path", "--n", "2", "--samples", "100001"), "--samples must be in [1, 100000], got 100001"),
         (("scan", "--gen", "path", "--n", "2", "--samples", "0"), "--samples must be in [1, 100000], got 0"),
     ], ids=["validate-tol-nan", "validate-tol-negative", "validate-tol-zero", "validate-tol-inf",
-            "oracle-tol-nan", "oracle-tol-negative", "validate-extent", "profile-extent",
-            "profile-extent-without-numeric", "oracle-extent", "oracle-grid-too-coarse",
-            "profile-extent-1e200", "profile-extent-1e308", "validate-extent-1e200",
-            "validate-extent-1e308", "oracle-extent-1e200", "oracle-extent-1e308",
+            "oracle-tol-nan", "oracle-tol-negative", "oracle-extent", "oracle-grid-too-coarse",
+            "oracle-extent-1e200", "oracle-extent-1e308",
             "validate-alpha-squared-overflows", "spectrum-alpha-squared-overflows",
             "profile-alpha-squared-overflows", "scan-grid-alpha-squared-overflows",
             "scan-ensemble-alpha-squared-overflows", "scan-grid-alpha-squared-underflows",
@@ -1116,7 +1165,7 @@ class TestOneDegreeLawPath:
         monkeypatch.setattr(cli, "_quadrature_checks", lambda *args: checked.append(1) or original(*args))
         for argv, shares_the_check in [
             (("profile", "--gen", "erdos_renyi", "--n", "30", "--p", "0.2", "--seed", "3"), False),
-            (("profile", "--gen", "star", "--n", "4", "--numeric", "--grid-size", "64"), True),
+            (("profile", "--gen", "star", "--n", "4", "--numeric"), True),
             (("scan", "--kappa", "0,3,1,3"), False),
             (("scan", "--gen", "erdos_renyi", "--n", "30", "--p", "0.2", "--seed", "3", "--samples", "2"), False),
             (("validate", "--alpha", "1,2", "--kappa", "0,1,2"), True),
@@ -1130,7 +1179,7 @@ class TestOneDegreeLawPath:
         solved = []
         original = cli.num.numeric_entanglement
         monkeypatch.setattr(cli.num, "numeric_entanglement",
-                            lambda spec, policy: solved.append(spec.kappa) or original(spec, policy))
+                            lambda spec: solved.append(spec.kappa) or original(spec))
         code, out, _ = run_cli("validate", "--kappa", "1,1,2", "--format", "json")
         assert code == EXIT_OK
         assert solved == [1.0, 2.0]

@@ -223,7 +223,7 @@ class TestNumericEntanglement:
                 assert abs(result.lambda_max_numeric - lambda_max(spec)) < 1e-8
 
     def test_cap_reached_reports_nonconvergence(self):
-        policy = GridPolicy(initial_size=16, max_size=16, extent_factor=10.0)
+        policy = GridPolicy(initial_size=16, max_size=16)
         result = numeric_entanglement(KernelSpec(1.0, 1.0), policy)
         assert not result.converged
 
@@ -236,15 +236,22 @@ class TestNumericEntanglement:
         assert result.extent == pytest.approx(255.0 / math.sqrt(1000.0) / 2.0, rel=1e-15)
         assert abs(result.lambda_max_numeric - lambda_max(KernelSpec(1.0, 1000.0))) < 1e-10
 
-    @pytest.mark.parametrize("factor", [math.inf, math.nan])
-    def test_policy_rejects_non_finite_extent(self, factor):
-        with pytest.raises(ValueError, match="extent_factor must be finite"):
-            GridPolicy(extent_factor=factor)
+    @pytest.mark.parametrize("alpha", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("floor", [2, 16, 32, 64, 256])
+    def test_uncoupled_trace_is_certified_only_where_it_holds(self, alpha, floor):
+        # a trapezoid trace of m nodes on +-10 / sqrt(alpha) misses by about
+        # 2 exp(-pi^2 (m - 1)^2 / 400): 7.8e-3 on 16 nodes
+        result = numeric_entanglement(KernelSpec(alpha, 0.0), GridPolicy(initial_size=floor))
+        assert result.converged
+        assert result.grid_size == max(45, floor)
+        assert abs(result.lambda_max_numeric - 1.0) < numerics.LAMBDA_TOL
 
-    @pytest.mark.parametrize("factor", [-5.0, 0.0, 7.999])
-    def test_policy_rejects_extent_below_minimum(self, factor):
-        with pytest.raises(ValueError, match="extent_factor must be >= 8"):
-            GridPolicy(extent_factor=factor)
+    def test_uncoupled_trace_beyond_the_cap_is_not_converged(self):
+        # the trace needs 45 nodes, and a fine rung of 90 would exceed max_size
+        result = numeric_entanglement(KernelSpec(1.0, 0.0), GridPolicy(initial_size=16, max_size=16))
+        assert not result.converged
+        assert result.residual == math.inf
+        assert result.grid_size == 16
 
     def test_policy_validation(self):
         with pytest.raises(ValueError, match="initial_size"):
@@ -434,13 +441,14 @@ class TestCertifiedExtent:
         assert [(dk.grid.size, dk.grid.extent) for dk in rungs] == [(256, 0.1275), (512, 0.255), (1024, 0.255)]
         assert result.converged and result.extent == 0.255
 
-    def test_eigenfunctions_reaching_past_the_widest_extent_are_not_converged(self):
+    def test_eigenfunctions_reaching_past_the_widest_extent_are_not_converged(self, monkeypatch):
         # the higher Hermite functions are wider than the ground state: at L0 = 8
         # the sixteenth is still 1.3e-9 of its peak at the ends, at L0 = 10 4e-19
         spec = KernelSpec(1.0, 1.0)
-        narrow = numeric_entanglement(spec, GridPolicy(extent_factor=8.0, top_k=16))
-        assert not narrow.converged and narrow.extent == 8.0
         assert numeric_entanglement(spec, GridPolicy(top_k=16)).converged
+        monkeypatch.setattr(numerics, "DEFAULT_EXTENT_FACTOR", 8.0)
+        narrow = numeric_entanglement(spec, GridPolicy(top_k=16))
+        assert not narrow.converged and narrow.extent == 8.0
 
 
 class TestSupportedRange:
