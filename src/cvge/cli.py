@@ -17,8 +17,12 @@ seeded and rows are emitted in a fixed order.
 Exit codes: 0 success (or validation PASS), 1 validation FAIL, 2 usage/input
 error, 3 I/O error. Every input error is a ValueError, whether this module or
 the library raised it, and ``main`` prints it as one ``error:`` line with exit
-2; a failed write is an OSError and exit 3. An oracle grid too coarse for the
-state is an input error naming ``--grid-size``, never a FAIL.
+2; a failed write is an OSError and exit 3. What the numerics cannot
+adjudicate is an input error, never a FAIL: an oracle grid too coarse for the
+state, naming ``--grid-size``, and a ``validate`` or ``profile --numeric``
+cell beyond the quadrature solver's range, naming its alpha and kappa. Every
+cell is solved before anything is written, so such an error leaves stdout
+empty.
 """
 
 from __future__ import annotations

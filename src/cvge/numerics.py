@@ -183,10 +183,10 @@ class NumericResult:
 
     ``residual`` is the last change that decided convergence: for
     :func:`numeric_entanglement`, |delta lambda| between its two rungs
-    (0.0 on the exactly rank-1 kappa = 0 kernel, ``math.inf`` when only one
-    rung ran); for :func:`alternating_maximization`, the last sweep's change;
-    for :func:`lanczos_eigenvalues`, the largest wanted Ritz residual; for a
-    direct :func:`top_eigenvalues` solve, 0.0.
+    (0.0 on the exactly rank-1 kappa = 0 kernel); for
+    :func:`alternating_maximization`, the last sweep's change (``math.inf``
+    after a single sweep); for :func:`lanczos_eigenvalues`, the largest
+    wanted Ritz residual; for a direct :func:`top_eigenvalues` solve, 0.0.
 
     ``extent`` is the half-width L of the grid the values were solved on:
     for :func:`numeric_entanglement`, the one both rungs were certified on.
@@ -215,8 +215,9 @@ class GridPolicy:
     ``initial_size`` is the fewest nodes of the coarse rung, and
     ``max_size`` the most of the fine rung at the widest extent L0 =
     :data:`DEFAULT_EXTENT_FACTOR` / sqrt(alpha): the default 40960 fits
-    kappa / alpha^2 = 1e6, and bounds the Lanczos basis at
-    ``LANCZOS_MAX_STEPS * max_size * 8`` bytes, about 98 MB. ``top_k`` is
+    kappa / alpha^2 up to about 1.05e6, and bounds the Lanczos basis at
+    ``LANCZOS_MAX_STEPS * max_size * 8`` bytes, about 98 MB. A cell whose
+    fine rung would need more is refused with ValueError. ``top_k`` is
     how many of the top eigenvalues are solved and certified.
     """
 
@@ -262,8 +263,8 @@ def kernel_value(spec: KernelSpec, x, x2):
 def kernel_envelope(spec: KernelSpec, x):
     """d(x) = (alpha/pi)^(1/4) exp(-alpha x^2 / 2), so K(x, x') = d(x) g(x - x') d(x')."""
     # below alpha ~ 1e-306 the outer nodes of extent 10 / sqrt(alpha) square to
-    # inf and get d = 0; every kappa > 0 there is beyond max_size, so the cell
-    # runs one rung and is reported unconverged
+    # inf and get d = 0; numeric_entanglement refuses such cells before any rung,
+    # but a direct discretize call on such a grid still lands here
     with np.errstate(over="ignore"):
         return (spec.alpha / np.pi) ** 0.25 * np.exp(-spec.alpha * np.square(x) / 2.0)
 
@@ -488,9 +489,14 @@ def numeric_entanglement(spec: KernelSpec, policy: GridPolicy = GridPolicy()) ->
     alone; a cell the floor covers at L0 runs just the two rungs on L0.
     ``converged`` means both rungs on the last L were certified, passed that
     tail test, and agreed within :data:`LAMBDA_TOL`; ``residual`` is their
-    difference and ``extent`` that L. When the fine rung would exceed
-    ``policy.max_size`` at L0, one rung runs at ``policy.initial_size`` on
-    L0 and the result is not converged, with ``residual`` inf.
+    difference and ``extent`` that L.
+
+    Before any rung runs, a cell the solver cannot resolve raises
+    ValueError: one whose fine rung at h0 / 2 on L0 would exceed
+    ``policy.max_size`` nodes (at the defaults, kappa / alpha^2 above
+    (20479 / 20)^2, about 1.05e6), or whose L0^2 overflows (alpha below
+    100 / DBL_MAX, about 5.6e-307), where the outer nodes square to inf.
+    The test reads h0 at the raw (alpha, kappa), never a closed form.
 
     kappa = 0 short-circuits: the kernel is exactly rank-1, so its only
     nonzero eigenvalue equals the quadrature trace sum_i w_i K(x_i, x_i) on
@@ -498,24 +504,22 @@ def numeric_entanglement(spec: KernelSpec, policy: GridPolicy = GridPolicy()) ->
     count at h0 = 1 / (2 sqrt(alpha)), read off the envelope's exponent, as
     g is flat: by Poisson summation a trace of m nodes on L0 misses by about
     2 exp(-pi^2 (m - 1)^2 / 400), so a floor of 16 would miss by 7.8e-3,
-    and the step rule's 45 nodes or more miss by under 1e-20. Where that
-    count would exceed ``policy.max_size`` the trace runs on
-    ``policy.initial_size`` nodes and is not converged, with ``residual``
-    inf, as it is where L0^2 overflows (alpha below 100 / DBL_MAX, about
-    5.6e-307): there the outer nodes square to inf and drop out of the trace.
+    and the step rule's 45 nodes or more miss by under 1e-20, so the trace
+    is always converged, with ``residual`` 0.0.
     """
     widest = DEFAULT_EXTENT_FACTOR / math.sqrt(spec.alpha)
     width = 2.0 * math.sqrt(spec.alpha / spec.kappa) if spec.kappa else math.inf  # g is flat at kappa = 0
     step = min(1.0 / math.sqrt(spec.alpha), width) / 2.0
     coarse = _coarse_size(step, widest, policy)
+    if coarse is None or not math.isfinite(widest * widest):
+        raise ValueError(f"the quadrature solver cannot resolve alpha={spec.alpha:g}, kappa={spec.kappa:g}: "
+                         f"its kernel step on +-{widest:g} needs a fine rung of more than "
+                         f"{policy.max_size} nodes, or the nodes square past the float range")
     if spec.kappa == 0.0:
-        size = coarse or policy.initial_size
-        grid = trapezoid_grid(widest, size)
-        with np.errstate(over="ignore"):
+        grid = trapezoid_grid(widest, coarse)
+        with np.errstate(over="ignore"):  # up to alpha ~ 1.1e-306, x^2 + x'^2 overflows at the outer nodes
             lam = float(grid.weights @ kernel_value(spec, grid.nodes, grid.nodes))
-        values = (lam,) + (0.0,) * (policy.top_k - 1)
-        certified = coarse is not None and math.isfinite(widest * widest)
-        return NumericResult(lam, values, 0.0 if certified else math.inf, size, certified, widest)
+        return NumericResult(lam, (lam,) + (0.0,) * (policy.top_k - 1), 0.0, coarse, True, widest)
 
     def rung(extent: float, size: int) -> tuple[NumericResult, bool]:
         """The rung's result, and whether it was certified with its Ritz vectors' tails below TAIL_TOL."""
@@ -523,8 +527,6 @@ def numeric_entanglement(spec: KernelSpec, policy: GridPolicy = GridPolicy()) ->
         result, tail = lanczos_eigenvalues(dk, policy.top_k)
         return result, result.converged and tail < TAIL_TOL
 
-    if coarse is None:
-        return replace(rung(widest, policy.initial_size)[0], residual=math.inf, converged=False)
     # L is kept as a count of h0 intervals across [-L, L], so that the node count
     # of each doubling is exact rather than recovered from L / h0 in floating point
     intervals = policy.initial_size - 1
@@ -790,28 +792,22 @@ def alternating_maximization(
         phi2[-1] /= SQRT2
     phi2 /= np.linalg.norm(phi2)
     history: list[float] = []
-    lam = 0.0
-    previous: float | None = None
-    converged = False
-    for _ in range(POWER_ITERATION_CAP):
+    residual = math.inf  # the last sweep's change; none exists before the second sweep
+    while not residual < tol and len(history) < POWER_ITERATION_CAP:
         g = even @ phi2.conj()
         phi1 = g / np.linalg.norm(g)
         h = even.T @ phi1.conj()
         norm_h = float(np.linalg.norm(h))
         phi2 = h / norm_h
         lam = norm_h**2  # <phi1 phi2|psi> = ||h|| once phi2 = h / ||h||
+        residual = abs(lam - history[-1]) if history else math.inf
         history.append(lam)
-        if previous is not None and abs(lam - previous) < tol:
-            converged = True
-            break
-        previous = lam
-    residual = abs(lam - previous) if previous is not None else math.inf
     return NumericResult(
         lambda_max_numeric=lam,
         top_eigenvalues=(lam,),
-        residual=float(residual),
+        residual=residual,
         grid_size=grid.size,
-        converged=converged,
+        converged=residual < tol,
         extent=grid.extent,
         history=tuple(history),
     )

@@ -74,14 +74,14 @@ class TestProfile:
         dev_col = header.index("deviation")
         assert all(float(row[dev_col]) < 1e-8 for row in rows)
 
-    def test_numeric_flags_a_cell_beyond_the_bound(self, tmp_path):
+    def test_numeric_refuses_a_cell_beyond_the_bound(self, tmp_path):
         # kappa / alpha^2 = 1e8 needs a finer step than the largest rung allows
         path = tmp_path / "strong.txt"
         path.write_text("vertices 2\n0 1 10000.0\n", encoding="utf-8")
-        code, out, _ = run_cli("profile", "--graph", str(path), "--numeric", "--format", "csv")
-        assert code == EXIT_OK
-        header, rows = csv_rows(out)
-        assert [row[header.index("converged")] for row in rows] == ["NO", "NO"]
+        code, out, err = run_cli("profile", "--graph", str(path), "--numeric", "--format", "csv")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "alpha=1, kappa=1e+08" in err
 
     def test_numeric_flag_keeps_closed_columns(self):
         _, plain, _ = run_cli("profile", "--gen", "star", "--n", "4", "--format", "csv")
@@ -225,23 +225,31 @@ class TestValidate:
         assert code == EXIT_FAIL
         assert "FAIL" in out
 
-    @pytest.mark.parametrize("cell", [("--alpha", "1e-300", "--kappa", "1e300"), ("--kappa", "1e8")],
-                             ids=["step-underflows", "ratio-1e8"])
-    def test_cell_beyond_the_bound_ends_promptly(self, cell):
-        start = time.perf_counter()
-        code, out, err = run_cli("validate", *cell, "--format", "csv")
-        assert time.perf_counter() - start < 1.0
-        assert code == EXIT_FAIL
-        assert err == ""
-        _, rows = csv_rows(out)
-        assert len(rows) == 1 and rows[0][-1] == "NO"
+    @pytest.mark.parametrize("cell, named", [
+        (("--alpha", "1e-300", "--kappa", "1e300"), "alpha=1e-300, kappa=1e+300"),
+        (("--kappa", "1e8"), "alpha=1, kappa=1e+08"),
+        (("--alpha", "1", "--kappa", "1.1e6"), "alpha=1, kappa=1.1e+06"),
+        (("--alpha", "1e-315", "--kappa", "1"), "alpha=1e-315, kappa=1"),
+        (("--alpha", "1e-307", "--kappa", "0"), "alpha=1e-307, kappa=0"),
+        (("--alpha", "1", "--kappa", "1,1e8"), "alpha=1, kappa=1e+08"),
+    ], ids=["step-underflows", "ratio-1e8", "ratio-1.1e6", "envelope-overflows", "uncoupled-overflows",
+            "after-a-good-cell"])
+    def test_cell_beyond_the_bound_ends_promptly(self, cell, named):
+        # refused before any rung runs, and before anything is written: stdout stays empty in every format
+        for fmt in ("json", "csv", "text"):
+            start = time.perf_counter()
+            code, out, err = run_cli("validate", *cell, "--format", fmt)
+            assert time.perf_counter() - start < 1.0
+            assert (code, out) == (EXIT_USAGE, "")
+            assert err.startswith("error:") and err.count("\n") == 1
+            assert named in err
 
-    def test_overflowing_kernel_cell_writes_nothing_to_stderr(self):
+    def test_overflowing_kernel_cell_writes_one_error_line(self):
         # a fresh interpreter, since pytest records numpy's warnings instead of printing them
         proc = run_python("-m", "cvge.cli", "validate", "--alpha", "1e-300", "--kappa", "1e300")
-        assert proc.returncode == EXIT_FAIL
-        assert proc.stderr == ""
-        assert "NO" in proc.stdout
+        assert (proc.returncode, proc.stdout) == (EXIT_USAGE, "")
+        assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+        assert "RuntimeWarning" not in proc.stderr
 
     def test_kappa_required(self):
         assert run_cli("validate", "--alpha", "1")[0] == EXIT_USAGE
@@ -702,15 +710,15 @@ class TestOverflowingInputs:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "--alpha 1e-308" in err and "--extent-mult 10" in err
 
-    # from alpha ~ 1e-311 every node squares to inf, the envelope is all zero and so is Lanczos' start
+    # below alpha ~ 5.6e-307 the nodes out to 10 / sqrt(alpha) square to inf, from ~1e-311 all of them
     @pytest.mark.parametrize("alpha", ["1e-308", "1e-313", "1e-315", "1e-320"])
-    def test_envelope_overflow_is_silent(self, alpha):
-        # the nodes out to 10 / sqrt(alpha) square to inf; the cell stays unconverged
-        code, out, err = self.run_strict("validate", "--alpha", alpha, "--kappa", "1")
-        assert (code, err) == (EXIT_FAIL, "")
-        assert out.splitlines()[-2].endswith("NO")
-        code, out, err = self.run_strict("profile", "--gen", "path", "--n", "2", "--alpha", alpha, "--numeric")
-        assert (code, err) == (EXIT_OK, "")
+    def test_envelope_overflow_is_refused(self, alpha):
+        for argv in (("validate", "--alpha", alpha, "--kappa", "1"),
+                     ("profile", "--gen", "path", "--n", "2", "--alpha", alpha, "--numeric")):
+            code, out, err = self.run_strict(*argv)
+            assert (code, out) == (EXIT_USAGE, "")
+            assert err.startswith("error:") and err.count("\n") == 1
+            assert f"alpha={float(alpha):g}, kappa=1:" in err
 
 
     # above alpha ~ 6.7e153, (alpha + sqrt(alpha**2 + kappa))**2 is past the float range
@@ -746,12 +754,12 @@ class TestOverflowingInputs:
         assert (code, err) == (EXIT_OK, "")
         assert json.loads(out)["ratio"] == pytest.approx(2.5e-9, rel=1e-8)
 
-    def test_uncoupled_cell_whose_extent_squares_past_the_float_range_is_unconverged(self):
-        # L = 10 / sqrt(1e-308) = 1e155 squares to inf, so the kappa = 0 trace drops its outer nodes
+    def test_uncoupled_cell_whose_extent_squares_past_the_float_range_is_refused(self):
+        # L = 10 / sqrt(1e-308) = 1e155 squares to inf, so the kappa = 0 trace would drop its outer nodes
         code, out, err = self.run_strict("validate", "--alpha", "1e-308", "--kappa", "0", "--format", "csv")
-        assert (code, err) == (EXIT_FAIL, "")
-        _, rows = csv_rows(out)
-        assert len(rows) == 1 and rows[0][-1] == "NO"
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "alpha=1e-308, kappa=0" in err
 
 
 class TestUnderflowingAlpha:
@@ -1047,6 +1055,103 @@ class TestExitCodes:
 
 
 
+# the values the contract fuzzer draws: half of them at the edges (signed zeros, the smallest subnormal, the
+# float range's ends, the square root of its top, NaN, infinities, ints out of every command's range), half
+# ordinary; generated graphs have at most 3 vertices
+FUZZ_FLOATS = st.sampled_from(["0", "-0", "5e-324", "1e-308", "1e308", "-1e308", "1e154", "nan", "inf", "-inf"]) \
+    | st.sampled_from(["0.5", "1", "2.5"])
+FUZZ_COUNTS = st.sampled_from(["-1", "0", str(cli.MAX_ROWS + 1), str(2**31), str(2**63)]) \
+    | st.sampled_from(["1", "2", "3"])
+FUZZ_FILES = {"edge.txt": "vertices 2\n0 1 1.5\n",
+              "path.txt": "vertices 3\n0 1\n1 2\n",
+              "heavy.txt": "vertices 3\n0 1 1e154\n1 2 -1e-308\n"}
+
+
+@st.composite
+def cli_calls(draw):
+    """One argv for ``main``: a command and any of its options, each drawn from the fuzzer's values."""
+    command = draw(st.sampled_from(sorted(cli.COMMANDS)))
+    argv = [command, "--format", draw(st.sampled_from(cli.FORMATS))]
+
+    def maybe(flag, values):
+        value = draw(st.none() | values)
+        if value is not None:
+            argv.append(f"{flag}={value}")  # one token, so that argparse takes "-inf" as a value
+
+    def generated():
+        kind = draw(st.sampled_from(graph_mod.GENERATOR_KINDS))
+        argv.extend(["--gen", kind, f"--n={draw(FUZZ_COUNTS)}"])
+        if kind == "erdos_renyi" or draw(st.booleans()):
+            maybe("--p", FUZZ_FLOATS)
+            maybe("--seed", FUZZ_COUNTS)
+
+    floats = st.lists(FUZZ_FLOATS, min_size=1, max_size=2).map(",".join)
+    if command in ("profile", "oracle"):
+        source = draw(st.sampled_from(["graph", "gen", "none"]))
+        if source == "graph":
+            argv += ["--graph", draw(st.sampled_from(sorted(FUZZ_FILES)))]
+        elif source == "gen":
+            generated()
+    # scan takes a graph ensemble or a kappa grid, validate a kappa grid: --kappa, --kappa-range or both
+    couplings = draw(st.sampled_from(["gen", "kappa", "range", "both"])) if command in ("scan", "validate") else ""
+    if command == "gen" or couplings == "gen" and command == "scan":
+        generated()
+    if command != "gen":
+        maybe("--alpha", floats if command == "validate" else FUZZ_FLOATS)
+    if command == "spectrum" or couplings in ("kappa", "both"):
+        maybe("--kappa", floats if command != "spectrum" else FUZZ_FLOATS)
+    if couplings in ("range", "both"):
+        maybe("--kappa-range", st.tuples(FUZZ_FLOATS, FUZZ_FLOATS).map("..".join))
+    if command in ("validate", "oracle"):
+        maybe("--tol", FUZZ_FLOATS)
+    if command == "spectrum":
+        maybe("--count", FUZZ_COUNTS)
+    if command == "scan" and (couplings == "gen" or draw(st.booleans())):
+        maybe("--samples", FUZZ_COUNTS)
+    if command == "profile" and draw(st.booleans()):
+        argv.append("--numeric")
+    if command == "oracle":
+        maybe("--grid-size", st.sampled_from(["-1", "1", "2", "16", "64", "129", str(2**63)]))
+        maybe("--extent-mult", FUZZ_FLOATS | st.sampled_from(["8", "1000", "1001"]))
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    for name, text in FUZZ_FILES.items():
+        (root / name).write_text(text, encoding="utf-8")
+    return root
+
+
+class TestCliContract:
+    """Every command keeps the exit-code contract on edge-of-range input, with numpy's warnings as errors."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(argv=cli_calls())
+    def test_exit_codes_and_streams(self, argv, fuzz_dir):
+        cwd = os.getcwd()
+        os.chdir(fuzz_dir)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, out, err = run_cli(*argv)
+        finally:
+            os.chdir(cwd)
+        assert code in (EXIT_OK, EXIT_FAIL, EXIT_USAGE, EXIT_IO), argv
+        if code == EXIT_USAGE:
+            assert out == "", argv
+            if not err.startswith("usage:"):  # argparse prints its own usage errors
+                assert err.startswith("error:") and err.count("\n") == 1, (argv, err)
+        elif code in (EXIT_OK, EXIT_FAIL):
+            assert err == "", (argv, err)
+        if code == EXIT_FAIL:
+            # a FAIL verdict of a command that has one, and nothing else
+            assert argv[0] in ("validate", "oracle"), argv
+            fmt = argv[2]
+            assert json.loads(out)["pass"] is False if fmt == "json" else fmt == "csv" or "FAIL:" in out
+
+
 class TestParserBuild:
     """A call that names its command builds only that command's parser; every other argv gets all six."""
 
@@ -1286,15 +1391,15 @@ ORACLE_KEYS = ["vertex", "kappa", "lambda_max", "lambda_reduced", "lambda_altern
 
 @pytest.mark.parametrize("argv,exit_code,rows_key,keys,has_missing", [
     (ACCEPTANCE_GRID, EXIT_OK, "rows", VALIDATE_KEYS, False),
-    # kappa = 0 is converged; kappa = 1e8 is beyond the largest rung and is not
-    (("validate", "--kappa", "0,1e8"), EXIT_FAIL, "rows", VALIDATE_KEYS, False),
+    # both cells converge, and the tolerance is below their roundoff
+    (("validate", "--kappa", "0,1", "--tol", "1e-18"), EXIT_FAIL, "rows", VALIDATE_KEYS, False),
     (("oracle", "--gen", "path", "--n", "3"), EXIT_OK, "rows", ORACLE_KEYS, False),
     (("oracle", "--gen", "path", "--n", "1"), EXIT_OK, "rows", ORACLE_KEYS, True),
     (("profile", "--graph", "weighted.txt", "--alpha", "2", "--numeric"), EXIT_OK, "vertices",
      ["id", "degree", "kappa", "lambda_max", "entanglement",
       ("numeric", "lambda_max"), ("numeric", "deviation"), ("numeric", "grid_size"),
       ("numeric", "converged")], True),
-], ids=["validate-grid", "validate-unconverged", "oracle-path-3", "oracle-one-vertex",
+], ids=["validate-grid", "validate-fail", "oracle-path-3", "oracle-one-vertex",
         "profile-weighted-numeric"])
 def test_csv_and_text_rows_are_json_rows_under_the_cell_rule(argv, exit_code, rows_key, keys,
                                                              has_missing, tmp_path, monkeypatch):

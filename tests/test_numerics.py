@@ -3,14 +3,16 @@ their eigensolvers, and the two-rung trapezoid entanglement solver; closed
 forms serve as the cross-check."""
 
 import math
+import re
 import time
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cvge import numerics
+from cvge import closed_form, numerics
 from cvge.closed_form import (
     KernelSpec,
     lambda_max,
@@ -222,10 +224,10 @@ class TestNumericEntanglement:
                 assert result.converged, (alpha, kap)
                 assert abs(result.lambda_max_numeric - lambda_max(spec)) < 1e-8
 
-    def test_cap_reached_reports_nonconvergence(self):
+    def test_cap_reached_is_refused(self):
         policy = GridPolicy(initial_size=16, max_size=16)
-        result = numeric_entanglement(KernelSpec(1.0, 1.0), policy)
-        assert not result.converged
+        with pytest.raises(ValueError, match="alpha=1, kappa=1: "):
+            numeric_entanglement(KernelSpec(1.0, 1.0), policy)
 
     def test_large_coupling_ratio_converges_at_512_nodes(self):
         # h0 = 1 / sqrt(1000): the 256-node floor covers [-4.03, 4.03], where the
@@ -246,12 +248,10 @@ class TestNumericEntanglement:
         assert result.grid_size == max(45, floor)
         assert abs(result.lambda_max_numeric - 1.0) < numerics.LAMBDA_TOL
 
-    def test_uncoupled_trace_beyond_the_cap_is_not_converged(self):
+    def test_uncoupled_trace_beyond_the_cap_is_refused(self):
         # the trace needs 45 nodes, and a fine rung of 90 would exceed max_size
-        result = numeric_entanglement(KernelSpec(1.0, 0.0), GridPolicy(initial_size=16, max_size=16))
-        assert not result.converged
-        assert result.residual == math.inf
-        assert result.grid_size == 16
+        with pytest.raises(ValueError, match="alpha=1, kappa=0: "):
+            numeric_entanglement(KernelSpec(1.0, 0.0), GridPolicy(initial_size=16, max_size=16))
 
     def test_policy_validation(self):
         with pytest.raises(ValueError, match="initial_size"):
@@ -342,6 +342,18 @@ class TestMatrixFreeRung:
         assert not result.converged
         assert result.grid_size == 512
         assert result.residual < 1e-10
+
+    def test_all_zero_envelope_is_unconverged(self):
+        # at alpha = 1e-320 every node of +-10 / sqrt(alpha) squares past the float range, so d = 0 and B = 0;
+        # numeric_entanglement refuses such a cell, and a direct call ends before its first step
+        spec = KernelSpec(1e-320, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dk = discretize(spec, trapezoid_grid(10.0 / math.sqrt(spec.alpha), 256), matrix_free=True)
+            assert not np.any(dk.matrix.envelope)
+            result, tail = lanczos_eigenvalues(dk, 1)
+        assert not result.converged
+        assert result.residual == math.inf and tail == math.inf
 
     def test_lanczos_validation(self, monkeypatch):
         dk = discretize(KernelSpec(1.0, 1.0), trapezoid_grid(10.0, 16), matrix_free=True)
@@ -463,12 +475,58 @@ class TestSupportedRange:
 
     @settings(max_examples=25, deadline=None)
     @given(alpha=ALPHA, ratio=st.floats(1e-6, 1e4))
-    def test_single_rung_is_never_reported_converged(self, alpha, ratio):
+    def test_cell_beyond_the_cap_is_refused(self, alpha, ratio):
         policy = GridPolicy(initial_size=16, max_size=16)
-        result = numeric_entanglement(KernelSpec(alpha, ratio * alpha**2), policy)
-        assert not result.converged
-        assert result.residual == math.inf
-        assert result.grid_size == 16
+        with pytest.raises(ValueError, match="cannot resolve"):
+            numeric_entanglement(KernelSpec(alpha, ratio * alpha**2), policy)
+
+    @pytest.mark.parametrize("alpha", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("ratio", [1.1e6, 1e8, 1e12])
+    def test_ratio_past_the_largest_rung_is_refused(self, alpha, ratio):
+        # the fine rung on +-10 / sqrt(alpha) holds 40960 nodes up to kappa / alpha^2 = (20479 / 20)^2
+        spec = KernelSpec(alpha, ratio * alpha**2)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=re.escape(f"alpha={alpha:g}, kappa={spec.kappa:g}: ")):
+            numeric_entanglement(spec)
+        assert time.perf_counter() - start < 0.1
+
+    @pytest.mark.parametrize("alpha, kap", [(1e-315, 1.0), (1e-307, 0.0)])
+    def test_extent_squaring_past_the_float_range_is_refused(self, alpha, kap):
+        # below alpha = 100 / DBL_MAX, about 5.6e-307, the outer nodes of +-10 / sqrt(alpha) square to inf
+        with pytest.raises(ValueError, match=re.escape(f"alpha={alpha:g}, kappa={kap:g}: ")):
+            numeric_entanglement(KernelSpec(alpha, kap))
+
+    def test_range_ends_where_the_fine_rung_passes_max_size(self):
+        # the coarse rung on +-L0 needs 20 sqrt(kappa) / alpha + 1 nodes and the fine rung twice that, at
+        # most 40960: the range ends at kappa / alpha^2 = (20479 / 20)^2, about 1.0485e6
+        spec = KernelSpec(1.0, 1.048e6)
+        result = numeric_entanglement(spec)
+        assert result.converged and abs(result.lambda_max_numeric - lambda_max(spec)) <= 1e-15
+        with pytest.raises(ValueError, match="cannot resolve"):
+            numeric_entanglement(KernelSpec(1.0, 1.049e6))
+
+    def test_solver_never_reads_the_closed_form(self, monkeypatch):
+        # every closed_form callable but KernelSpec raises; the numerics must bind none of them by name
+        bound = [name for name, obj in vars(numerics).items()
+                 if obj is closed_form or getattr(obj, "__module__", None) == closed_form.__name__]
+        assert bound == ["KernelSpec"]
+        cells = [KernelSpec(alpha, kap) for alpha in ALPHAS for kap in KAPPAS]
+        cells += [KernelSpec(alpha, ratio * alpha**2) for alpha in (1e-3, 1.0, 1e3) for ratio in (1e3, 1e4, 1e6)]
+        expected = [lambda_max(spec) for spec in cells]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the solver read the closed form")
+
+        patched = [name for name, obj in vars(closed_form).items()
+                   if callable(obj) and obj is not KernelSpec and getattr(obj, "__module__", None) == closed_form.__name__]
+        assert {"lambda_max", "closed_forms", "spectral_denominator"} <= set(patched)
+        for name in patched:
+            monkeypatch.setattr(closed_form, name, refuse)
+        for spec, lam in zip(cells, expected):
+            result = numeric_entanglement(spec)
+            assert result.converged and abs(result.lambda_max_numeric - lam) < 1e-10, spec
+        with pytest.raises(ValueError, match="cannot resolve"):
+            numeric_entanglement(KernelSpec(1.0, 1e8))
 
     @pytest.mark.parametrize("alpha", [1e-3, 1.0, 1e3])
     @pytest.mark.parametrize("ratio, nodes", [(1e4, 512), (1e6, 1024)])

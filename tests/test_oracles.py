@@ -157,6 +157,15 @@ class TestAlternatingMaximization:
         assert alternating.lambda_max_numeric == pytest.approx(
             kernel_route.lambda_max_numeric, abs=1e-7)
 
+    def test_capped_run_reports_the_last_change(self, monkeypatch):
+        # a tol no sweep can reach: the run stops at the cap, and its residual is the last sweep's change
+        monkeypatch.setattr(numerics, "POWER_ITERATION_CAP", 5)
+        state = GraphState(Graph(3, [[0.0, 1.3, 0.7], [1.3, 0.0, 1.1], [0.7, 1.1, 0.0]]), 1.7)
+        grid = numerics.oracle_grid(10.0 / math.sqrt(1.7), 64)
+        result = alternating_maximization(state, 0, grid, tol=1e-300)
+        assert not result.converged and len(result.history) == 5
+        assert result.residual == abs(result.history[-1] - result.history[-2]) > 0.0
+
     def test_needs_at_least_two_oscillators(self):
         state = GraphState(Graph(1, np.zeros((1, 1))), 1.0)
         with pytest.raises(ValueError, match="at least 2"):
