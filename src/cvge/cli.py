@@ -50,9 +50,6 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 FORMATS = ("json", "csv", "text")
 MAX_ROWS = 100_000  # most values --count or --kappa-range may ask for, and most --samples
-# most oracle --extent-mult, 125 times the truncation minimum: a wider interval
-# only spends nodes on the vanishing tail, and at 1e200 the squared nodes overflow
-MAX_EXTENT_FACTOR = 1000.0
 # a table column: its CSV and text header (None keeps it to JSON), the path of
 # keys where its values nest in a JSON row, and the values, one per row
 Column = tuple[str | None, tuple[str, ...], Sequence]
@@ -164,17 +161,6 @@ def _refuse_unread(args: argparse.Namespace, dests: Iterable[str], where: str) -
     for dest in dests:
         if getattr(args, dest) is not None:
             raise ValueError(f"--{dest} is not read {where}")
-
-
-def _check_numeric_flags(args: argparse.Namespace) -> None:
-    """Bound the oracle's ``--grid-size`` and ``--extent-mult``."""
-    if not 2 <= args.grid_size <= num.ORACLE_MAX_GRID:
-        raise ValueError(f"--grid-size must be >= 2 and <= {num.ORACLE_MAX_GRID}, got {args.grid_size}")
-    if not (math.isfinite(args.extent_mult) and args.extent_mult >= num.MIN_EXTENT_FACTOR):
-        raise ValueError(f"--extent-mult must be finite and >= {num.MIN_EXTENT_FACTOR:g}, "
-                         f"got {args.extent_mult:g}")
-    if args.extent_mult > MAX_EXTENT_FACTOR:
-        raise ValueError(f"--extent-mult must be <= {MAX_EXTENT_FACTOR:g}, got {args.extent_mult:g}")
 
 
 def _tolerance(args: argparse.Namespace) -> float:
@@ -441,7 +427,7 @@ def _check_oracle_resolution(state: graph_mod.GraphState, grid: num.QuadratureGr
     quadrature error, not a failed degree law. One edge of weight 2 at
     alpha = 0.5 deviates by 4.9e-5 on the 48 nodes of --grid-size 64, and 36
     nodes move lambda by 4.0e-3; on the 96 nodes of --grid-size 128 it
-    deviates by 4.2e-14. A ``--tol`` below the roundoff of the 128 cap
+    deviates by 4.2e-14. A ``--tol`` below the roundoff of the largest grids
     (about 1e-14) lands here too, so the message names ``--tol`` as well.
     """
     coarse = num.oracle_grid(grid.extent, grid.size)
@@ -458,24 +444,29 @@ def _check_oracle_resolution(state: graph_mod.GraphState, grid: num.QuadratureGr
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    _check_numeric_flags(args)
+    largest = 4 * num.ORACLE_MAX_GRID // 3  # the largest m whose ceil(3m/4) nodes fit the oracles' node cap
+    if not 2 <= args.grid_size <= largest:
+        raise ValueError(f"--grid-size must be >= 2 and <= {largest}, got {args.grid_size}")
     alpha = _single_alpha(args)
     tol = _tolerance(args)
     g, source, seed = _load_graph(args, num.check_oracle_vertices)
     state = graph_mod.GraphState(g, alpha)
-    grid = num.oracle_grid(args.extent_mult / math.sqrt(alpha), args.grid_size)
+    # |psi|^2 is the product of the envelopes d(x_j)^2 on every graph, so alpha alone
+    # places the mass, and the solver's widest extent L0 holds it
+    grid = num.oracle_grid(num.DEFAULT_EXTENT_FACTOR / math.sqrt(alpha), args.grid_size)
     weight = float(np.max(np.abs(g.w), initial=0.0))
     # the tensor's envelopes and phases read x x and a x x' on nodes out to the
     # extent: past the float range they are inf, and exp(i inf) is nan
     if not math.isfinite(max(1.0, weight) * grid.extent * grid.extent):
-        raise ValueError(f"--alpha {alpha:g} is too small for --extent-mult {args.extent_mult:g}: "
-                         f"the oracle grid reaches {grid.extent:g}, where x x and the phases a x x' overflow")
-    # Poisson summation: the trapezoid rule of step h over a rest axis copies an edge
-    # phase's frequency a (x - x') out by 2 pi / h, and the copy weighs e^-T, with
-    # T = pi^2 (n - 1)^2 / (4 E^2 (1 + (a / alpha)^2)); at a = 0 it copies the envelope.
-    # Refused below T = 3: with the re-check alone, graphs of at most 3 vertices FAILed the
-    # degree law where it holds up to T = 2.03; the lowest PASS at the default --tol is at 3.37
-    root, ratio = math.pi * (grid.size - 1) / (2.0 * args.extent_mult), weight / alpha
+        raise ValueError(f"--alpha {alpha:g} is too small: the oracle grid reaches {grid.extent:g}, "
+                         f"where x x and the phases a x x' overflow")
+    # Poisson summation: the trapezoid rule of step h = 2 L / (n - 1) over a rest axis copies
+    # an edge phase's frequency a (x - x') out by 2 pi / h, and the copy weighs e^-T, with
+    # T = pi^2 (n - 1)^2 / (400 (1 + (a / alpha)^2)) at L = 10 / sqrt(alpha); at a = 0 it
+    # copies the envelope. Refused below T = 3: with the re-check alone, graphs of at most
+    # 3 vertices FAILed the degree law where it holds up to T = 2.03; the lowest PASS at the
+    # default --tol is at 3.37
+    root, ratio = math.pi * (grid.size - 1) / (2.0 * num.DEFAULT_EXTENT_FACTOR), weight / alpha
     if (exponent := root * root / (1.0 + ratio * ratio)) < 3.0:
         raise ValueError(f"--grid-size {args.grid_size} is too coarse: on its {grid.size} nodes the largest "
                          f"|edge weight| {weight:g} at --alpha {alpha:g} aliases with weight e^-{exponent:.2g} > e^-3")
@@ -487,7 +478,6 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         blocks = num.one_vs_rest(state, v, grid)
         reduced = num.top_eigenvalues(num.reduce_full_state(state, v, grid, blocks), 1)
         dev_reduced = abs(reduced.lambda_max_numeric - lam_closed)
-        all_converged = all_converged and reduced.converged
         lam_alt: float | None = None
         dev_alt: float | None = None
         if g.n >= 2:
@@ -531,8 +521,9 @@ def cmd_scan(args: argparse.Namespace) -> int:
         _refuse_unread(args, ("n", "p", "seed", "samples"), "with a kappa grid")
         kappas = np.sort(_resolve_kappas(args), kind="stable")  # sorts kappa / alpha**2 too, as it is monotone
         entanglements = cf.closed_forms(alpha, kappas)[1]
-        if alpha**2 == 0.0:
-            raise ValueError(f"--alpha {alpha!r} underflows alpha**2 to 0, so kappa/alpha**2 is undefined")
+        if alpha**2 < sys.float_info.min:  # a subnormal alpha**2 has lost digits, and 0 has none
+            raise ValueError(f"--alpha {alpha!r} underflows alpha**2 to {alpha**2!r}, below the normal "
+                             f"floats, so kappa/alpha**2 is not defined to full precision")
         with np.errstate(over="ignore"):  # past the float range a ratio is inf, as a Python float's is
             values = (kappas, kappas / alpha**2, entanglements)
         layout, payload = SCAN_GRID_COLUMNS, {"alpha": alpha, "mode": "grid"}
@@ -609,11 +600,9 @@ def _oracle_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol", type=float, default=1e-6,
                    help="PASS threshold on the worst deviation (default 1e-6)")
     p.add_argument("--grid-size", type=int, default=64,
-                   help="m: the trapezoid rule on n = ceil(3m/4) nodes per axis; exit 2 where pi^2 (n-1)^2 / (4 E^2 "
-                        f"(1 + a^2/alpha^2)) < 3, a = max |edge weight|, E = --extent-mult (default 64, "
-                        f"at most {num.ORACLE_MAX_GRID})")
-    p.add_argument("--extent-mult", type=float, default=num.DEFAULT_EXTENT_FACTOR,
-                   help="interval half-width in units of 1/sqrt(alpha) (default 10, from 8 to 1000)")
+                   help="m: the trapezoid rule on n = ceil(3m/4) nodes per axis over [-10, 10] / sqrt(alpha); "
+                        "exit 2 where pi^2 (n-1)^2 / (400 (1 + a^2/alpha^2)) < 3, a = max |edge weight| "
+                        f"(default 64, at most {4 * num.ORACLE_MAX_GRID // 3})")
 
 
 def _scan_options(p: argparse.ArgumentParser) -> None:
@@ -633,7 +622,7 @@ class Command:
     help: str
     add_options: Callable[[argparse.ArgumentParser], None]
     handler: Callable[[argparse.Namespace], int]
-    default_format: str = "text"
+    default_format: str | None = "text"  # None: the command writes no table and takes no --format
 
 
 COMMANDS = {
@@ -648,7 +637,7 @@ COMMANDS = {
     "scan": Command("entanglement curve over a kappa grid or a graph ensemble",
                     _scan_options, cmd_scan, default_format="csv"),
     "gen": Command("write a generated graph in the edge-list format",
-                   partial(_generator_options, required=True), cmd_gen),
+                   partial(_generator_options, required=True), cmd_gen, default_format=None),
 }
 
 
@@ -664,8 +653,9 @@ def _build_parser(names: Iterable[str]) -> tuple[argparse.ArgumentParser, dict[s
     for name in names:
         command = COMMANDS[name]
         p = sub.add_parser(name, help=command.help)
-        p.add_argument("--format", choices=FORMATS, default=command.default_format,
-                       help=f"output format (default {command.default_format})")
+        if command.default_format is not None:
+            p.add_argument("--format", choices=FORMATS, default=command.default_format,
+                           help=f"output format (default {command.default_format})")
         p.add_argument("--out", metavar="PATH", help="write output to PATH instead of stdout")
         p.add_argument("--config", metavar="PATH",
                        help="key = value file providing defaults; command-line flags win")

@@ -65,8 +65,10 @@ and :func:`alternating_maximization` sweeps the even block alone. The
 oracles normally run on the trapezoid rule of :func:`oracle_grid`, which
 keeps 34 live of the 48 nodes of ``--grid-size`` 64 and 68 of the 96 of
 ``--grid-size`` 128; at 3 vertices the top rows then hold 157,216 complex
-points (2.4 MiB). A caller that runs both oracles on one vertex builds the
-blocks once and passes them to each; called without them, each builds its own.
+points (2.4 MiB). The 128 nodes of ``--grid-size`` 170, the cap, keep 90
+live, and the top rows hold 364,500 points (5.6 MiB). A caller that runs
+both oracles on one vertex builds the blocks once and passes them to each;
+called without them, each builds its own.
 
 A dense discretization, and so every oracle, needs the truncation extent
 L >= 8 / sqrt(alpha): the integrand mass beyond that is below exp(-32) of

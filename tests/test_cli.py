@@ -9,6 +9,7 @@ import math
 import os
 import re
 import shlex
+import struct
 import subprocess
 import sys
 import time
@@ -300,12 +301,23 @@ class TestOracle:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == [str(EXIT_USAGE), str(EXIT_OK), "False"]
 
-    @pytest.mark.parametrize("mult", ["inf", "nan"])
-    def test_non_finite_extent_is_usage_error(self, mult):
-        code, out, err = run_cli("oracle", "--gen", "path", "--n", "2", "--extent-mult", mult)
-        assert code == EXIT_USAGE
-        assert out == ""
-        assert err.startswith("error: --extent-mult must be finite") and err.count("\n") == 1
+    def test_takes_no_extent_flag(self, tmp_path):
+        # alpha alone places the state's mass, so the grid spans the solver's widest extent
+        code, out, err = run_cli("oracle", "--gen", "path", "--n", "2", "--extent-mult", "10")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "unrecognized arguments: --extent-mult" in err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("extent-mult = 10\n", encoding="utf-8")
+        code, out, err = run_cli("oracle", "--gen", "path", "--n", "2", "--config", str(cfg))
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "error: unknown config key 'extent-mult' for command 'oracle'\n"
+
+    def test_largest_grid_size_fills_the_node_cap(self):
+        # ceil(3 * 170 / 4) = 128 nodes; 171 would build 129
+        code, out, err = run_cli("oracle", "--gen", "cycle", "--n", "3", "--grid-size", "170")
+        assert (code, err) == (EXIT_OK, "")
+        assert out.splitlines()[-1].startswith("PASS: ")
+        assert out.endswith("--grid-size 170 (128 trapezoid nodes)\n")
 
     def test_single_edge_three_routes(self):
         code, out, _ = run_cli("oracle", "--gen", "path", "--n", "2", "--format", "json")
@@ -497,6 +509,18 @@ class TestGen:
         assert code == EXIT_IO
         assert "cannot write" in err
 
+    def test_takes_no_format(self, tmp_path):
+        # gen writes the edge-list format only
+        code, out, err = run_cli("gen", "--gen", "path", "--n", "3", "--format", "json")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "unrecognized arguments: --format" in err
+        assert "--format" not in cli._build_parser(["gen"])[1]["gen"].format_help()
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("format = text\n", encoding="utf-8")
+        code, out, err = run_cli("gen", "--gen", "path", "--n", "3", "--config", str(cfg))
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "error: unknown config key 'format' for command 'gen'\n"
+
 
 class TestConfigFile:
     def test_config_provides_defaults(self, tmp_path):
@@ -602,7 +626,7 @@ class TestSizeLimits:
     """Every size input is bounded when parsed: exit 2 with one line, before any allocation."""
 
     @pytest.mark.parametrize("argv,message", [
-        (("oracle", "--gen", "path", "--n", "2", "--grid-size", "1000000"), "<= 128"),
+        (("oracle", "--gen", "path", "--n", "2", "--grid-size", "171"), "--grid-size must be >= 2 and <= 170, got 171"),
         (("oracle", "--gen", "path", "--n", "2", "--grid-size", "1"), "--grid-size must be >= 2"),
         (("profile", "--gen", "path", "--n", "10000000"), "up to n(n-1)/2 edges"),
         (("gen", "--gen", "complete", "--n", "10001"), "up to n(n-1)/2 edges"),
@@ -630,7 +654,7 @@ class TestSizeLimits:
 
 
 class TestValueBounds:
-    """A tolerance or extent outside its range is a usage error, never a FAIL table."""
+    """A value outside its range is a usage error, never a FAIL table."""
 
     @pytest.mark.parametrize("argv,message", [
         (("validate", "--kappa", "1", "--tol", "nan"), "--tol must be positive and finite"),
@@ -639,12 +663,8 @@ class TestValueBounds:
         (("validate", "--kappa", "1", "--tol", "inf"), "--tol must be positive and finite"),
         (("oracle", "--gen", "path", "--n", "2", "--tol", "nan"), "--tol must be positive and finite"),
         (("oracle", "--gen", "path", "--n", "2", "--tol", "-1"), "--tol must be positive and finite"),
-        (("oracle", "--gen", "path", "--n", "2", "--extent-mult", "5"),
-         "--extent-mult must be finite and >= 8, got 5"),
         # the 24 nodes of --grid-size 32 pass the alias rule (T = 6.5), and the re-check refuses them
         (("oracle", "--gen", "cycle", "--n", "3", "--grid-size", "32"), "--grid-size 32 is too coarse"),
-        *[(("oracle", "--gen", "path", "--n", "2", "--extent-mult", mult), f"--extent-mult must be <= 1000, got {mult}")
-          for mult in ("1e+200", "1e+308")],
         # alpha**2 overflows a Python float above about 1.34e154
         (("validate", "--alpha", "1e300", "--kappa", "1e-300"), "alpha must be below 1.341e+154"),
         (("spectrum", "--alpha", "1e300", "--kappa", "1e-300"), "alpha must be below 1.341e+154"),
@@ -653,6 +673,8 @@ class TestValueBounds:
         (("scan", "--gen", "path", "--n", "2", "--alpha", "1e300"), "alpha must be below 1.341e+154"),
         # below about 1.5e-162 alpha**2 underflows to 0, and a kappa grid has no kappa / alpha**2
         (("scan", "--kappa", "1", "--alpha", "1e-200"), "--alpha 1e-200 underflows alpha**2 to 0"),
+        # below about 1.49e-154 alpha**2 is subnormal, and kappa / alpha**2 would lose digits
+        (("scan", "--kappa", "1", "--alpha", "1e-160"), "--alpha 1e-160 underflows alpha**2 to 1e-320"),
         # raised by the library and printed as it is
         (("profile", "--gen", "cycle", "--n", "2"), "cycle requires n >= 3, got 2"),
         (("profile", "--gen", "erdos_renyi", "--n", "5"), "erdos_renyi requires edge probability p"),
@@ -663,11 +685,11 @@ class TestValueBounds:
         (("scan", "--gen", "path", "--n", "2", "--samples", "100001"), "--samples must be in [1, 100000], got 100001"),
         (("scan", "--gen", "path", "--n", "2", "--samples", "0"), "--samples must be in [1, 100000], got 0"),
     ], ids=["validate-tol-nan", "validate-tol-negative", "validate-tol-zero", "validate-tol-inf",
-            "oracle-tol-nan", "oracle-tol-negative", "oracle-extent", "oracle-grid-too-coarse",
-            "oracle-extent-1e200", "oracle-extent-1e308",
+            "oracle-tol-nan", "oracle-tol-negative", "oracle-grid-too-coarse",
             "validate-alpha-squared-overflows", "spectrum-alpha-squared-overflows",
             "profile-alpha-squared-overflows", "scan-grid-alpha-squared-overflows",
             "scan-ensemble-alpha-squared-overflows", "scan-grid-alpha-squared-underflows",
+            "scan-grid-alpha-squared-subnormal",
             "profile-cycle-too-small", "profile-erdos-renyi-without-p",
             "gen-cycle-too-small", "spectrum-negative-kappa", "validate-alpha-zero",
             "scan-samples-above-the-cap", "scan-samples-zero"])
@@ -703,12 +725,12 @@ class TestOverflowingInputs:
         assert err.count("\n") == 1
         assert err.startswith(f"error: {path}: vertex {vertex}:") and "kappa is inf" in err
 
-    def test_oracle_phase_overflow_names_the_flags(self):
+    def test_oracle_phase_overflow_names_alpha(self):
         code, out, err = self.run_strict("oracle", "--gen", "path", "--n", "2", "--alpha", "1e-308")
         assert code == EXIT_USAGE
         assert out == ""
-        assert err.startswith("error:") and err.count("\n") == 1
-        assert "--alpha 1e-308" in err and "--extent-mult 10" in err
+        assert err == "error: --alpha 1e-308 is too small: the oracle grid reaches 1e+155, " \
+                      "where x x and the phases a x x' overflow\n"
 
     # below alpha ~ 5.6e-307 the nodes out to 10 / sqrt(alpha) square to inf, from ~1e-311 all of them
     @pytest.mark.parametrize("alpha", ["1e-308", "1e-313", "1e-315", "1e-320"])
@@ -742,11 +764,24 @@ class TestOverflowingInputs:
         assert (code, err) == (EXIT_OK, "")
         assert json.loads(out)["rows"][0]["entanglement"] == pytest.approx(3.0 - 2.0 * math.sqrt(2.0), rel=1e-12)
 
-    # below alpha ~ 1.5e-154, alpha**2 is subnormal and kappa / alpha**2 can pass the float range
+    # a normal alpha**2 and a kappa that take kappa / alpha**2 = 1e350 past the float range
     def test_scan_ratio_past_the_float_range_is_inf(self):
-        code, out, err = self.run_strict("scan", "--alpha", "1e-160", "--kappa", "0,1", "--format", "json")
+        code, out, err = self.run_strict("scan", "--alpha", "1e-100", "--kappa", "0,1e150", "--format", "json")
         assert (code, err) == (EXIT_OK, "")
         assert [row["coupling_ratio"] for row in json.loads(out)["rows"]] == [0.0, math.inf]
+
+    # alpha**2 is normal from alpha = 2**-511 up; below it is subnormal, and at alpha = 1e-160
+    # it is 1e-320 to 1.1e-5, so kappa = 1e-20 printed a ratio of 1.0000111e300 for 1e300
+    def test_scan_takes_alpha_down_to_the_smallest_normal_square(self):
+        alpha = 2.0**-511
+        assert alpha**2 == sys.float_info.min
+        code, out, err = self.run_strict("scan", "--alpha", repr(alpha), "--kappa", "1", "--format", "json")
+        assert (code, err) == (EXIT_OK, "")
+        assert json.loads(out)["rows"][0]["coupling_ratio"] == 1.0 / alpha**2
+        below = repr(math.nextafter(alpha, 0.0))
+        code, out, err = self.run_strict("scan", "--alpha", below, "--kappa", "1", "--format", "json")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith(f"error: --alpha {below} underflows alpha**2") and err.count("\n") == 1
 
     def test_spectrum_where_d_overflows(self):
         code, out, err = self.run_strict("spectrum", "--alpha", "1e154", "--kappa", "1e300", "--count", "2",
@@ -836,16 +871,20 @@ KEYS = st.text(max_size=4).filter(lambda key: key != "numeric")
 @st.composite
 def tables(draw):
     """(payload, rows_key, columns, footers): columns of one length, some nested under "numeric", some
-    JSON only, some long enough for the renderer to look for their repeats."""
+    JSON only, some long enough for the renderer to look for their repeats, and some of those long
+    ones floats none of whose bits repeat."""
     keys = draw(st.lists(KEYS, min_size=1, max_size=5, unique=True))
     nested = draw(st.lists(KEYS, max_size=3, unique=True))
     count = draw(st.integers(0, 8) | st.integers(cli.SHORT_COLUMN, cli.SHORT_COLUMN + 16))
     columns = []
     for path in [(key,) for key in keys] + [("numeric", key) for key in nested]:
-        kind = draw(st.sampled_from(COLUMN_KINDS))
-        pool = draw(st.lists(kind, min_size=1, max_size=8))
-        # so that columns repeat values, and long ones draw quickly
-        values = [pool[i] for i in draw(st.lists(st.integers(0, len(pool) - 1), min_size=count, max_size=count))]
+        if count >= cli.SHORT_COLUMN and draw(st.booleans()):
+            values = draw(st.lists(st.floats(), min_size=count, max_size=count,
+                                   unique_by=lambda v: struct.pack("<d", v)))
+        else:
+            pool = draw(st.lists(draw(st.sampled_from(COLUMN_KINDS)), min_size=1, max_size=8))
+            # so that columns repeat values, and long ones draw quickly
+            values = [pool[i] for i in draw(st.lists(st.integers(0, len(pool) - 1), min_size=count, max_size=count))]
         columns.append((draw(st.none() | st.just("/".join(path))), path, values))
     rows_key = draw(st.sampled_from(["rows", "vertices"]))
     payload = {"alpha": draw(SCALARS),
@@ -1071,7 +1110,9 @@ FUZZ_FILES = {"edge.txt": "vertices 2\n0 1 1.5\n",
 def cli_calls(draw):
     """One argv for ``main``: a command and any of its options, each drawn from the fuzzer's values."""
     command = draw(st.sampled_from(sorted(cli.COMMANDS)))
-    argv = [command, "--format", draw(st.sampled_from(cli.FORMATS))]
+    argv = [command]
+    if cli.COMMANDS[command].default_format is not None:  # gen writes no table and takes no --format
+        argv += ["--format", draw(st.sampled_from(cli.FORMATS))]
 
     def maybe(flag, values):
         value = draw(st.none() | values)
@@ -1111,8 +1152,7 @@ def cli_calls(draw):
     if command == "profile" and draw(st.booleans()):
         argv.append("--numeric")
     if command == "oracle":
-        maybe("--grid-size", st.sampled_from(["-1", "1", "2", "16", "64", "129", str(2**63)]))
-        maybe("--extent-mult", FUZZ_FLOATS | st.sampled_from(["8", "1000", "1001"]))
+        maybe("--grid-size", st.sampled_from(["-1", "1", "2", "16", "64", "170", "171", str(2**63)]))
     return argv
 
 

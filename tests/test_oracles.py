@@ -32,6 +32,8 @@ from cvge.numerics import (
 )
 
 GRID = build_grid(10.0, 64)
+# the largest --grid-size m, whose ceil(3m/4) trapezoid nodes fill the oracles' node cap
+MAX_GRID_SIZE = 4 * ORACLE_MAX_GRID // 3
 WEIGHTED_TRIANGLE = Graph(3, [[0.0, 0.7, -1.3], [0.7, 0.0, 1.9], [-1.3, 1.9, 0.0]])
 
 SMALL_BINARY_GRAPHS = [
@@ -431,7 +433,7 @@ class TestParityFold:
         assert np.array_equal(grid.nodes, -grid.nodes[::-1])
         assert np.array_equal(grid.weights, grid.weights[::-1])
 
-    @pytest.mark.parametrize("grid_size", range(2, ORACLE_MAX_GRID + 1))
+    @pytest.mark.parametrize("grid_size", range(2, MAX_GRID_SIZE + 1))
     def test_oracle_rule_is_an_exactly_symmetric_trapezoid_rule(self, grid_size):
         grid = numerics.oracle_grid(10.0 / math.sqrt(1.3), grid_size)
         size = -(-3 * grid_size // 4)
@@ -519,7 +521,7 @@ class TestLiveNodes:
     """Every axis of the oracle tensor keeps only the nodes that hold its mass."""
 
     @pytest.mark.parametrize("rule", [build_grid, numerics.oracle_grid], ids=["gauss-legendre", "oracle-trapezoid"])
-    @pytest.mark.parametrize("size", range(2, ORACLE_MAX_GRID + 1))
+    @pytest.mark.parametrize("size", range(2, MAX_GRID_SIZE + 1))
     def test_mask_is_symmetric_and_drops_at_most_its_share(self, rule, size):
         for alpha in (0.5, 1.0, 2.0):
             for mult in (8.0, 10.0, 1000.0):
@@ -601,14 +603,6 @@ class TestPhaseResolution:
         code, payload = oracle_json((), graph, tmp_path, "--alpha", alpha, "--grid-size", "128")
         assert code == EXIT_OK and payload["pass"]
 
-    def test_wide_extent_is_refused_by_the_recheck(self, tmp_path):
-        # 96 nodes over 35 / sqrt(alpha) pass the up-front rule (T = 9.1) and deviate by
-        # about 4e-5; the 72 nodes of the re-check move lambda by about 5e-3
-        code, out, err = oracle_run(("--gen", "cycle", "--n", "3"), None, tmp_path,
-                                    "--grid-size", "128", "--extent-mult", "35")
-        assert code == EXIT_USAGE and out == ""
-        assert err.startswith("error:") and err.count("\n") == 1 and "--grid-size 128 is too coarse" in err
-
     def test_a_deviation_the_grid_resolves_stays_a_fail(self, monkeypatch):
         # 36 and 48 nodes agree on the single edge to 1.7e-9, far inside a 1e-3 error in the closed form
         closed_forms = cf.closed_forms
@@ -657,7 +651,7 @@ def edge_file(tmp_path, weight):
 class TestAliasRule:
     """The oracle refuses, before building a tensor, every grid whose worst aliased copy weighs e^-3 or more.
 
-    T = pi^2 (n - 1)^2 / (4 E^2 (1 + (a / alpha)^2)) for n nodes, --extent-mult E and
+    T = pi^2 (n - 1)^2 / (400 (1 + (a / alpha)^2)) for n nodes over [-10, 10] / sqrt(alpha) and
     largest |edge weight| a.
     """
 
@@ -673,7 +667,7 @@ class TestAliasRule:
         codes = set()
         for source in sources:
             for alpha in self.ALPHAS:
-                for size in ("64", "128"):
+                for size in ("64", "128", str(MAX_GRID_SIZE)):
                     with warnings.catch_warnings(record=True) as caught:
                         warnings.simplefilter("always")
                         code, out, err = oracle_run(source, None, tmp_path, "--alpha", alpha, "--grid-size", size)
@@ -689,7 +683,9 @@ class TestAliasRule:
         (("--gen", "path", "--n", "2"), "0.1", "128"),  # T = 2.2
         (("--gen", "path", "--n", "1"), "1", "3"),  # no edge: the envelope's own copy, T = 0.099
         (None, "1", "64"),  # one edge of weight 100, T = 0.0054
-    ], ids=["path-2-alpha-1e-100", "path-2-alpha-0.1-grid-128", "path-1-grid-3", "edge-weight-100"])
+        (None, "1", str(MAX_GRID_SIZE)),  # the same edge on the 128 nodes of the largest grid, T = 0.040
+    ], ids=["path-2-alpha-1e-100", "path-2-alpha-0.1-grid-128", "path-1-grid-3", "edge-weight-100",
+            "edge-weight-100-largest-grid"])
     def test_refused_before_any_tensor(self, source, alpha, size, tmp_path, monkeypatch):
         def unreachable(*args):
             raise AssertionError("one_vs_rest ran")
